@@ -96,11 +96,17 @@ class BipState:
 
 
 def _apply_bounds(xs, lower, upper, policy, rng, reference=None, sigma=None):
-    """Fold candidate positions back into the box."""
+    """Fold candidate positions back into the box.
+
+    ``xs`` must be a fresh float array: clamp overwrites it.
+    """
     if lower is None or upper is None:
         return xs
     if policy == "clamp":
-        return np.clip(xs, lower, upper)
+        # np.clip(xs, lower, upper) bit for bit (signed zeros and NaN
+        # included), in place
+        np.maximum(xs, lower, out=xs)
+        return np.minimum(xs, upper, out=xs)
     if policy == "reflect":
         span = upper - lower
         period = 2.0 * span
@@ -110,7 +116,7 @@ def _apply_bounds(xs, lower, upper, policy, rng, reference=None, sigma=None):
         return lower + y
     # resample: redraw out-of-box coordinates around the reference point,
     # falling back to clamp after a bounded number of tries
-    out = np.array(xs, dtype=float)
+    out = xs
     for _ in range(100):
         bad = (out < lower) | (out > upper)
         if not bad.any():
@@ -141,10 +147,10 @@ def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
     Broadcasts over array arguments.  Extreme gaps underflow to exactly 0.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma <= 0):
+    if np.count_nonzero(gamma <= 0):
         raise ValueError("gamma must be positive")
     delta_f = np.asarray(delta_f, dtype=float)
-    if np.any(delta_f < 0):
+    if np.count_nonzero(delta_f < 0):
         raise ValueError("delta_f must be nonnegative for a tunneling decision")
     # a denormal gamma can overflow the quotient to inf; exp(-inf) = 0 is the
     # correct limit, so only the spurious warning needs suppressing
@@ -163,17 +169,38 @@ def accept_sample(current: Particle, candidate: Particle, gamma, config: BipConf
     equal candidates are always taken with probability 1.  Worsening
     candidates are taken with the tunneling probability; with amplitude zero
     they are rejected outright without consulting the generator.
+    It is a one-particle call of the decision ``BipRun.step`` makes for a
+    whole sweep.
     """
-    delta_f = candidate.fitness - current.fitness
-    if delta_f <= 0:
-        return candidate, False, 1.0
-    if config.amplitude_a == 0:
-        return current, False, 0.0
-    delta_x = float(np.linalg.norm(candidate.position - current.position))
-    prob = tunneling_probability(delta_f, delta_x, gamma, config.amplitude_a)
-    if rng.random() < prob:
-        return candidate, True, prob
-    return current, False, prob
+    delta_f = np.array([candidate.fitness - current.fitness], dtype=float)
+    d = np.asarray(candidate.position, dtype=float) - current.position
+    delta_x = np.array([np.sqrt(np.add.reduce(d * d))])
+    accept, probs = _accept_moves(delta_f, delta_x, gamma, config.amplitude_a, rng)
+    if probs is None:
+        return (candidate, False, 1.0) if accept[0] else (current, False, 0.0)
+    prob = float(probs[0])
+    return (candidate, True, prob) if accept[0] else (current, False, prob)
+
+
+def _accept_moves(delta_f, delta_x, gamma, amplitude_a, rng):
+    """Which moves of a sweep to take, given their fitness gaps and jump lengths.
+
+    Improving or equal moves are always taken.  Each worsening move is taken
+    when a uniform draw falls below its tunneling probability; one draw is
+    made per worsening move, in particle order.  With ``amplitude_a`` zero,
+    or gamma underflowed to exactly 0 (where the probability's limit is 0),
+    worsening moves are rejected without consulting the generator.  Returns
+    the boolean accept mask and the tunneling probabilities of the worsening
+    moves, or None when no draw was made.
+    """
+    accept = delta_f <= 0
+    n_worse = accept.size - np.count_nonzero(accept)
+    if n_worse == 0 or not (amplitude_a > 0 and gamma != 0):
+        return accept, None
+    worse = ~accept
+    probs = tunneling_probability(delta_f[worse], delta_x[worse], gamma, amplitude_a)
+    accept[worse] = rng.random(n_worse) < probs
+    return accept, probs
 
 
 def ground_state_reached(particles, sigma_s) -> bool:
@@ -183,14 +210,24 @@ def ground_state_reached(particles, sigma_s) -> bool:
     (n-1 normalization).  Accepts a list of particles or an array of
     positions with shape (k, n).
     """
-    if len(particles) >= 1 and hasattr(particles[0], "position"):
-        positions = np.stack([p.position for p in particles])
-    else:
-        positions = np.atleast_2d(np.asarray(particles, dtype=float))
-    if positions.shape[0] < 2:
+    if not isinstance(particles, np.ndarray) and len(particles) >= 1 \
+            and hasattr(particles[0], "position"):
+        particles = [p.position for p in particles]
+    positions = np.asarray(particles, dtype=float)
+    if positions.ndim < 2:
+        positions = np.atleast_2d(positions)
+    k = positions.shape[0]
+    if k < 2:
         raise ValueError("population spread needs at least 2 particles")
-    sigma_k = float(positions.std(axis=0, ddof=1).max())
-    return sigma_k < sigma_s
+    # positions.std(axis=0, ddof=1) spelled out with the same operations in
+    # the same order; dividing by k - 1 and the square root are monotone, so
+    # they are taken after the max without changing a bit
+    mean = np.add.reduce(positions, axis=0)
+    mean /= k
+    dev = positions - mean
+    dev *= dev
+    sigma_k = math.sqrt(np.add.reduce(dev, axis=0).max() / (k - 1))
+    return bool(sigma_k < sigma_s)
 
 
 def mean_replace_worst(particles: list[Particle], objective) -> list[Particle]:
@@ -309,7 +346,7 @@ class BipRun:
         ))
 
     def _note_best(self, xs, fs):
-        j = int(np.argmin(fs))
+        j = int(fs.argmin())
         if fs[j] < self.best_fitness:
             self.best_fitness = float(fs[j])
             self.best_position = np.array(xs[j], dtype=float)
@@ -360,29 +397,17 @@ class BipRun:
         )
         cand_f = self.objective.evaluate_many(candidates)
         delta_f = cand_f - self.fitness[:m]
-        delta_x = np.linalg.norm(candidates - current, axis=1)
-
-        accept = delta_f <= 0
-        prob = np.where(accept, 1.0, 0.0)
-        worse = ~accept
-        # gamma underflows to exactly 0 on very long scales; the tunneling
-        # probability limit is 0, so worse candidates are simply rejected
-        if cfg.amplitude_a > 0 and self.gamma > 0 and worse.any():
-            t = tunneling_probability(
-                delta_f[worse], delta_x[worse], self.gamma, cfg.amplitude_a
-            )
-            draws = self.rng.random(int(worse.sum()))
-            tunneled = draws < t
-            prob[worse] = t
-            accept_worse = np.zeros(m, dtype=bool)
-            accept_worse[np.flatnonzero(worse)[tunneled]] = True
-            accept = accept | accept_worse
-        else:
-            accept_worse = np.zeros(m, dtype=bool)
+        d = candidates - current
+        delta_x = np.sqrt(np.add.reduce(d * d, axis=1))
+        accept, probs = _accept_moves(delta_f, delta_x, self.gamma, cfg.amplitude_a, self.rng)
 
         if self.callback is not None:
+            better = delta_f <= 0
+            prob = better.astype(float)
+            if probs is not None:
+                prob[~better] = probs
             for i in range(m):
-                if delta_f[i] <= 0:
+                if better[i]:
                     kind = "accept-better"
                 elif accept[i]:
                     kind = "accept-tunnel"
@@ -399,8 +424,8 @@ class BipRun:
                     fitness=cand_f[i],
                 )
 
-        self.positions[:m][accept] = candidates[accept]
-        self.fitness[:m][accept] = cand_f[accept]
+        np.copyto(current, candidates, where=accept[:, None])
+        np.copyto(self.fitness[:m], cand_f, where=accept)
         self._note_best(candidates, cand_f)
         self.trace.extend(first_index, cand_f)
 

@@ -202,6 +202,7 @@ def cmd_experiment(args) -> int:
 
     outcomes = []
     cell_stats = {}
+    cell_max_fes = {}
     failures = []
     for algo in algos:
         for func in funcs:
@@ -223,6 +224,7 @@ def cmd_experiment(args) -> int:
                 outcomes.extend(cell)
                 stats = aggregate(cell, args.success_threshold)
                 cell_stats[(algo, func, dim)] = stats
+                cell_max_fes[(algo, func, dim)] = max_fes
                 print(f"{algo:6s} {func:12s} {dim:4d}d  best={stats.best:.3e} "
                       f"mean={stats.mean:.3e} std={stats.std:.3e} sr={stats.sr:.2f}")
 
@@ -246,6 +248,7 @@ def cmd_experiment(args) -> int:
         cell_stats, rankings,
         success_threshold=args.success_threshold,
         max_fes=args.max_fes, n_trials=trials, base_seed=args.base_seed,
+        cell_max_fes=cell_max_fes,
     )
     if failures:
         summary["failures"] = failures

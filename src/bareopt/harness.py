@@ -308,11 +308,14 @@ def read_trials_csv(path) -> list[dict]:
 
 
 def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
-                 success_threshold: float, max_fes, n_trials, base_seed) -> dict:
+                 success_threshold: float, max_fes, n_trials, base_seed,
+                 cell_max_fes: dict | None = None) -> dict:
     """Versioned JSON-ready summary of an experiment.
 
     ``cell_stats`` maps (algorithm, function, dim) to AggregateStats;
-    ``rankings`` maps a label to a RankingTable.
+    ``rankings`` maps a label to a RankingTable.  ``max_fes`` is the budget
+    as requested (None when it defaulted per dim); ``cell_max_fes`` maps a
+    cell to the budget it actually ran with, and defaults to ``max_fes``.
     """
     cells = []
     for (algo, fn, dim), stats in cell_stats.items():
@@ -320,6 +323,8 @@ def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
             "algorithm": algo,
             "function": fn,
             "dim": dim,
+            "max_fes": (max_fes if cell_max_fes is None
+                        else cell_max_fes[(algo, fn, dim)]),
             "best": stats.best,
             "mean": stats.mean,
             "std": stats.std,

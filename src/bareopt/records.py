@@ -91,12 +91,14 @@ class ErrorTrace:
         fs = np.atleast_1d(np.asarray(fitnesses, dtype=float))
         if fs.size == 0:
             return
-        running = np.minimum(np.minimum.accumulate(fs), self._best)
+        running = np.minimum.accumulate(fs)
+        np.minimum(running, self._best, out=running)
         self._best = float(running[-1])
-        errors = np.maximum(running - self.optimum, 0.0)
-        indices = np.arange(first_index, first_index + fs.size)
-        keep = indices % self.stride == 0
-        self.pairs.extend(zip(indices[keep].tolist(), errors[keep].tolist()))
+        # the first index of the batch that is a multiple of the stride
+        start = -first_index % self.stride
+        errors = np.maximum(running[start::self.stride] - self.optimum, 0.0)
+        self.pairs.extend(zip(range(first_index + start, first_index + fs.size, self.stride),
+                              errors.tolist()))
         while len(self.pairs) > self.cap:
             self.stride *= 2
             self.pairs = [p for p in self.pairs if p[0] % self.stride == 0]

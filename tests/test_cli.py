@@ -80,6 +80,16 @@ class TestExperiment:
         assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
+    def test_summary_records_the_default_budget_of_each_cell(self, tmp_path):
+        code = main(["experiment", "--algos", "gbde", "--funcs", "F7",
+                     "--dims", "2,3", "--trials", "1", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["max_fes"] is None  # none requested: 10000 * dim per cell
+        assert {c["dim"]: c["max_fes"] for c in summary["cells"]} == {2: 20000, 3: 30000}
+        assert all(r["evals_used"] <= 10000 * r["dim"]
+                   for r in read_trials_csv(tmp_path / "trials.csv"))
+
     def test_function_ranges_expand(self, tmp_path):
         code = main(["experiment", "--algos", "gbde", "--funcs", "F1-F3",
                      "--dims", "2", "--trials", "1", "--max-fes", "200",
