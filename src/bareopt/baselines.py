@@ -1,9 +1,10 @@
 """Parameter-light reference optimizers: BBPSO, BBFWA, and GBDE.
 
-All three follow the same run protocol as the multi-scale sampler: a metered
+All three, and the multi-scale sampler, run on ``RunScaffold``: a metered
 objective, a seeded generator, best-so-far tracking with a bounded error
-trace, and an optional per-evaluation event callback.  Sampling positions
-are clamped to the box.
+trace, an optional per-evaluation event callback, and a config that carries
+the seed and the success threshold.  Sampling positions are clamped to the
+box.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class BbpsoConfig:
 
     np_: int = 20
     seed: int = 0
+    success_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.np_ < 2:
@@ -53,6 +55,7 @@ class BbfwaConfig:
     amp_shrink: float = 0.9
     amp_floor: float = float(np.finfo(float).eps)
     seed: int = 0
+    success_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.np_ < 1:
@@ -75,6 +78,7 @@ class GbdeConfig:
     cr_mean: float = 0.5
     cr_std: float = 0.1
     seed: int = 0
+    success_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.np_ < 4:
@@ -88,20 +92,27 @@ def _clamped_cr(rng, m, mean, std):
     return np.clip(rng.normal(mean, std, size=m), 0.0, 1.0)
 
 
-class _BaselineRun:
-    """Shared run scaffolding: budget, best tracking, trace, events."""
+class RunScaffold:
+    """Shared run scaffolding of all four algorithms: budget, best tracking,
+    trace, events, stopping and the outcome record.
+
+    ``config`` carries ``seed`` and ``success_threshold``; a run stops once
+    its best error reaches the threshold (zero runs the budget out).  Runs
+    without a scale or a tunneling width emit NaN for both in their events;
+    the multi-scale sampler sets ``gamma`` and ``sigma_s`` on itself.
+    """
 
     algorithm = ""
+    gamma = math.nan
+    sigma_s = math.nan
 
-    def __init__(self, objective: BudgetedObjective, seed: int,
-                 success_threshold: float, callback):
-        if success_threshold < 0:
+    def __init__(self, objective: BudgetedObjective, config, callback):
+        if config.success_threshold < 0:
             raise ValueError("success_threshold must be nonnegative")
         self.objective = objective
-        self.seed = seed
-        self.success_threshold = success_threshold
+        self.config = config
         self.callback = callback
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(config.seed)
         spec = objective.spec
         self.lower = spec.lower_bound
         self.upper = spec.upper_bound
@@ -118,15 +129,15 @@ class _BaselineRun:
             kind=kind,
             delta_f=float(delta_f),
             delta_x=float(delta_x),
-            gamma=math.nan,
-            sigma=math.nan,
+            gamma=float(self.gamma),
+            sigma=float(self.sigma_s),
             probability=float(probability),
-            position=np.array(position, dtype=float),
+            position=None if position is None else np.array(position, dtype=float),
             fitness=float(fitness),
         ))
 
     def _note_best(self, xs, fs):
-        j = int(np.argmin(fs))
+        j = int(fs.argmin())
         if fs[j] < self.best_fitness:
             self.best_fitness = float(fs[j])
             self.best_position = np.array(xs[j], dtype=float)
@@ -135,16 +146,18 @@ class _BaselineRun:
         if self.best_position is None:
             return False
         err = max(self.best_fitness - self.objective.spec.optimum_value, 0.0)
-        return err <= self.success_threshold
+        return err <= self.config.success_threshold
 
     def _check_stop(self):
         if self._success() or self.objective.remaining == 0:
             self.finished = True
 
-    def _init_population(self, count):
-        """Uniform initial population; returns (positions, fitness, full)."""
-        n = self.objective.spec.dim
-        positions = self.rng.uniform(self.lower, self.upper, size=(count, n))
+    def _init_population(self, count, positions=None):
+        """Evaluate the initial population, uniform over the box unless
+        ``positions`` are given; returns (positions, fitness, full)."""
+        if positions is None:
+            n = self.objective.spec.dim
+            positions = self.rng.uniform(self.lower, self.upper, size=(count, n))
         fitness = np.full(count, math.nan)
         m = min(count, self.objective.remaining)
         if m > 0:
@@ -172,23 +185,22 @@ class _BaselineRun:
             self.algorithm,
             spec.name,
             spec.dim,
-            self.seed,
+            self.config.seed,
             evals_used=self.objective.evals_used,
             best_position=self.best_position,
             best_fitness=self.best_fitness,
             optimum_value=spec.optimum_value,
             trace=self.trace,
-            success_threshold=self.success_threshold,
+            success_threshold=self.config.success_threshold,
         )
 
 
-class BbpsoRun(_BaselineRun):
+class BbpsoRun(RunScaffold):
     algorithm = "bbpso"
 
-    def __init__(self, objective, config: BbpsoConfig | None = None, *,
-                 success_threshold: float = 1e-8, callback=None):
-        self.config = config if config is not None else BbpsoConfig()
-        super().__init__(objective, self.config.seed, success_threshold, callback)
+    def __init__(self, objective, config: BbpsoConfig | None = None, *, callback=None):
+        super().__init__(objective, config if config is not None else BbpsoConfig(),
+                         callback)
         self.positions, fitness, full = self._init_population(self.config.np_)
         self.pbest = self.positions.copy()
         self.pbest_f = fitness.copy()
@@ -236,13 +248,12 @@ class BbpsoRun(_BaselineRun):
         return not self.finished
 
 
-class BbfwaRun(_BaselineRun):
+class BbfwaRun(RunScaffold):
     algorithm = "bbfwa"
 
-    def __init__(self, objective, config: BbfwaConfig | None = None, *,
-                 success_threshold: float = 1e-8, callback=None):
-        self.config = config if config is not None else BbfwaConfig()
-        super().__init__(objective, self.config.seed, success_threshold, callback)
+    def __init__(self, objective, config: BbfwaConfig | None = None, *, callback=None):
+        super().__init__(objective, config if config is not None else BbfwaConfig(),
+                         callback)
         spec = objective.spec
         self.span = spec.span.astype(float)
         if self.config.amp_init is None:
@@ -301,13 +312,12 @@ class BbfwaRun(_BaselineRun):
         return not self.finished
 
 
-class GbdeRun(_BaselineRun):
+class GbdeRun(RunScaffold):
     algorithm = "gbde"
 
-    def __init__(self, objective, config: GbdeConfig | None = None, *,
-                 success_threshold: float = 1e-8, callback=None):
-        self.config = config if config is not None else GbdeConfig()
-        super().__init__(objective, self.config.seed, success_threshold, callback)
+    def __init__(self, objective, config: GbdeConfig | None = None, *, callback=None):
+        super().__init__(objective, config if config is not None else GbdeConfig(),
+                         callback)
         self.positions, self.fitness, full = self._init_population(self.config.np_)
         if not full:
             self.finished = True
@@ -355,19 +365,16 @@ class GbdeRun(_BaselineRun):
         return not self.finished
 
 
-def run_bbpso(objective, config=None, *, success_threshold=1e-8, callback=None):
+def run_bbpso(objective, config=None, *, callback=None):
     """Run bare-bones PSO to completion on a metered objective."""
-    return BbpsoRun(objective, config, success_threshold=success_threshold,
-                    callback=callback).run()
+    return BbpsoRun(objective, config, callback=callback).run()
 
 
-def run_bbfwa(objective, config=None, *, success_threshold=1e-8, callback=None):
+def run_bbfwa(objective, config=None, *, callback=None):
     """Run bare-bones fireworks to completion on a metered objective."""
-    return BbfwaRun(objective, config, success_threshold=success_threshold,
-                    callback=callback).run()
+    return BbfwaRun(objective, config, callback=callback).run()
 
 
-def run_gbde(objective, config=None, *, success_threshold=1e-8, callback=None):
+def run_gbde(objective, config=None, *, callback=None):
     """Run Gaussian bare-bones DE to completion on a metered objective."""
-    return GbdeRun(objective, config, success_threshold=success_threshold,
-                   callback=callback).run()
+    return GbdeRun(objective, config, callback=callback).run()

@@ -12,12 +12,14 @@ finer grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import RunScaffold
 from .benchmarks import BudgetedObjective
-from .records import ErrorTrace, Event, TrialOutcome, build_outcome
+# bench/tracing.py patches bip.build_outcome, so the name must stay importable
+from .records import TrialOutcome, build_outcome  # noqa: F401
 
 __all__ = [
     "BipConfig",
@@ -72,8 +74,6 @@ class BipConfig:
             raise ValueError("min_scale must be nonnegative")
         if self.bounds_policy not in BOUNDS_POLICIES:
             raise ValueError(f"bounds_policy must be one of {BOUNDS_POLICIES}")
-        if self.success_threshold < 0:
-            raise ValueError("success_threshold must be nonnegative")
 
 
 @dataclass
@@ -230,6 +230,17 @@ def ground_state_reached(particles, sigma_s) -> bool:
     return bool(sigma_k < sigma_s)
 
 
+def _mean_and_worst(positions, fitness, objective):
+    """The population mean, its fitness, and the index of the worst particle.
+
+    The mean is evaluated before anything is replaced, consuming one budget
+    unit when ``objective`` is metered.  Ties for worst resolve to the lowest
+    index.
+    """
+    mean_x = positions.mean(axis=0)
+    return mean_x, objective.evaluate(mean_x), int(np.argmax(fitness))
+
+
 def mean_replace_worst(particles: list[Particle], objective) -> list[Particle]:
     """Replace the worst particle with the population mean (worst included).
 
@@ -240,9 +251,8 @@ def mean_replace_worst(particles: list[Particle], objective) -> list[Particle]:
     if len(particles) < 2:
         raise ValueError("mean replacement needs at least 2 particles")
     positions = np.stack([p.position for p in particles])
-    mean_x = positions.mean(axis=0)
-    mean_f = objective.evaluate(mean_x)
-    worst = int(np.argmax([p.fitness for p in particles]))
+    mean_x, mean_f, worst = _mean_and_worst(positions, [p.fitness for p in particles],
+                                            objective)
     out = list(particles)
     out[worst] = Particle(mean_x, mean_f)
     return out
@@ -257,7 +267,7 @@ def anneal_gamma(gamma0: float, ac: int, tau: float = 1.0) -> float:
     return float(gamma0) * math.exp(-ac / tau)
 
 
-class BipRun:
+class BipRun(RunScaffold):
     """One seeded run of the multi-scale sampler over a metered objective.
 
     ``step()`` advances a single population sweep (plus any scale transition
@@ -265,6 +275,8 @@ class BipRun:
     the loop to completion and returns the TrialOutcome.  An optional
     ``callback`` receives an Event for every evaluation and scale change.
     """
+
+    algorithm = "bip"
 
     def __init__(
         self,
@@ -274,88 +286,27 @@ class BipRun:
         callback=None,
         init_position=None,
     ):
-        self.objective = objective
-        self.config = config if config is not None else BipConfig()
-        self.callback = callback
-        spec = objective.spec
-        self.lower = spec.lower_bound
-        self.upper = spec.upper_bound
-        self.span = spec.max_span
-        self.rng = np.random.default_rng(self.config.seed)
+        super().__init__(objective, config if config is not None else BipConfig(),
+                         callback)
+        self.span = objective.spec.max_span
         self.scale_index = 0
         self.sigma_s = self.span
         self.ac = 0
         self.gamma0 = self.sigma_s
         self.gamma = self.sigma_s
-        self.best_position: np.ndarray | None = None
-        self.best_fitness = math.inf
-        self.trace = ErrorTrace(spec.optimum_value)
-        self.finished = False
-        k, n = self.config.k, spec.dim
-
+        k, n = self.config.k, objective.spec.dim
+        tiled = None
         if init_position is not None:
             start = np.asarray(init_position, dtype=float)
             if start.shape != (n,):
                 raise ValueError(f"init_position must have shape ({n},)")
             if np.any(start < self.lower) or np.any(start > self.upper):
                 raise ValueError("init_position lies outside the box")
-            self.positions = np.tile(start, (k, 1))
-        else:
-            self.positions = self.rng.uniform(self.lower, self.upper, size=(k, n))
-        self.fitness = np.full(k, math.nan)
-
-        m = min(k, objective.remaining)
-        if m > 0:
-            fs = objective.evaluate_many(self.positions[:m])
-            self.fitness[:m] = fs
-            self._note_best(self.positions[:m], fs)
-            self.trace.extend(1, fs)
-            if self.callback is not None:
-                for i in range(m):
-                    self._emit(
-                        eval_index=i + 1,
-                        particle=i,
-                        kind="init",
-                        delta_f=0.0,
-                        delta_x=0.0,
-                        probability=1.0,
-                        position=self.positions[i],
-                        fitness=float(fs[i]),
-                    )
-        if m < k:
-            # Budget could not even cover initialization; report what we saw.
-            self.finished = True
-        elif self._success():
-            self.finished = True
-
-    # -- bookkeeping ----------------------------------------------------
-
-    def _emit(self, *, eval_index, particle, kind, delta_f, delta_x, probability,
-              position, fitness, gamma=None):
-        self.callback(Event(
-            eval_index=eval_index,
-            particle=particle,
-            kind=kind,
-            delta_f=float(delta_f),
-            delta_x=float(delta_x),
-            gamma=float(self.gamma if gamma is None else gamma),
-            sigma=float(self.sigma_s),
-            probability=float(probability),
-            position=None if position is None else np.array(position, dtype=float),
-            fitness=float(fitness),
-        ))
-
-    def _note_best(self, xs, fs):
-        j = int(fs.argmin())
-        if fs[j] < self.best_fitness:
-            self.best_fitness = float(fs[j])
-            self.best_position = np.array(xs[j], dtype=float)
-
-    def _best_error(self) -> float:
-        return max(self.best_fitness - self.objective.spec.optimum_value, 0.0)
-
-    def _success(self) -> bool:
-        return self.best_position is not None and self._best_error() <= self.config.success_threshold
+            tiled = np.tile(start, (k, 1))
+        self.positions, self.fitness, full = self._init_population(k, tiled)
+        # a budget that cannot cover initialization ends the run at once
+        self.finished = not full
+        self._check_stop()
 
     @property
     def state(self) -> BipState:
@@ -432,8 +383,8 @@ class BipRun:
         self.ac += 1
         self.gamma = anneal_gamma(self.gamma0, self.ac, cfg.anneal_tau)
 
-        if self._success() or self.objective.remaining == 0:
-            self.finished = True
+        self._check_stop()
+        if self.finished:
             return False
         if m == k and ground_state_reached(self.positions, self.sigma_s):
             self._transition_scale()
@@ -444,10 +395,9 @@ class BipRun:
         cfg = self.config
         if cfg.mean_replace:
             # one metered evaluation; remaining >= 1 is guaranteed by step()
-            mean_x = self.positions.mean(axis=0)
             eval_index = self.objective.evals_used + 1
-            mean_f = self.objective.evaluate(mean_x)
-            worst = int(np.argmax(self.fitness))
+            mean_x, mean_f, worst = _mean_and_worst(self.positions, self.fitness,
+                                                    self.objective)
             if self.callback is not None:
                 self._emit(
                     eval_index=eval_index,
@@ -480,30 +430,9 @@ class BipRun:
                 position=None,
                 fitness=math.nan,
             )
-        if self._success() or self.objective.remaining == 0:
+        self._check_stop()
+        if cfg.min_scale > 0 and self.sigma_s < cfg.min_scale:
             self.finished = True
-        elif cfg.min_scale > 0 and self.sigma_s < cfg.min_scale:
-            self.finished = True
-
-    def run(self) -> TrialOutcome:
-        while self.step():
-            pass
-        return self.outcome()
-
-    def outcome(self) -> TrialOutcome:
-        spec = self.objective.spec
-        return build_outcome(
-            "bip",
-            spec.name,
-            spec.dim,
-            self.config.seed,
-            evals_used=self.objective.evals_used,
-            best_position=self.best_position,
-            best_fitness=self.best_fitness,
-            optimum_value=spec.optimum_value,
-            trace=self.trace,
-            success_threshold=self.config.success_threshold,
-        )
 
 
 def run_bip(

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from .benchmarks import get_objective
+from .bip import BOUNDS_POLICIES
 from .diagnostics import (
     diagnostics_basename,
     expected_solution_value,
@@ -21,6 +22,7 @@ from .diagnostics import (
 from .harness import (
     ALGORITHMS,
     MULTIMODAL_FUNCTIONS,
+    REGISTRY,
     UNIMODAL_FUNCTIONS,
     aggregate,
     rank_algorithms,
@@ -35,23 +37,6 @@ _PRESETS = {
     "desk": {"dims": [10], "trials": 20, "max_fes": 50000},
     "full": {"dims": [30, 60, 100], "trials": 51, "max_fes": None},
 }
-
-# flag name -> (config field, applicable algorithms)
-_OVERRIDE_FLAGS = {
-    "k": ("k", ("bip",)),
-    "amplitude_a": ("amplitude_a", ("bip",)),
-    "anneal_tau": ("anneal_tau", ("bip",)),
-    "scale_divisor": ("scale_divisor", ("bip",)),
-    "min_scale": ("min_scale", ("bip",)),
-    "bounds_policy": ("bounds_policy", ("bip",)),
-    "pop": ("np_", ("bbpso", "bbfwa", "gbde")),
-    "cr_mean": ("cr_mean", ("gbde",)),
-    "cr_std": ("cr_std", ("gbde",)),
-    "amp_init": ("amp_init", ("bbfwa",)),
-    "amp_grow": ("amp_grow", ("bbfwa",)),
-    "amp_shrink": ("amp_shrink", ("bbfwa",)),
-}
-
 
 def _parse_funcs(text: str) -> list[str]:
     """Expand a comma list with F-ranges, e.g. 'F1-F3,F7' -> F1 F2 F3 F7."""
@@ -96,36 +81,38 @@ def _add_run_flags(p: argparse.ArgumentParser, threshold_default: float):
     p.add_argument("--success-threshold", type=float, default=threshold_default)
     p.add_argument("--init", type=str, default=None,
                    help="comma-separated start point, every particle begins there (bip only)")
-    p.add_argument("--k", type=int, default=None, help="bip population size")
-    p.add_argument("--amplitude-a", type=float, default=None)
-    p.add_argument("--anneal-tau", type=float, default=None)
-    p.add_argument("--scale-divisor", type=float, default=None)
-    p.add_argument("--min-scale", type=float, default=None)
-    p.add_argument("--bounds-policy", choices=("clamp", "reflect", "resample"),
-                   default=None)
-    p.add_argument("--no-mean-replace", action="store_true",
-                   help="disable the population-mean collapse step (bip only)")
-    p.add_argument("--pop", type=int, default=None, help="baseline population size")
-    p.add_argument("--cr-mean", type=float, default=None)
-    p.add_argument("--cr-std", type=float, default=None)
-    p.add_argument("--amp-init", type=float, default=None)
-    p.add_argument("--amp-grow", type=float, default=None)
-    p.add_argument("--amp-shrink", type=float, default=None)
+    # every flag below sets the config field named by its dest
+    overrides = [
+        p.add_argument("--k", type=int, help="bip population size"),
+        p.add_argument("--amplitude-a", type=float),
+        p.add_argument("--anneal-tau", type=float),
+        p.add_argument("--scale-divisor", type=float),
+        p.add_argument("--min-scale", type=float),
+        p.add_argument("--bounds-policy", choices=BOUNDS_POLICIES),
+        p.add_argument("--no-mean-replace", dest="mean_replace",
+                       action="store_const", const=False,
+                       help="disable the population-mean collapse step (bip only)"),
+        p.add_argument("--pop", dest="np_", metavar="POP", type=int,
+                       help="baseline population size"),
+        p.add_argument("--cr-mean", type=float),
+        p.add_argument("--cr-std", type=float),
+        p.add_argument("--amp-init", type=float),
+        p.add_argument("--amp-grow", type=float),
+        p.add_argument("--amp-shrink", type=float),
+    ]
+    p.set_defaults(override_flags={a.dest: a.option_strings[0] for a in overrides})
 
 
 def _collect_overrides(args) -> dict:
+    fields = REGISTRY[args.algo][0].__dataclass_fields__
     overrides = {}
-    for flag, (field, algos) in _OVERRIDE_FLAGS.items():
-        value = getattr(args, flag, None)
+    for field, flag in args.override_flags.items():
+        value = getattr(args, field)
         if value is None:
             continue
-        if args.algo not in algos:
-            raise ValueError(f"--{flag.replace('_', '-')} does not apply to {args.algo}")
+        if field not in fields:
+            raise ValueError(f"{flag} does not apply to {args.algo}")
         overrides[field] = value
-    if getattr(args, "no_mean_replace", False):
-        if args.algo != "bip":
-            raise ValueError("--no-mean-replace does not apply to " + args.algo)
-        overrides["mean_replace"] = False
     return overrides
 
 
@@ -216,7 +203,7 @@ def cmd_experiment(args) -> int:
                         success_threshold=args.success_threshold,
                         workers=args.workers,
                     )
-                except Exception as exc:  # keep the grid going
+                except ValueError as exc:  # a bad cell; keep the grid going
                     failures.append({"algorithm": algo, "function": func,
                                      "dim": dim, "error": f"{type(exc).__name__}: {exc}"})
                     print(f"FAILED {algo} {func} {dim}d: {exc}", file=sys.stderr)

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BudgetedObjective, ObjectiveSpec, get_objective
-from .bip import BipConfig
-from .harness import run_single
+from .harness import build_config, run_single
 from .records import ACCEPTED_KINDS, Event, TrialOutcome
 
 __all__ = [
@@ -90,10 +89,7 @@ def record_run(
     usually what a diagnostic run wants.
     """
     spec = get_objective(function, dim)
-    if algorithm == "bip":
-        amplitude = float((overrides or {}).get("amplitude_a", BipConfig().amplitude_a))
-    else:
-        amplitude = 0.0
+    config = build_config(algorithm, seed, success_threshold, overrides)
     log = TrajectoryLog(
         algorithm=algorithm,
         function=function,
@@ -102,7 +98,7 @@ def record_run(
         lower_bound=spec.lower_bound,
         upper_bound=spec.upper_bound,
         optimum_value=spec.optimum_value,
-        amplitude=amplitude,
+        amplitude=float(getattr(config, "amplitude_a", 0.0)),
     )
     outcome = run_single(
         algorithm, function, dim,

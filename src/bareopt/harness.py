@@ -29,6 +29,8 @@ from .records import TrialOutcome
 
 __all__ = [
     "ALGORITHMS",
+    "REGISTRY",
+    "build_config",
     "MULTIMODAL_FUNCTIONS",
     "UNIMODAL_FUNCTIONS",
     "AggregateStats",
@@ -45,7 +47,14 @@ __all__ = [
     "SUMMARY_SCHEMA_VERSION",
 ]
 
-ALGORITHMS = ("bip", "bbpso", "bbfwa", "gbde")
+# algorithm name -> (config class, run class); the order is ALGORITHMS'
+REGISTRY = {
+    "bip": (BipConfig, BipRun),
+    "bbpso": (BbpsoConfig, BbpsoRun),
+    "bbfwa": (BbfwaConfig, BbfwaRun),
+    "gbde": (GbdeConfig, GbdeRun),
+}
+ALGORITHMS = tuple(REGISTRY)
 MULTIMODAL_FUNCTIONS = tuple(f"F{i}" for i in range(1, 7))
 UNIMODAL_FUNCTIONS = tuple(f"F{i}" for i in range(7, 13))
 
@@ -54,24 +63,20 @@ TRIAL_CSV_COLUMNS = (
 )
 SUMMARY_SCHEMA_VERSION = 1
 
-_CONFIGS = {
-    "bip": BipConfig,
-    "bbpso": BbpsoConfig,
-    "bbfwa": BbfwaConfig,
-    "gbde": GbdeConfig,
-}
 
-
-def _build_config(algorithm: str, seed: int, success_threshold: float,
-                  overrides: dict | None):
-    cls = _CONFIGS[algorithm]
+def build_config(algorithm: str, seed: int, success_threshold: float,
+                 overrides: dict | None):
+    """The config of one trial: defaults, then ``overrides``, the seed and
+    (unless overridden) the success threshold."""
+    if algorithm not in REGISTRY:
+        raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
+    cls = REGISTRY[algorithm][0]
     kwargs = dict(overrides or {})
     bad = set(kwargs) - {f for f in cls.__dataclass_fields__}
     if bad:
         raise ValueError(f"unknown {algorithm} options: {sorted(bad)}")
     kwargs["seed"] = seed
-    if algorithm == "bip":
-        kwargs.setdefault("success_threshold", success_threshold)
+    kwargs.setdefault("success_threshold", success_threshold)
     return cls(**kwargs)
 
 
@@ -93,26 +98,15 @@ def run_single(
     ``init_position`` starts every particle at a fixed point and is only
     meaningful for the multi-scale sampler.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
-    if init_position is not None and algorithm != "bip":
-        raise ValueError("init_position is only supported by bip")
+    config = build_config(algorithm, seed, success_threshold, overrides)
+    kwargs = {}
+    if init_position is not None:
+        if algorithm != "bip":
+            raise ValueError("init_position is only supported by bip")
+        kwargs["init_position"] = init_position
     spec = get_objective(function, dim)
     objective = BudgetedObjective(spec, max_fes)
-    config = _build_config(algorithm, seed, success_threshold, overrides)
-    if algorithm == "bip":
-        run = BipRun(objective, config, callback=callback,
-                     init_position=init_position)
-        outcome = run.run()
-    elif algorithm == "bbpso":
-        outcome = BbpsoRun(objective, config, success_threshold=success_threshold,
-                           callback=callback).run()
-    elif algorithm == "bbfwa":
-        outcome = BbfwaRun(objective, config, success_threshold=success_threshold,
-                           callback=callback).run()
-    else:
-        outcome = GbdeRun(objective, config, success_threshold=success_threshold,
-                          callback=callback).run()
+    outcome = REGISTRY[algorithm][1](objective, config, callback=callback, **kwargs).run()
     # report under the registry name the caller used
     outcome.function = spec.name
     return outcome

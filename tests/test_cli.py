@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bareopt import cli
 from bareopt.cli import main
 from bareopt.harness import read_trials_csv
 
@@ -53,6 +54,53 @@ class TestRun:
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestOverrides:
+    @staticmethod
+    def overrides_of(tmp_path, algo, flags):
+        code = main(["run", "--algo", algo, "--func", "F7", "--dim", "2",
+                     "--max-fes", "200", "--seed", "0", *flags,
+                     "--out", str(tmp_path)])
+        assert code == 0
+        path = tmp_path / f"run_{algo}_F7_2d_seed0.json"
+        return json.loads(path.read_text())["effective_config"]["overrides"]
+
+    @pytest.mark.parametrize("algo, flags, expected", [
+        ("bip", ["--k", "5"], {"k": 5}),
+        ("bip", ["--amplitude-a", "0.5"], {"amplitude_a": 0.5}),
+        ("bip", ["--anneal-tau", "2"], {"anneal_tau": 2.0}),
+        ("bip", ["--scale-divisor", "3"], {"scale_divisor": 3.0}),
+        ("bip", ["--min-scale", "0.01"], {"min_scale": 0.01}),
+        ("bip", ["--bounds-policy", "reflect"], {"bounds_policy": "reflect"}),
+        ("bip", ["--no-mean-replace"], {"mean_replace": False}),
+        ("bbpso", ["--pop", "5"], {"np_": 5}),
+        ("bbfwa", ["--pop", "5"], {"np_": 5}),
+        ("gbde", ["--pop", "5"], {"np_": 5}),
+        ("gbde", ["--cr-mean", "0.6"], {"cr_mean": 0.6}),
+        ("gbde", ["--cr-std", "0.2"], {"cr_std": 0.2}),
+        ("bbfwa", ["--amp-init", "1.5"], {"amp_init": 1.5}),
+        ("bbfwa", ["--amp-grow", "1.3"], {"amp_grow": 1.3}),
+        ("bbfwa", ["--amp-shrink", "0.8"], {"amp_shrink": 0.8}),
+    ])
+    def test_each_flag_reaches_its_config_field(self, tmp_path, algo, flags, expected):
+        assert self.overrides_of(tmp_path, algo, flags) == expected
+
+    def test_no_flags_give_no_overrides(self, tmp_path):
+        assert self.overrides_of(tmp_path, "bip", []) == {}
+
+    @pytest.mark.parametrize("algo, flags, message", [
+        ("bip", ["--pop", "5"], "--pop does not apply to bip"),
+        ("gbde", ["--k", "9"], "--k does not apply to gbde"),
+        ("gbde", ["--no-mean-replace"], "--no-mean-replace does not apply to gbde"),
+        ("bbfwa", ["--cr-mean", "0.6"], "--cr-mean does not apply to bbfwa"),
+    ])
+    def test_a_flag_for_another_algorithm_is_rejected(self, capsys, algo, flags,
+                                                       message):
+        code = main(["run", "--algo", algo, "--func", "F7", "--dim", "2",
+                     "--max-fes", "200", "--seed", "0", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestExperiment:
@@ -102,6 +150,29 @@ class TestExperiment:
         code = main(["experiment", "--algos", "bip,annealer", "--funcs", "F7",
                      "--dims", "2", "--trials", "1", "--max-fes", "100"])
         assert code == 2
+
+    def test_a_bad_cell_is_counted_and_fails_the_run(self, tmp_path, monkeypatch):
+        def bad_cell(*args, **kwargs):
+            raise ValueError("dim must be at least 1")
+
+        monkeypatch.setattr(cli, "run_experiment", bad_cell)
+        code = main(["experiment", "--algos", "gbde", "--funcs", "F7", "--dims", "2",
+                     "--trials", "1", "--max-fes", "100", "--out", str(tmp_path)])
+        assert code == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["failures"] == [{
+            "algorithm": "gbde", "function": "F7", "dim": 2,
+            "error": "ValueError: dim must be at least 1",
+        }]
+
+    def test_a_program_fault_fails_the_run(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("fault")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(RuntimeError, match="fault"):
+            main(["experiment", "--algos", "gbde", "--funcs", "F7", "--dims", "2",
+                  "--trials", "1", "--max-fes", "100", "--out", str(tmp_path)])
 
 
 class TestDiagnose:

@@ -101,6 +101,19 @@ class TestRunExperiment:
             run_single("gbde", "F7", 2, max_fes=100, seed=0,
                        init_position=(0.0, 0.0))
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_negative_success_threshold_is_rejected(self, algorithm):
+        with pytest.raises(ValueError, match="success_threshold"):
+            run_single(algorithm, "F7", 2, max_fes=100, seed=0,
+                       success_threshold=-1e-3)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_the_success_threshold_stops_every_algorithm(self, algorithm):
+        # F7 at dim 1 is trivially solved to a loose threshold
+        loose = run_single(algorithm, "F7", 1, max_fes=5000, seed=0,
+                           success_threshold=1e3)
+        assert loose.succeeded and loose.evals_used < 5000
+
 
 class TestRanking:
     def build(self, means):
