@@ -63,6 +63,6 @@ from .harness import (
     run_single,
     write_trials_csv,
 )
-from .records import Event, TrialOutcome
+from .records import Event, EventBatch, EventLog, TrialOutcome
 
 __version__ = "0.1.0"

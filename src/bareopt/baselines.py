@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import BudgetedObjective
-from .records import ErrorTrace, Event, TrialOutcome, build_outcome
+from .records import (
+    ACCEPT_BETTER,
+    INIT,
+    REJECT,
+    ErrorTrace,
+    EventBatch,
+    EventLog,
+    TrialOutcome,
+    build_outcome,
+)
 
 __all__ = [
     "BbpsoConfig",
@@ -87,6 +96,12 @@ class GbdeConfig:
             raise ValueError("cr_std must be nonnegative")
 
 
+def _row_norms(d):
+    """Euclidean norm of each row, bit for bit what ``np.linalg.norm`` gives
+    for that row alone: both take the BLAS dot product of the row with itself."""
+    return np.sqrt(np.vecdot(d, d))
+
+
 def _clamped_cr(rng, m, mean, std):
     """Per-individual crossover rates, clipped into [0, 1]."""
     return np.clip(rng.normal(mean, std, size=m), 0.0, 1.0)
@@ -100,6 +115,10 @@ class RunScaffold:
     its best error reaches the threshold (zero runs the budget out).  Runs
     without a scale or a tunneling width emit NaN for both in their events;
     the multi-scale sampler sets ``gamma`` and ``sigma_s`` on itself.
+
+    ``callback`` is None, a callable that receives every Event in order
+    during the step that produced it, or an ``EventLog``, which receives
+    each step's events as one ``EventBatch``.
     """
 
     algorithm = ""
@@ -121,20 +140,22 @@ class RunScaffold:
         self.trace = ErrorTrace(spec.optimum_value)
         self.finished = False
 
-    def _emit(self, eval_index, particle, kind, delta_f, delta_x, probability,
+    def _emit(self, first, particle, kind, delta_f, delta_x, probability,
               position, fitness):
-        self.callback(Event(
-            eval_index=eval_index,
-            particle=particle,
-            kind=kind,
-            delta_f=float(delta_f),
-            delta_x=float(delta_x),
-            gamma=float(self.gamma),
-            sigma=float(self.sigma_s),
-            probability=float(probability),
-            position=None if position is None else np.array(position, dtype=float),
-            fitness=float(fitness),
-        ))
+        """Hand one step's events to the callback.
+
+        Rows are the evaluations ``first``, ``first + 1``, ...; every argument
+        but ``first`` is a column with one entry per row, and ``position`` is
+        (rows, dim) or None.  The arrays must not change afterwards.
+        """
+        batch = EventBatch(np.arange(first, first + len(fitness)), particle, kind,
+                           delta_f, delta_x, float(self.gamma), float(self.sigma_s),
+                           probability, position, fitness)
+        if isinstance(self.callback, EventLog):
+            self.callback.add(batch)
+        else:
+            for event in batch.events():
+                self.callback(event)
 
     def _note_best(self, xs, fs):
         j = int(fs.argmin())
@@ -166,9 +187,9 @@ class RunScaffold:
             self._note_best(positions[:m], fs)
             self.trace.extend(1, fs)
             if self.callback is not None:
-                for i in range(m):
-                    self._emit(i + 1, i, "init", 0.0, 0.0, 1.0,
-                               positions[i], fs[i])
+                zeros = np.zeros(m)
+                self._emit(1, np.arange(m), np.full(m, INIT), zeros, zeros,
+                           np.ones(m), positions[:m].copy(), fs)
         return positions, fitness, m == count
 
     def step(self) -> bool:
@@ -226,15 +247,9 @@ class BbpsoRun(RunScaffold):
         fs = self.objective.evaluate_many(samples)
         improved = fs < self.pbest_f[:m]
         if self.callback is not None:
-            for i in range(m):
-                self._emit(
-                    first + i, i,
-                    "accept-better" if improved[i] else "reject",
-                    fs[i] - self.pbest_f[i],
-                    float(np.linalg.norm(samples[i] - self.pbest[i])),
-                    1.0 if improved[i] else 0.0,
-                    samples[i], fs[i],
-                )
+            self._emit(first, np.arange(m), np.where(improved, ACCEPT_BETTER, REJECT),
+                       fs - self.pbest_f[:m], _row_norms(samples - self.pbest[:m]),
+                       improved.astype(float), samples, fs)
         self.positions[:m] = samples
         self.pbest[:m][improved] = samples[improved]
         self.pbest_f[:m][improved] = fs[improved]
@@ -268,7 +283,9 @@ class BbfwaRun(RunScaffold):
         self._note_best(self.center[None, :], np.array([self.center_f]))
         self.trace.extend(1, [self.center_f])
         if self.callback is not None:
-            self._emit(1, 0, "init", 0.0, 0.0, 1.0, self.center, self.center_f)
+            self._emit(1, np.zeros(1, dtype=int), np.full(1, INIT), np.zeros(1),
+                       np.zeros(1), np.ones(1), self.center[None, :],
+                       np.array([self.center_f]))
         self._check_stop()
 
     def step(self) -> bool:
@@ -288,16 +305,11 @@ class BbfwaRun(RunScaffold):
         j = int(np.argmin(fs))
         improved = fs[j] < self.center_f
         if self.callback is not None:
-            for i in range(m):
-                taken = improved and i == j
-                self._emit(
-                    first + i, 0,
-                    "accept-better" if taken else "reject",
-                    fs[i] - self.center_f,
-                    float(np.linalg.norm(sparks[i] - self.center)),
-                    1.0 if taken else 0.0,
-                    sparks[i], fs[i],
-                )
+            taken = np.zeros(m, dtype=bool)
+            taken[j] = improved
+            self._emit(first, np.zeros(m, dtype=int),
+                       np.where(taken, ACCEPT_BETTER, REJECT), fs - self.center_f,
+                       _row_norms(sparks - self.center), taken.astype(float), sparks, fs)
         if improved:
             self.center = sparks[j].copy()
             self.center_f = float(fs[j])
@@ -348,15 +360,9 @@ class GbdeRun(RunScaffold):
         fs = self.objective.evaluate_many(trials)
         selected = fs <= self.fitness[:m]
         if self.callback is not None:
-            for i in range(m):
-                self._emit(
-                    first + i, i,
-                    "accept-better" if selected[i] else "reject",
-                    fs[i] - self.fitness[i],
-                    float(np.linalg.norm(trials[i] - self.positions[i])),
-                    1.0 if selected[i] else 0.0,
-                    trials[i], fs[i],
-                )
+            self._emit(first, np.arange(m), np.where(selected, ACCEPT_BETTER, REJECT),
+                       fs - self.fitness[:m], _row_norms(trials - self.positions[:m]),
+                       selected.astype(float), trials, fs)
         self.positions[:m][selected] = trials[selected]
         self.fitness[:m][selected] = fs[selected]
         self._note_best(trials, fs)

@@ -19,7 +19,15 @@ import numpy as np
 from .baselines import RunScaffold
 from .benchmarks import BudgetedObjective
 # bench/tracing.py patches bip.build_outcome, so the name must stay importable
-from .records import TrialOutcome, build_outcome  # noqa: F401
+from .records import (  # noqa: F401
+    ACCEPT_BETTER,
+    ACCEPT_TUNNEL,
+    MEAN_REPLACE,
+    REJECT,
+    SCALE_HALVE,
+    TrialOutcome,
+    build_outcome,
+)
 
 __all__ = [
     "BipConfig",
@@ -357,23 +365,10 @@ class BipRun(RunScaffold):
             prob = better.astype(float)
             if probs is not None:
                 prob[~better] = probs
-            for i in range(m):
-                if better[i]:
-                    kind = "accept-better"
-                elif accept[i]:
-                    kind = "accept-tunnel"
-                else:
-                    kind = "reject"
-                self._emit(
-                    eval_index=first_index + i,
-                    particle=i,
-                    kind=kind,
-                    delta_f=delta_f[i],
-                    delta_x=delta_x[i],
-                    probability=prob[i],
-                    position=candidates[i],
-                    fitness=cand_f[i],
-                )
+            kind = np.where(better, ACCEPT_BETTER,
+                            np.where(accept, ACCEPT_TUNNEL, REJECT))
+            self._emit(first_index, np.arange(m), kind, delta_f, delta_x, prob,
+                       candidates, cand_f)
 
         np.copyto(current, candidates, where=accept[:, None])
         np.copyto(self.fitness[:m], cand_f, where=accept)
@@ -399,16 +394,10 @@ class BipRun(RunScaffold):
             mean_x, mean_f, worst = _mean_and_worst(self.positions, self.fitness,
                                                     self.objective)
             if self.callback is not None:
-                self._emit(
-                    eval_index=eval_index,
-                    particle=worst,
-                    kind="mean-replace",
-                    delta_f=mean_f - self.fitness[worst],
-                    delta_x=float(np.linalg.norm(mean_x - self.positions[worst])),
-                    probability=1.0,
-                    position=mean_x,
-                    fitness=mean_f,
-                )
+                self._emit(eval_index, np.array([worst]), np.array([MEAN_REPLACE]),
+                           np.array([mean_f - self.fitness[worst]]),
+                           np.array([np.linalg.norm(mean_x - self.positions[worst])]),
+                           np.ones(1), mean_x[None, :], np.array([mean_f]))
             self.positions[worst] = mean_x
             self.fitness[worst] = mean_f
             self._note_best(mean_x[None, :], np.array([mean_f]))
@@ -420,16 +409,8 @@ class BipRun(RunScaffold):
         self.gamma0 = self.sigma_s
         self.gamma = self.sigma_s
         if self.callback is not None:
-            self._emit(
-                eval_index=self.objective.evals_used,
-                particle=-1,
-                kind="scale-halve",
-                delta_f=0.0,
-                delta_x=0.0,
-                probability=1.0,
-                position=None,
-                fitness=math.nan,
-            )
+            self._emit(self.objective.evals_used, np.array([-1]), np.array([SCALE_HALVE]),
+                       np.zeros(1), np.zeros(1), np.ones(1), None, np.array([math.nan]))
         self._check_stop()
         if cfg.min_scale > 0 and self.sigma_s < cfg.min_scale:
             self.finished = True

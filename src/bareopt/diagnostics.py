@@ -13,13 +13,24 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .benchmarks import BudgetedObjective, ObjectiveSpec, get_objective
 from .harness import build_config, run_single
-from .records import ACCEPTED_KINDS, Event, TrialOutcome
+from .records import (
+    ACCEPT_TUNNEL,
+    ACCEPTED_KINDS,
+    EVENT_KINDS,
+    REJECT,
+    SCALE_HALVE,
+    Event,
+    EventBatch,
+    EventLog,
+    TrialOutcome,
+)
 
 __all__ = [
     "TrajectoryLog",
@@ -42,7 +53,9 @@ class TrajectoryLog:
 
     ``amplitude`` is the worsening-move amplitude the run used (0 for
     algorithms without tunneling), needed to tell a tunneling-disabled run
-    apart from one whose probabilities merely underflowed.
+    apart from one whose probabilities merely underflowed.  ``events`` keeps
+    the stream as the run's column batches; the summaries and exports here
+    read those columns, and only iterating or indexing it builds Events.
     """
 
     algorithm: str
@@ -53,23 +66,25 @@ class TrajectoryLog:
     upper_bound: np.ndarray
     optimum_value: float
     amplitude: float
-    events: list[Event] = field(default_factory=list)
+    events: EventLog = field(default_factory=EventLog)
 
     def positions(self, kinds=ACCEPTED_KINDS) -> np.ndarray:
         """Stacked positions of the given event kinds, shape (m, dim)."""
-        rows = [e.position for e in self.events
-                if e.kind in kinds and e.position is not None]
-        if not rows:
+        held = [b for b in self.events.batches if b.position is not None]
+        if not held:
             return np.empty((0, self.dim))
-        return np.stack(rows)
+        kind = np.concatenate([b.kind for b in held])
+        wanted = [EVENT_KINDS.index(k) for k in kinds]
+        return np.concatenate([b.position for b in held])[np.isin(kind, wanted)]
 
     def final_population(self) -> dict[int, Event]:
         """Last position-defining event per particle index."""
-        latest: dict[int, Event] = {}
-        for e in self.events:
-            if e.kind in ACCEPTED_KINDS and e.particle >= 0:
-                latest[e.particle] = e
-        return latest
+        particle = self.events.column("particle")
+        accepted = [EVENT_KINDS.index(k) for k in ACCEPTED_KINDS]
+        rows = np.flatnonzero(np.isin(self.events.column("kind"), accepted) & (particle >= 0))
+        # a later row of a particle overwrites its entry but keeps its place
+        latest = dict(zip(particle[rows].tolist(), rows.tolist()))
+        return {p: self.events[row] for p, row in latest.items()}
 
 
 def record_run(
@@ -104,7 +119,7 @@ def record_run(
         algorithm, function, dim,
         max_fes=max_fes, seed=seed, success_threshold=success_threshold,
         overrides=overrides, init_position=init_position,
-        callback=log.events.append,
+        callback=log.events,
     )
     return outcome, log
 
@@ -183,8 +198,10 @@ def transmission_trace(log: TrajectoryLog) -> list[tuple[int, float]]:
     """
     if log.amplitude == 0:
         return []
-    return [(e.eval_index, e.probability) for e in log.events
-            if e.kind in ("accept-tunnel", "reject")]
+    kind = log.events.column("kind")
+    decided = (kind == ACCEPT_TUNNEL) | (kind == REJECT)
+    return list(zip(log.events.column("index")[decided].tolist(),
+                    log.events.column("probability")[decided].tolist()))
 
 
 def expected_solution_value(log: TrajectoryLog, objective=None) -> float:
@@ -211,15 +228,11 @@ def replay_best(log: TrajectoryLog) -> list[tuple[int, float]]:
     Covers every evaluated point, including rejected candidates (which can
     never beat the incumbent, but belong to the evaluation count).
     """
-    out = []
-    best = math.inf
-    for e in log.events:
-        if e.kind == "scale-halve":
-            continue
-        if e.fitness < best:
-            best = e.fitness
-        out.append((e.eval_index, best))
-    return out
+    evaluated = log.events.column("kind") != SCALE_HALVE
+    # fmin passes over a NaN fitness, as a `fitness < best` test would
+    best = np.fmin.accumulate(
+        np.concatenate(([math.inf], log.events.column("fitness")[evaluated])))
+    return list(zip(log.events.column("index")[evaluated].tolist(), best[1:].tolist()))
 
 
 # --- exports ------------------------------------------------------------------
@@ -230,21 +243,34 @@ def diagnostics_basename(algorithm: str, function: str, dim: int, seed: int) -> 
 
 
 def export_events_csv(log: TrajectoryLog, path) -> None:
-    """Write the event stream as CSV, one row per event."""
+    """Write the event stream as CSV, one row per event, one batch at a time."""
     path = Path(path)
     pos_cols = [f"pos_{d}" for d in range(log.dim)]
+    no_position = "," * (log.dim - 1)  # dim empty fields
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
+        csv.writer(fh).writerow([
             "evaluation_index", "particle_index", "event", "delta_f", "delta_x",
             "gamma", "sigma", "probability_used", "fitness", *pos_cols,
         ])
-        for e in log.events:
-            pos = [""] * log.dim if e.position is None else [str(v) for v in e.position]
-            writer.writerow([
-                e.eval_index, e.particle, e.kind, str(e.delta_f), str(e.delta_x),
-                str(e.gamma), str(e.sigma), str(e.probability), str(e.fitness), *pos,
-            ])
+        for batch in log.events.batches:
+            fh.write(_csv_rows(batch, no_position))
+
+
+def _csv_rows(b: EventBatch, no_position: str) -> str:
+    """The rows ``csv.writer`` writes for a batch: no field ever needs quoting,
+    and the str of a float (numpy's included) is its repr."""
+    m = len(b)
+    cols = [map(str, b.index.tolist()), map(str, b.particle.tolist()),
+            map(EVENT_KINDS.__getitem__, b.kind.tolist()),
+            map(repr, b.delta_f.tolist()), map(repr, b.delta_x.tolist()),
+            repeat(repr(b.gamma), m), repeat(repr(b.sigma), m),
+            map(repr, b.probability.tolist()), map(repr, b.fitness.tolist())]
+    if b.position is None:
+        cols.append(repeat(no_position, m))
+    else:
+        cols.extend(map(repr, c) for c in b.position.T.tolist())
+    rows = "\r\n".join(map(",".join, zip(*cols)))
+    return rows + "\r\n" if rows else ""
 
 
 def export_histogram_json(hist: WaveHistogram, path, meta: dict | None = None) -> None:

@@ -8,6 +8,7 @@ reproducible regardless of scheduling.
 from __future__ import annotations
 
 import csv
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,7 +97,8 @@ def run_single(
 
     ``overrides`` maps config field names of the chosen algorithm to values.
     ``init_position`` starts every particle at a fixed point and is only
-    meaningful for the multi-scale sampler.
+    meaningful for the multi-scale sampler.  ``callback`` is passed to the
+    run: a callable that receives every Event, or an ``EventLog``.
     """
     config = build_config(algorithm, seed, success_threshold, overrides)
     kwargs = {}
@@ -310,7 +312,9 @@ def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
     ``rankings`` maps a label to a RankingTable.  ``max_fes`` is the budget
     as requested (None when it defaulted per dim); ``cell_max_fes`` maps a
     cell to the budget it actually ran with, and defaults to ``max_fes``.
+    ``versions`` names the software that produced the numbers.
     """
+    from . import __version__
     cells = []
     for (algo, fn, dim), stats in cell_stats.items():
         cells.append({
@@ -331,6 +335,8 @@ def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
         "max_fes": max_fes,
         "n_trials": n_trials,
         "base_seed": base_seed,
+        "versions": {"bareopt": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
         "cells": cells,
     }
     if rankings:

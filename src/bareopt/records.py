@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
 import math
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -15,6 +19,9 @@ EVENT_KINDS = (
     "mean-replace",
     "scale-halve",
 )
+
+# the kind column of an EventBatch holds indices into EVENT_KINDS
+INIT, ACCEPT_BETTER, ACCEPT_TUNNEL, REJECT, MEAN_REPLACE, SCALE_HALVE = range(6)
 
 # Kinds whose position is (or becomes) an actual particle position.
 ACCEPTED_KINDS = ("init", "accept-better", "accept-tunnel", "mean-replace")
@@ -43,6 +50,99 @@ class Event:
     probability: float
     position: np.ndarray | None
     fitness: float
+
+
+@dataclass(slots=True)
+class EventBatch:
+    """The events of one run step as columns, one row per event.
+
+    A step is an initial population, a sweep, a mean replacement or a scale
+    change.  ``index`` runs over consecutive evaluation indices (a
+    ``scale-halve`` row repeats the last one), ``kind`` holds indices into
+    ``EVENT_KINDS``, and ``gamma`` and ``sigma`` are the step's own, shared
+    by every row.  ``position`` has shape (rows, dim), or is None for a batch
+    of rows that carry no position (``scale-halve``).
+    """
+
+    index: np.ndarray
+    particle: np.ndarray
+    kind: np.ndarray
+    delta_f: np.ndarray
+    delta_x: np.ndarray
+    gamma: float
+    sigma: float
+    probability: np.ndarray
+    position: np.ndarray | None
+    fitness: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def events(self) -> list[Event]:
+        """The rows as Event records; each position is a view of its row."""
+        positions = repeat(None) if self.position is None else iter(self.position)
+        return [
+            Event(i, p, EVENT_KINDS[k], df, dx, self.gamma, self.sigma, pr, x, f)
+            for i, p, k, df, dx, pr, x, f in zip(
+                self.index.tolist(), self.particle.tolist(), self.kind.tolist(),
+                self.delta_f.tolist(), self.delta_x.tolist(),
+                self.probability.tolist(), positions, self.fitness.tolist())
+        ]
+
+
+class EventLog(Sequence):
+    """A run's event stream, kept as the batches its steps emitted.
+
+    ``len()`` counts rows without building anything.  Indexing and iteration
+    build Event records from the batches as they go; an Event that a caller
+    still holds is handed out again rather than rebuilt, so a row is the same
+    object for as long as anyone keeps it, and counting through a long log
+    never holds all of its Events at once.  Pass an EventLog as a run's
+    ``callback`` to have the run hand it whole batches.
+    """
+
+    def __init__(self):
+        self.batches: list[EventBatch] = []
+        self._starts: list[int] = []  # the row of each batch's first event
+        self._rows = 0
+        self._held = weakref.WeakValueDictionary()  # row -> Event
+
+    def add(self, batch: EventBatch) -> None:
+        self.batches.append(batch)
+        self._starts.append(self._rows)
+        self._rows += len(batch)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def _events_of(self, b: int) -> list[Event]:
+        start = self._starts[b]
+        events = self.batches[b].events()
+        for j, event in enumerate(events):
+            held = self._held.get(start + j)
+            if held is None:
+                self._held[start + j] = event
+            else:
+                events[j] = held
+        return events
+
+    def __iter__(self):
+        for b in range(len(self.batches)):
+            yield from self._events_of(b)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._rows))]
+        i = range(self._rows)[i]  # negative indices, and IndexError past the end
+        b = bisect.bisect_right(self._starts, i) - 1
+        return self._events_of(b)[i - self._starts[b]]
+
+    def column(self, name: str) -> np.ndarray:
+        """One per-row column over the whole log (not ``gamma``, ``sigma`` or
+        ``position``, which are per batch)."""
+        if not self.batches:
+            return np.empty(0)
+        return np.concatenate([getattr(b, name) for b in self.batches])
 
 
 @dataclass

@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import bareopt
 from bareopt import cli
 from bareopt.cli import main
 from bareopt.harness import read_trials_csv
@@ -118,6 +121,20 @@ class TestExperiment:
         assert "rankings" in summary
         out = capsys.readouterr().out
         assert "average rank" in out
+
+    def test_summary_names_the_software_versions(self, tmp_path):
+        code = main(["experiment", "--algos", "bip,gbde", "--funcs", "F7", "--dims", "2",
+                     "--trials", "1", "--max-fes", "200", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["versions"] == {
+            "bareopt": bareopt.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
+        # the keys every summary carried before the versions
+        assert {"schema_version", "success_threshold", "max_fes", "n_trials",
+                "base_seed", "cells", "rankings"} <= set(summary)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["experiment", "--algos", "gbde", "--funcs", "F2", "--dims", "2",

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bareopt.benchmarks import get_objective
 from bareopt.bip import tunneling_probability
@@ -21,7 +24,7 @@ from bareopt.diagnostics import (
     transmission_trace,
     wave_modulus,
 )
-from bareopt.records import Event
+from bareopt.records import INIT, REJECT, SCALE_HALVE, EventBatch
 
 
 def synthetic_log(points, dim=2, low=-4.0, high=4.0, amplitude=1.0):
@@ -31,13 +34,13 @@ def synthetic_log(points, dim=2, low=-4.0, high=4.0, amplitude=1.0):
         lower_bound=np.full(dim, low), upper_bound=np.full(dim, high),
         optimum_value=0.0, amplitude=amplitude,
     )
-    for i, p in enumerate(points):
-        log.events.append(Event(
-            eval_index=i + 1, particle=i % 5, kind="init",
-            delta_f=0.0, delta_x=0.0, gamma=1.0, sigma=1.0,
-            probability=1.0, position=np.asarray(p, dtype=float),
-            fitness=float(i),
-        ))
+    m = len(points)
+    log.events.add(EventBatch(
+        index=np.arange(1, m + 1), particle=np.arange(m) % 5, kind=np.full(m, INIT),
+        delta_f=np.zeros(m), delta_x=np.zeros(m), gamma=1.0, sigma=1.0,
+        probability=np.ones(m), position=np.asarray(points, dtype=float).reshape(m, dim),
+        fitness=np.arange(m, dtype=float),
+    ))
     return log
 
 
@@ -86,6 +89,17 @@ class TestRecordRun:
                      ("init", "accept-better", "accept-tunnel", "mean-replace")]
             assert later[-1] is e
 
+    def test_event_log_counts_and_indexes_like_the_list_it_replaced(self):
+        _, log = record_run("bip", "F7", 2, max_fes=300, seed=0, overrides={"k": 4})
+        events = list(log.events)
+        assert len(log.events) == len(events) > 300  # scale-halve markers included
+        for i in (0, 7, -1, -len(events)):
+            assert log.events[i] is events[i]
+        picked = log.events[3:40:3]
+        assert len(picked) == 13 and all(a is b for a, b in zip(picked, events[3:40:3]))
+        with pytest.raises(IndexError):
+            log.events[len(events)]
+
 
 class TestWaveModulus:
     def test_delta_distribution(self):
@@ -131,10 +145,11 @@ class TestWaveModulus:
 
     def test_rejected_positions_are_excluded(self):
         log = synthetic_log([[0.0, 0.0]] * 5)
-        log.events.append(Event(
-            eval_index=6, particle=0, kind="reject", delta_f=1.0, delta_x=1.0,
-            gamma=1.0, sigma=1.0, probability=0.1,
-            position=np.array([3.0, 3.0]), fitness=9.0,
+        log.events.add(EventBatch(
+            index=np.array([6]), particle=np.array([0]), kind=np.array([REJECT]),
+            delta_f=np.ones(1), delta_x=np.ones(1), gamma=1.0, sigma=1.0,
+            probability=np.array([0.1]), position=np.array([[3.0, 3.0]]),
+            fitness=np.array([9.0]),
         ))
         hist = wave_modulus(log, bins_per_dim=4)
         assert hist.counts.sum() == 5
@@ -220,6 +235,43 @@ class TestExports:
         assert first[2] == "init" and float(first[9]) == pytest.approx(
             log.events[0].position[0]
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(st.just(dim), st.lists(
+        st.tuples(st.integers(0, 6), st.floats(), st.floats(), st.booleans()).flatmap(
+            lambda b: st.tuples(st.just(b), arrays(np.float64, (b[0], 4 + dim)),
+                                arrays(np.int64, b[0], elements=st.integers(0, 4)))),
+        max_size=6))))
+    def test_events_csv_matches_the_csv_module(self, tmp_path_factory, case):
+        # the export before the columnar log: csv.writer over every Event, with
+        # str() of each float
+        dim, batches = case
+        log = synthetic_log([], dim=dim)
+        for (m, gamma, sigma, halve), values, kinds in batches:
+            log.events.add(EventBatch(
+                index=np.arange(len(log.events), len(log.events) + m),
+                particle=np.arange(m) - halve,
+                kind=np.full(m, SCALE_HALVE) if halve else kinds,
+                delta_f=values[:, 0], delta_x=values[:, 1], gamma=gamma, sigma=sigma,
+                probability=values[:, 2], position=None if halve else values[:, 4:],
+                fitness=values[:, 3],
+            ))
+        path = tmp_path_factory.mktemp("csv")
+        export_events_csv(log, path / "columns.csv")
+        with (path / "events.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([
+                "evaluation_index", "particle_index", "event", "delta_f", "delta_x",
+                "gamma", "sigma", "probability_used", "fitness",
+                *(f"pos_{d}" for d in range(dim)),
+            ])
+            for e in log.events:
+                pos = [""] * dim if e.position is None else [str(v) for v in e.position]
+                writer.writerow([
+                    e.eval_index, e.particle, e.kind, str(e.delta_f), str(e.delta_x),
+                    str(e.gamma), str(e.sigma), str(e.probability), str(e.fitness), *pos,
+                ])
+        assert (path / "columns.csv").read_bytes() == (path / "events.csv").read_bytes()
 
     def test_histogram_json_round_trip(self, tmp_path):
         log = synthetic_log([[0.0, 0.0]] * 9)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bareopt.baselines import _row_norms
 from bareopt.bip import (
     BOUNDS_POLICIES,
     BipConfig,
@@ -116,3 +117,17 @@ class TestAcceptSample:
         assert tunneled is (twin.random() < prob)
         assert kept is (cand if tunneled else cur)
         assert rng.random() == twin.random()
+
+
+class TestRowNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+            lambda shape: st.tuples(arrays(np.float64, shape, elements=coords),
+                                    arrays(np.float64, shape, elements=coords))),
+    )
+    def test_match_the_norm_of_each_row_bit_for_bit(self, pair):
+        # the baselines' per-event delta_x was np.linalg.norm of one row's difference
+        a, b = pair
+        expected = [np.linalg.norm(a[i] - b[i]) for i in range(len(a))]
+        assert _row_norms(a - b).tolist() == expected

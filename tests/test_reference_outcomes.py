@@ -63,33 +63,42 @@ def test_event_capture_runs_match_the_reference(reference, function, dim,
 
 
 EVENT_DIGESTS = {
-    ("bip", "F7", 0): "e125b786430701f3607387d9b73945dc8f9ff2a842f5db175c46ad6bd60b3abc",
-    ("bip", "F7", 1): "01d1e98747b1abee8b7e6c774b37870019ca841343f09da2f9bbe351fd806721",
-    ("bbpso", "F7", 0): "c21952d82af4ecd3d71cad221c1a42266185a7e16e03ffc0de6b7f18389323ed",
-    ("bbpso", "F7", 1): "efc9d294669afec0d4a3d320d066b111127f269fe14fba5298f13b9826c06b95",
-    ("bbfwa", "F7", 0): "60979c8fab8a4d77275947fa69bbf409af89a99531fe82de75df674d70414e2b",
-    ("bbfwa", "F7", 1): "2ea0fa8c6ff494ea639b1043ad481ccf0b43902ce65bb417b152a9014073661c",
-    ("gbde", "F7", 0): "464f6a94bba9d339aa3002c8faf92fa45b8cfffa351423ab893f75a744f30321",
-    ("gbde", "F7", 1): "f639054f1d6f121d1bc12f2bf4b8bcf6bce530c28ab1e588f4093614a951b8a2",
-    ("bip", "double_well", 0):
+    ("bip", "F7", 2, 0): "e125b786430701f3607387d9b73945dc8f9ff2a842f5db175c46ad6bd60b3abc",
+    ("bip", "F7", 2, 1): "01d1e98747b1abee8b7e6c774b37870019ca841343f09da2f9bbe351fd806721",
+    ("bbpso", "F7", 2, 0): "c21952d82af4ecd3d71cad221c1a42266185a7e16e03ffc0de6b7f18389323ed",
+    ("bbpso", "F7", 2, 1): "efc9d294669afec0d4a3d320d066b111127f269fe14fba5298f13b9826c06b95",
+    ("bbfwa", "F7", 2, 0): "60979c8fab8a4d77275947fa69bbf409af89a99531fe82de75df674d70414e2b",
+    ("bbfwa", "F7", 2, 1): "2ea0fa8c6ff494ea639b1043ad481ccf0b43902ce65bb417b152a9014073661c",
+    ("gbde", "F7", 2, 0): "464f6a94bba9d339aa3002c8faf92fa45b8cfffa351423ab893f75a744f30321",
+    ("gbde", "F7", 2, 1): "f639054f1d6f121d1bc12f2bf4b8bcf6bce530c28ab1e588f4093614a951b8a2",
+    ("bip", "double_well", 2, 0):
         "76cded99d0a808be2816586c8ba4b981bbed9f932318fe25972c7323f0c94756",
-    ("bip", "double_well", 1):
+    ("bip", "double_well", 2, 1):
         "37cae0d61c475e21bbb60e38efabccac4314f69f4fb02877f5b804bb66cf6a14",
+    # the diagnose benchmark cells: dim 10, whole sweeps of 15 and 100 points
+    ("bip", "F7", 10, 0): "522d3363369a1d872df50145871873d71aa2b60f602ecaa338d588805f2eb80a",
+    ("bip", "F7", 10, 1): "a96e44a90cc34ffdaacd2bb90d94abdd598c24082742c528f0612a4924574de7",
+    ("gbde", "F2", 10, 0): "66600b783dca38252ffb7b9eaa73e1c67ce48e7031a17bd5607a7ee835149764",
+    ("gbde", "F2", 10, 1): "9867fa772132841de9dcd2df281e0581b71b4fe0a0addbbba1d2675fdc2f34d5",
 }
 
 
-@pytest.mark.parametrize("algorithm, function, max_fes, overrides", [
-    *((a, "F7", 600, None) for a in ("bip", "bbpso", "bbfwa", "gbde")),
-    ("bip", "double_well", 2_000, {"k": 5}),
+@pytest.mark.parametrize("algorithm, function, dim, max_fes, overrides", [
+    *(pytest.param(a, "F7", 2, 600, None, id=f"{a}-F7-600-None")
+      for a in ("bip", "bbpso", "bbfwa", "gbde")),
+    pytest.param("bip", "double_well", 2, 2_000, {"k": 5},
+                 id="bip-double_well-2000-overrides4"),
+    pytest.param("bip", "F7", 10, 10_000, None, id="bip-F7-10d-10000"),
+    pytest.param("gbde", "F2", 10, 10_000, None, id="gbde-F2-10d-10000"),
 ])
-def test_event_streams_match_their_digests(tmp_path, algorithm, function,
+def test_event_streams_match_their_digests(tmp_path, algorithm, function, dim,
                                            max_fes, overrides):
     # every field of every event, scale-halve markers and mean replacements
     # included, as the CSV export writes them
     for seed in SEEDS:
-        _, log = record_run(algorithm, function, 2, max_fes=max_fes, seed=seed,
+        _, log = record_run(algorithm, function, dim, max_fes=max_fes, seed=seed,
                             overrides=overrides)
         path = tmp_path / f"events_{seed}.csv"
         export_events_csv(log, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == EVENT_DIGESTS[(algorithm, function, seed)]
+        assert digest == EVENT_DIGESTS[(algorithm, function, dim, seed)]

@@ -4,16 +4,27 @@ Every run, whatever the algorithm, bounds policy, dimension or budget
 (budgets below the population size included), keeps to its budget, keeps
 its best position in the box, repeats itself exactly for the same seed, and
 reports a best-so-far curve that never rises and ends at the last
-evaluation.
+evaluation.  A constant objective, where every move ties, is held to the
+same invariants.  The events a per-event callback receives are the ones a
+recorded log holds, one per evaluation in order.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bareopt.benchmarks import get_objective, registry_names
-from bareopt.bip import BOUNDS_POLICIES
-from bareopt.harness import run_single
+from bareopt.benchmarks import (
+    BudgetedObjective,
+    ObjectiveSpec,
+    get_objective,
+    registry_names,
+)
+from bareopt.bip import BOUNDS_POLICIES, BipConfig, BipRun
+from bareopt.diagnostics import record_run
+from bareopt.harness import REGISTRY, run_single
 
 # the smallest population each algorithm accepts
 MINIMAL = {
@@ -34,6 +45,17 @@ def same_outcome(a, b):
                  or np.array_equal(a.best_position, b.best_position)))
 
 
+def check_invariants(out, spec, max_fes, rerun):
+    assert out.evals_used <= max_fes
+    if out.best_position is not None:
+        assert np.all(out.best_position >= spec.lower_bound)
+        assert np.all(out.best_position <= spec.upper_bound)
+    assert same_outcome(out, rerun())
+    errors = [e for _, e in out.error_trace]
+    assert all(b <= a for a, b in zip(errors, errors[1:]))
+    assert out.error_trace[-1] == (out.evals_used, out.final_error)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     variant=st.sampled_from(sorted(MINIMAL, key=str)),
@@ -51,13 +73,70 @@ def test_run_invariants(variant, function, dim, max_fes, seed, success_threshold
                           success_threshold=success_threshold,
                           overrides=MINIMAL[variant])
 
+    check_invariants(run(), get_objective(function, dim), max_fes, run)
+
+
+def constant(dim):
+    return ObjectiveSpec(
+        name="constant", dim=dim, lower_bound=np.full(dim, -2.0),
+        upper_bound=np.full(dim, 3.0), optimum_position=np.zeros(dim),
+        optimum_value=0.0, _impl=lambda x: np.ones(x.shape[:-1]),
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("max_fes", [1, 7, 300])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("variant", [
+    *((name, None) for name in REGISTRY if name != "bip"),
+    *(("bip", p) for p in BOUNDS_POLICIES),
+], ids=lambda v: "-".join(filter(None, v)))
+def test_a_constant_objective_runs_out_the_budget(variant, dim, max_fes):
+    algorithm, policy = variant
+    spec = constant(dim)
+
+    def run():
+        config_cls, run_cls = REGISTRY[algorithm]
+        config = (BipConfig(bounds_policy=policy, seed=3) if run_cls is BipRun
+                  else config_cls(seed=3))
+        return run_cls(BudgetedObjective(spec, max_fes), config).run()
+
     out = run()
-    assert out.evals_used <= max_fes
-    spec = get_objective(function, dim)
-    if out.best_position is not None:
-        assert np.all(out.best_position >= spec.lower_bound)
-        assert np.all(out.best_position <= spec.upper_bound)
-    assert same_outcome(out, run())
-    errors = [e for _, e in out.error_trace]
-    assert all(b <= a for a, b in zip(errors, errors[1:]))
-    assert out.error_trace[-1] == (out.evals_used, out.final_error)
+    # an error of 1 never reaches the threshold, so every evaluation is spent
+    assert out.evals_used == max_fes
+    check_invariants(out, spec, max_fes, run)
+
+
+def same_event(a, b):
+    def same_float(x, y):
+        return x == y or (math.isnan(x) and math.isnan(y))
+
+    return (a.eval_index == b.eval_index and a.particle == b.particle
+            and a.kind == b.kind
+            and all(same_float(getattr(a, f), getattr(b, f))
+                    for f in ("delta_f", "delta_x", "gamma", "sigma",
+                              "probability", "fitness"))
+            and ((a.position is None and b.position is None)
+                 or np.array_equal(a.position, b.position)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    variant=st.sampled_from(sorted(MINIMAL, key=str)),
+    function=st.sampled_from(registry_names()),
+    dim=st.integers(1, 3),
+    max_fes=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_callback_and_log_agree(variant, function, dim, max_fes, seed):
+    algorithm, _ = variant
+    received = []
+    out = run_single(algorithm, function, dim, max_fes=max_fes, seed=seed,
+                     success_threshold=0.0, overrides=MINIMAL[variant],
+                     callback=received.append)
+    _, log = record_run(algorithm, function, dim, max_fes=max_fes, seed=seed,
+                        overrides=MINIMAL[variant])
+    assert len(received) == len(log.events)
+    assert all(same_event(a, b) for a, b in zip(received, log.events))
+    evaluated = [e.eval_index for e in received if e.kind != "scale-halve"]
+    assert evaluated == list(range(1, out.evals_used + 1))
