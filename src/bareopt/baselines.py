@@ -173,6 +173,24 @@ class RunScaffold:
         if self._success() or self.objective.remaining == 0:
             self.finished = True
 
+    def _sweep_size(self, pop) -> int:
+        """How many of ``pop`` proposals the next step may evaluate; 0 once
+        the run is over (a spent budget ends it here)."""
+        if self.finished:
+            return 0
+        m = min(pop, self.objective.remaining)
+        if m == 0:
+            self.finished = True
+        return m
+
+    def _record(self, first, xs, fs) -> bool:
+        """Book a step's evaluations ``first``, ``first + 1``, ... at ``xs``:
+        best so far, trace and stop check.  Returns whether the run goes on."""
+        self._note_best(xs, fs)
+        self.trace.extend(first, fs)
+        self._check_stop()
+        return not self.finished
+
     def _init_population(self, count, positions=None):
         """Evaluate the initial population, uniform over the box unless
         ``positions`` are given; returns (positions, fitness, full)."""
@@ -234,11 +252,8 @@ class BbpsoRun(RunScaffold):
         self._check_stop()
 
     def step(self) -> bool:
-        if self.finished:
-            return False
-        m = min(self.config.np_, self.objective.remaining)
+        m = self._sweep_size(self.config.np_)
         if m == 0:
-            self.finished = True
             return False
         first = self.objective.evals_used + 1
         mid = 0.5 * (self.pbest[:m] + self.gbest)
@@ -257,10 +272,7 @@ class BbpsoRun(RunScaffold):
         if self.pbest_f[g] < self.gbest_f:
             self.gbest = self.pbest[g].copy()
             self.gbest_f = float(self.pbest_f[g])
-        self._note_best(samples, fs)
-        self.trace.extend(first, fs)
-        self._check_stop()
-        return not self.finished
+        return self._record(first, samples, fs)
 
 
 class BbfwaRun(RunScaffold):
@@ -275,26 +287,18 @@ class BbfwaRun(RunScaffold):
             self.amplitude = self.span.copy()
         else:
             self.amplitude = np.full(spec.dim, float(self.config.amp_init))
-        if objective.remaining == 0:
+        positions, fitness, full = self._init_population(1)
+        if not full:
             self.finished = True
             return
-        self.center = self.rng.uniform(self.lower, self.upper)
-        self.center_f = objective.evaluate(self.center)
-        self._note_best(self.center[None, :], np.array([self.center_f]))
-        self.trace.extend(1, [self.center_f])
-        if self.callback is not None:
-            self._emit(1, np.zeros(1, dtype=int), np.full(1, INIT), np.zeros(1),
-                       np.zeros(1), np.ones(1), self.center[None, :],
-                       np.array([self.center_f]))
+        self.center = positions[0]
+        self.center_f = float(fitness[0])
         self._check_stop()
 
     def step(self) -> bool:
-        if self.finished:
-            return False
         cfg = self.config
-        m = min(cfg.np_, self.objective.remaining)
+        m = self._sweep_size(cfg.np_)
         if m == 0:
-            self.finished = True
             return False
         first = self.objective.evals_used + 1
         n = self.objective.spec.dim
@@ -318,10 +322,7 @@ class BbfwaRun(RunScaffold):
             # a tie counts as no improvement
             self.amplitude = self.amplitude * cfg.amp_shrink
         self.amplitude = np.clip(self.amplitude, cfg.amp_floor, self.span)
-        self._note_best(sparks, fs)
-        self.trace.extend(first, fs)
-        self._check_stop()
-        return not self.finished
+        return self._record(first, sparks, fs)
 
 
 class GbdeRun(RunScaffold):
@@ -337,12 +338,9 @@ class GbdeRun(RunScaffold):
         self._check_stop()
 
     def step(self) -> bool:
-        if self.finished:
-            return False
         cfg = self.config
-        m = min(cfg.np_, self.objective.remaining)
+        m = self._sweep_size(cfg.np_)
         if m == 0:
-            self.finished = True
             return False
         first = self.objective.evals_used + 1
         n = self.objective.spec.dim
@@ -365,10 +363,7 @@ class GbdeRun(RunScaffold):
                        selected.astype(float), trials, fs)
         self.positions[:m][selected] = trials[selected]
         self.fitness[:m][selected] = fs[selected]
-        self._note_best(trials, fs)
-        self.trace.extend(first, fs)
-        self._check_stop()
-        return not self.finished
+        return self._record(first, trials, fs)
 
 
 def run_bbpso(objective, config=None, *, callback=None):

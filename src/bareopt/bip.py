@@ -308,7 +308,7 @@ class BipRun(RunScaffold):
             start = np.asarray(init_position, dtype=float)
             if start.shape != (n,):
                 raise ValueError(f"init_position must have shape ({n},)")
-            if np.any(start < self.lower) or np.any(start > self.upper):
+            if not np.all((start >= self.lower) & (start <= self.upper)):
                 raise ValueError("init_position lies outside the box")
             tiled = np.tile(start, (k, 1))
         self.positions, self.fitness, full = self._init_population(k, tiled)
@@ -340,13 +340,10 @@ class BipRun(RunScaffold):
 
     def step(self) -> bool:
         """Advance one population sweep; returns False once the run is over."""
-        if self.finished:
-            return False
         cfg = self.config
         k = cfg.k
-        m = min(k, self.objective.remaining)
+        m = self._sweep_size(k)
         if m == 0:
-            self.finished = True
             return False
 
         first_index = self.objective.evals_used + 1
@@ -372,14 +369,9 @@ class BipRun(RunScaffold):
 
         np.copyto(current, candidates, where=accept[:, None])
         np.copyto(self.fitness[:m], cand_f, where=accept)
-        self._note_best(candidates, cand_f)
-        self.trace.extend(first_index, cand_f)
-
         self.ac += 1
         self.gamma = anneal_gamma(self.gamma0, self.ac, cfg.anneal_tau)
-
-        self._check_stop()
-        if self.finished:
+        if not self._record(first_index, candidates, cand_f):
             return False
         if m == k and ground_state_reached(self.positions, self.sigma_s):
             self._transition_scale()
@@ -400,8 +392,7 @@ class BipRun(RunScaffold):
                            np.ones(1), mean_x[None, :], np.array([mean_f]))
             self.positions[worst] = mean_x
             self.fitness[worst] = mean_f
-            self._note_best(mean_x[None, :], np.array([mean_f]))
-            self.trace.extend(eval_index, [mean_f])
+            self._record(eval_index, mean_x[None, :], np.array([mean_f]))
 
         self.scale_index += 1
         self.sigma_s = self.span / cfg.scale_divisor ** self.scale_index
@@ -411,7 +402,7 @@ class BipRun(RunScaffold):
         if self.callback is not None:
             self._emit(self.objective.evals_used, np.array([-1]), np.array([SCALE_HALVE]),
                        np.zeros(1), np.zeros(1), np.ones(1), None, np.array([math.nan]))
-        self._check_stop()
+        # only the mean's evaluation, booked by _record above, can end the run here
         if cfg.min_scale > 0 and self.sigma_s < cfg.min_scale:
             self.finished = True
 

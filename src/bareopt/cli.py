@@ -67,10 +67,6 @@ def _parse_group(text: str, available) -> list[str]:
     return _parse_funcs(text)
 
 
-def _parse_init(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
-
-
 def _add_run_flags(p: argparse.ArgumentParser, threshold_default: float):
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--func", required=True, help="objective name, e.g. F7 or double_well")
@@ -116,32 +112,36 @@ def _collect_overrides(args) -> dict:
     return overrides
 
 
-def _effective_config(args, overrides, max_fes) -> dict:
-    return {
-        "algorithm": args.algo,
-        "function": args.func,
-        "dim": args.dim,
-        "max_fes": max_fes,
-        "seed": args.seed,
-        "success_threshold": args.success_threshold,
-        "init": None if args.init is None else _parse_init(args.init),
-        "overrides": overrides,
-    }
-
-
-def cmd_run(args) -> int:
+def _trial_kwargs(args) -> dict:
+    """The keyword arguments of the one trial of ``run`` and ``diagnose``,
+    with the objective name, budget, overrides and start point checked."""
     get_objective(args.func, args.dim)  # validate the name early
     max_fes = args.max_fes if args.max_fes is not None else 10000 * args.dim
     if max_fes < 1:
         raise ValueError("--max-fes must be positive")
     overrides = _collect_overrides(args)
-    init = None if args.init is None else _parse_init(args.init)
-    outcome = run_single(
-        args.algo, args.func, args.dim,
-        max_fes=max_fes, seed=args.seed,
-        success_threshold=args.success_threshold,
-        overrides=overrides, init_position=init,
-    )
+    init = None if args.init is None else [float(v) for v in args.init.split(",")]
+    return {"max_fes": max_fes, "seed": args.seed,
+            "success_threshold": args.success_threshold,
+            "overrides": overrides, "init_position": init}
+
+
+def _effective_config(args, trial) -> dict:
+    return {
+        "algorithm": args.algo,
+        "function": args.func,
+        "dim": args.dim,
+        "max_fes": trial["max_fes"],
+        "seed": args.seed,
+        "success_threshold": args.success_threshold,
+        "init": trial["init_position"],
+        "overrides": trial["overrides"],
+    }
+
+
+def cmd_run(args) -> int:
+    trial = _trial_kwargs(args)
+    outcome = run_single(args.algo, args.func, args.dim, **trial)
     print(f"algorithm={outcome.algorithm} function={outcome.function} "
           f"dim={outcome.dim} seed={outcome.seed}")
     print(f"final_error={outcome.final_error:.6e} evals_used={outcome.evals_used} "
@@ -151,7 +151,7 @@ def cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         base = diagnostics_basename(args.algo, args.func, args.dim, args.seed)
         payload = {
-            "effective_config": _effective_config(args, overrides, max_fes),
+            "effective_config": _effective_config(args, trial),
             "final_error": outcome.final_error,
             "evals_used": outcome.evals_used,
             "succeeded": outcome.succeeded,
@@ -249,18 +249,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    get_objective(args.func, args.dim)
-    max_fes = args.max_fes if args.max_fes is not None else 10000 * args.dim
-    if max_fes < 1:
-        raise ValueError("--max-fes must be positive")
-    overrides = _collect_overrides(args)
-    init = None if args.init is None else _parse_init(args.init)
-    outcome, log = record_run(
-        args.algo, args.func, args.dim,
-        max_fes=max_fes, seed=args.seed,
-        success_threshold=args.success_threshold,
-        overrides=overrides, init_position=init,
-    )
+    outcome, log = record_run(args.algo, args.func, args.dim, **_trial_kwargs(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = diagnostics_basename(args.algo, args.func, args.dim, args.seed)
@@ -344,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="budget per trial (default 10000*dim)")
     p_exp.add_argument("--base-seed", type=int, default=1)
     p_exp.add_argument("--success-threshold", type=float, default=1e-8)
-    p_exp.add_argument("--workers", type=int, default=1)
+    p_exp.add_argument("--workers", type=int, default=1,
+                       help="accepted; trials currently run one after another, in order")
     p_exp.add_argument("--preset", choices=sorted(_PRESETS), default=None)
     p_exp.add_argument("--out", type=str, default="results")
     p_exp.set_defaults(func_cmd=cmd_experiment)

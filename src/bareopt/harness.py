@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,27 +125,16 @@ def run_experiment(
     overrides: dict | None = None,
     workers: int = 1,
 ) -> list[TrialOutcome]:
-    """Run n_trials seeded trials of one grid cell.
+    """Run n_trials seeded trials of one grid cell, in trial order.
 
-    Trial i uses seed base_seed + i.  With workers > 1 trials run in a
-    thread pool; outcomes are returned in trial order either way, and are
-    identical to a sequential run because every trial owns its generator.
+    Trial i uses seed base_seed + i.  ``workers`` is accepted but currently
+    has no effect: the trials run one after another on the calling thread.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    seeds = [base_seed + i for i in range(n_trials)]
-
-    def one(seed):
-        return run_single(
-            algorithm, function, dim,
-            max_fes=max_fes, seed=seed,
-            success_threshold=success_threshold, overrides=overrides,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, seeds))
-    return [one(s) for s in seeds]
+    return [run_single(algorithm, function, dim, max_fes=max_fes, seed=base_seed + i,
+                       success_threshold=success_threshold, overrides=overrides)
+            for i in range(n_trials)]
 
 
 @dataclass(frozen=True)

@@ -365,6 +365,10 @@ class TestBipRun:
             BipRun(obj, BipConfig(seed=0), init_position=(1e9, 0.0))
         with pytest.raises(ValueError):
             BipRun(obj, BipConfig(seed=0), init_position=(0.0,))
+        # NaN compares false both ways, so only a check that asks for the
+        # box (not for leaving it) rejects it
+        with pytest.raises(ValueError, match="outside the box"):
+            BipRun(obj, BipConfig(seed=0), init_position=(math.nan, 0.0))
 
     def test_min_scale_stops_the_run(self):
         obj = self.budget(max_fes=100_000)

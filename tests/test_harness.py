@@ -1,6 +1,7 @@
 """Tests for the experiment harness: trials, statistics, ranking, files."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ class TestRunExperiment:
                                   base_seed=0, workers=4)
         assert [o.final_error for o in serial] == [o.final_error for o in threaded]
         assert [o.seed for o in serial] == [o.seed for o in threaded]
+
+    def test_trials_run_on_the_calling_thread(self, monkeypatch):
+        def no_threads(self):
+            raise AssertionError("run_experiment started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        outs = run_experiment("gbde", "F7", 2, n_trials=3, max_fes=400,
+                              base_seed=10, workers=4)
+        assert [o.seed for o in outs] == [10, 11, 12]
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):

@@ -95,16 +95,20 @@ def test_a_constant_objective_runs_out_the_budget(variant, dim, max_fes):
     algorithm, policy = variant
     spec = constant(dim)
 
-    def run():
+    def start():
         config_cls, run_cls = REGISTRY[algorithm]
         config = (BipConfig(bounds_policy=policy, seed=3) if run_cls is BipRun
                   else config_cls(seed=3))
-        return run_cls(BudgetedObjective(spec, max_fes), config).run()
+        return run_cls(BudgetedObjective(spec, max_fes), config)
 
-    out = run()
+    started = start()
+    out = started.run()
     # an error of 1 never reaches the threshold, so every evaluation is spent
     assert out.evals_used == max_fes
-    check_invariants(out, spec, max_fes, run)
+    # a finished run stays finished
+    assert started.step() is False
+    assert started.objective.evals_used == max_fes
+    check_invariants(out, spec, max_fes, lambda: start().run())
 
 
 def same_event(a, b):
