@@ -13,9 +13,6 @@ from .baselines import (
     BbpsoRun,
     GbdeConfig,
     GbdeRun,
-    run_bbfwa,
-    run_bbpso,
-    run_gbde,
 )
 from .benchmarks import (
     BudgetExhausted,
@@ -31,14 +28,12 @@ from .benchmarks import (
 from .bip import (
     BipConfig,
     BipRun,
-    BipState,
     Particle,
     accept_sample,
     anneal_gamma,
     gaussian_step,
     ground_state_reached,
     mean_replace_worst,
-    run_bip,
     tunneling_probability,
 )
 from .diagnostics import (

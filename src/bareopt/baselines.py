@@ -33,9 +33,6 @@ __all__ = [
     "BbpsoRun",
     "BbfwaRun",
     "GbdeRun",
-    "run_bbpso",
-    "run_bbfwa",
-    "run_gbde",
 ]
 
 
@@ -119,13 +116,19 @@ class RunScaffold:
     ``callback`` is None, a callable that receives every Event in order
     during the step that produced it, or an ``EventLog``, which receives
     each step's events as one ``EventBatch``.
+
+    Each subclass names its algorithm and its config class; a run built
+    without a config uses that class's defaults.
     """
 
     algorithm = ""
+    config_class: type
     gamma = math.nan
     sigma_s = math.nan
 
-    def __init__(self, objective: BudgetedObjective, config, callback):
+    def __init__(self, objective: BudgetedObjective, config=None, *, callback=None):
+        if config is None:
+            config = self.config_class()
         if config.success_threshold < 0:
             raise ValueError("success_threshold must be nonnegative")
         self.objective = objective
@@ -169,10 +172,6 @@ class RunScaffold:
         err = max(self.best_fitness - self.objective.spec.optimum_value, 0.0)
         return err <= self.config.success_threshold
 
-    def _check_stop(self):
-        if self._success() or self.objective.remaining == 0:
-            self.finished = True
-
     def _sweep_size(self, pop) -> int:
         """How many of ``pop`` proposals the next step may evaluate; 0 once
         the run is over (a spent budget ends it here)."""
@@ -188,27 +187,32 @@ class RunScaffold:
         best so far, trace and stop check.  Returns whether the run goes on."""
         self._note_best(xs, fs)
         self.trace.extend(first, fs)
-        self._check_stop()
+        if self._success() or self.objective.remaining == 0:
+            self.finished = True
         return not self.finished
 
     def _init_population(self, count, positions=None):
         """Evaluate the initial population, uniform over the box unless
-        ``positions`` are given; returns (positions, fitness, full)."""
+        ``positions`` are given; returns (positions, fitness).
+
+        It is booked like any step.  A budget too small for the whole
+        population evaluates what it can, leaves NaN fitness for the rest
+        and ends the run.
+        """
         if positions is None:
             n = self.objective.spec.dim
             positions = self.rng.uniform(self.lower, self.upper, size=(count, n))
         fitness = np.full(count, math.nan)
-        m = min(count, self.objective.remaining)
+        m = self._sweep_size(count)
         if m > 0:
             fs = self.objective.evaluate_many(positions[:m])
             fitness[:m] = fs
-            self._note_best(positions[:m], fs)
-            self.trace.extend(1, fs)
             if self.callback is not None:
                 zeros = np.zeros(m)
                 self._emit(1, np.arange(m), np.full(m, INIT), zeros, zeros,
                            np.ones(m), positions[:m].copy(), fs)
-        return positions, fitness, m == count
+            self._record(1, positions[:m], fs)
+        return positions, fitness
 
     def step(self) -> bool:
         raise NotImplementedError
@@ -236,20 +240,16 @@ class RunScaffold:
 
 class BbpsoRun(RunScaffold):
     algorithm = "bbpso"
+    config_class = BbpsoConfig
 
-    def __init__(self, objective, config: BbpsoConfig | None = None, *, callback=None):
-        super().__init__(objective, config if config is not None else BbpsoConfig(),
-                         callback)
-        self.positions, fitness, full = self._init_population(self.config.np_)
+    def __init__(self, objective, config=None, *, callback=None):
+        super().__init__(objective, config, callback=callback)
+        self.positions, fitness = self._init_population(self.config.np_)
         self.pbest = self.positions.copy()
         self.pbest_f = fitness.copy()
-        if not full:
-            self.finished = True
-            return
         g = int(np.argmin(self.pbest_f))
         self.gbest = self.pbest[g].copy()
         self.gbest_f = float(self.pbest_f[g])
-        self._check_stop()
 
     def step(self) -> bool:
         m = self._sweep_size(self.config.np_)
@@ -277,23 +277,19 @@ class BbpsoRun(RunScaffold):
 
 class BbfwaRun(RunScaffold):
     algorithm = "bbfwa"
+    config_class = BbfwaConfig
 
-    def __init__(self, objective, config: BbfwaConfig | None = None, *, callback=None):
-        super().__init__(objective, config if config is not None else BbfwaConfig(),
-                         callback)
+    def __init__(self, objective, config=None, *, callback=None):
+        super().__init__(objective, config, callback=callback)
         spec = objective.spec
         self.span = spec.span.astype(float)
         if self.config.amp_init is None:
             self.amplitude = self.span.copy()
         else:
             self.amplitude = np.full(spec.dim, float(self.config.amp_init))
-        positions, fitness, full = self._init_population(1)
-        if not full:
-            self.finished = True
-            return
+        positions, fitness = self._init_population(1)
         self.center = positions[0]
         self.center_f = float(fitness[0])
-        self._check_stop()
 
     def step(self) -> bool:
         cfg = self.config
@@ -327,15 +323,11 @@ class BbfwaRun(RunScaffold):
 
 class GbdeRun(RunScaffold):
     algorithm = "gbde"
+    config_class = GbdeConfig
 
-    def __init__(self, objective, config: GbdeConfig | None = None, *, callback=None):
-        super().__init__(objective, config if config is not None else GbdeConfig(),
-                         callback)
-        self.positions, self.fitness, full = self._init_population(self.config.np_)
-        if not full:
-            self.finished = True
-            return
-        self._check_stop()
+    def __init__(self, objective, config=None, *, callback=None):
+        super().__init__(objective, config, callback=callback)
+        self.positions, self.fitness = self._init_population(self.config.np_)
 
     def step(self) -> bool:
         cfg = self.config
@@ -365,17 +357,3 @@ class GbdeRun(RunScaffold):
         self.fitness[:m][selected] = fs[selected]
         return self._record(first, trials, fs)
 
-
-def run_bbpso(objective, config=None, *, callback=None):
-    """Run bare-bones PSO to completion on a metered objective."""
-    return BbpsoRun(objective, config, callback=callback).run()
-
-
-def run_bbfwa(objective, config=None, *, callback=None):
-    """Run bare-bones fireworks to completion on a metered objective."""
-    return BbfwaRun(objective, config, callback=callback).run()
-
-
-def run_gbde(objective, config=None, *, callback=None):
-    """Run Gaussian bare-bones DE to completion on a metered objective."""
-    return GbdeRun(objective, config, callback=callback).run()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import RunScaffold
-from .benchmarks import BudgetedObjective
 # bench/tracing.py patches bip.build_outcome, so the name must stay importable
 from .records import (  # noqa: F401
     ACCEPT_BETTER,
@@ -25,16 +24,13 @@ from .records import (  # noqa: F401
     MEAN_REPLACE,
     REJECT,
     SCALE_HALVE,
-    TrialOutcome,
     build_outcome,
 )
 
 __all__ = [
     "BipConfig",
     "Particle",
-    "BipState",
     "BipRun",
-    "run_bip",
     "gaussian_step",
     "tunneling_probability",
     "accept_sample",
@@ -88,19 +84,6 @@ class BipConfig:
 class Particle:
     position: np.ndarray
     fitness: float
-
-
-@dataclass
-class BipState:
-    """Snapshot of the run between sweeps."""
-
-    particles: list[Particle]
-    sigma_s: float
-    gamma: float
-    gamma0: float
-    ac: int
-    scale_index: int
-    best_so_far: Particle
 
 
 def _apply_bounds(xs, lower, upper, policy, rng, reference=None, sigma=None):
@@ -285,17 +268,10 @@ class BipRun(RunScaffold):
     """
 
     algorithm = "bip"
+    config_class = BipConfig
 
-    def __init__(
-        self,
-        objective: BudgetedObjective,
-        config: BipConfig | None = None,
-        *,
-        callback=None,
-        init_position=None,
-    ):
-        super().__init__(objective, config if config is not None else BipConfig(),
-                         callback)
+    def __init__(self, objective, config=None, *, callback=None, init_position=None):
+        super().__init__(objective, config, callback=callback)
         self.span = objective.spec.max_span
         self.scale_index = 0
         self.sigma_s = self.span
@@ -311,30 +287,7 @@ class BipRun(RunScaffold):
             if not np.all((start >= self.lower) & (start <= self.upper)):
                 raise ValueError("init_position lies outside the box")
             tiled = np.tile(start, (k, 1))
-        self.positions, self.fitness, full = self._init_population(k, tiled)
-        # a budget that cannot cover initialization ends the run at once
-        self.finished = not full
-        self._check_stop()
-
-    @property
-    def state(self) -> BipState:
-        particles = [
-            Particle(self.positions[i].copy(), float(self.fitness[i]))
-            for i in range(self.config.k)
-        ]
-        best = Particle(
-            None if self.best_position is None else self.best_position.copy(),
-            self.best_fitness,
-        )
-        return BipState(
-            particles=particles,
-            sigma_s=self.sigma_s,
-            gamma=self.gamma,
-            gamma0=self.gamma0,
-            ac=self.ac,
-            scale_index=self.scale_index,
-            best_so_far=best,
-        )
+        self.positions, self.fitness = self._init_population(k, tiled)
 
     # -- main loop ------------------------------------------------------
 
@@ -406,15 +359,3 @@ class BipRun(RunScaffold):
         if cfg.min_scale > 0 and self.sigma_s < cfg.min_scale:
             self.finished = True
 
-
-def run_bip(
-    objective: BudgetedObjective,
-    config: BipConfig | None = None,
-    *,
-    callback=None,
-    init_position=None,
-) -> TrialOutcome:
-    """Run the multi-scale sampler to completion on a metered objective."""
-    return BipRun(
-        objective, config, callback=callback, init_position=init_position
-    ).run()

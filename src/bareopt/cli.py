@@ -100,7 +100,7 @@ def _add_run_flags(p: argparse.ArgumentParser, threshold_default: float):
 
 
 def _collect_overrides(args) -> dict:
-    fields = REGISTRY[args.algo][0].__dataclass_fields__
+    fields = REGISTRY[args.algo].config_class.__dataclass_fields__
     overrides = {}
     for field, flag in args.override_flags.items():
         value = getattr(args, field)
@@ -184,6 +184,10 @@ def cmd_experiment(args) -> int:
         get_objective(f, 2)
     dims = [int(d) for d in (args.dims or "10").split(",")]
     trials = args.trials if args.trials is not None else 20
+    if args.max_fes is not None and args.max_fes < 1:
+        raise ValueError("--max-fes must be positive")
+    if trials < 1:
+        raise ValueError("--trials must be positive")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -249,6 +253,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.bins < 1:
+        raise ValueError("--bins must be at least 1")
     outcome, log = record_run(args.algo, args.func, args.dim, **_trial_kwargs(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

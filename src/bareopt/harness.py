@@ -15,16 +15,9 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
-from .baselines import (
-    BbfwaConfig,
-    BbfwaRun,
-    BbpsoConfig,
-    BbpsoRun,
-    GbdeConfig,
-    GbdeRun,
-)
+from .baselines import BbfwaRun, BbpsoRun, GbdeRun
 from .benchmarks import BudgetedObjective, get_objective
-from .bip import BipConfig, BipRun
+from .bip import BipRun
 from .records import TrialOutcome
 
 __all__ = [
@@ -47,13 +40,9 @@ __all__ = [
     "SUMMARY_SCHEMA_VERSION",
 ]
 
-# algorithm name -> (config class, run class); the order is ALGORITHMS'
-REGISTRY = {
-    "bip": (BipConfig, BipRun),
-    "bbpso": (BbpsoConfig, BbpsoRun),
-    "bbfwa": (BbfwaConfig, BbfwaRun),
-    "gbde": (GbdeConfig, GbdeRun),
-}
+# algorithm name -> run class, which names its config class; the order is
+# ALGORITHMS'
+REGISTRY = {run.algorithm: run for run in (BipRun, BbpsoRun, BbfwaRun, GbdeRun)}
 ALGORITHMS = tuple(REGISTRY)
 MULTIMODAL_FUNCTIONS = tuple(f"F{i}" for i in range(1, 7))
 UNIMODAL_FUNCTIONS = tuple(f"F{i}" for i in range(7, 13))
@@ -70,7 +59,7 @@ def build_config(algorithm: str, seed: int, success_threshold: float,
     (unless overridden) the success threshold."""
     if algorithm not in REGISTRY:
         raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
-    cls = REGISTRY[algorithm][0]
+    cls = REGISTRY[algorithm].config_class
     kwargs = dict(overrides or {})
     bad = set(kwargs) - {f for f in cls.__dataclass_fields__}
     if bad:
@@ -107,7 +96,7 @@ def run_single(
         kwargs["init_position"] = init_position
     spec = get_objective(function, dim)
     objective = BudgetedObjective(spec, max_fes)
-    outcome = REGISTRY[algorithm][1](objective, config, callback=callback, **kwargs).run()
+    outcome = REGISTRY[algorithm](objective, config, callback=callback, **kwargs).run()
     # report under the registry name the caller used
     outcome.function = spec.name
     return outcome

@@ -200,8 +200,7 @@ class ErrorTrace:
         self.pairs.extend(zip(range(first_index + start, first_index + fs.size, self.stride),
                               errors.tolist()))
         while len(self.pairs) > self.cap:
-            self.stride *= 2
-            self.pairs = [p for p in self.pairs if p[0] % self.stride == 0]
+            self._double_stride()
 
     def finalize(self, last_index: int, final_error: float) -> list[tuple[int, float]]:
         """Ensure the final point is present and return the trace."""
@@ -209,10 +208,14 @@ class ErrorTrace:
             self.pairs[-1] = (last_index, float(final_error))
         elif last_index > 0:
             if len(self.pairs) >= self.cap:
-                self.stride *= 2
-                self.pairs = [p for p in self.pairs if p[0] % self.stride == 0]
+                self._double_stride()
             self.pairs.append((last_index, float(final_error)))
         return self.pairs
+
+    def _double_stride(self) -> None:
+        """Double the sampling stride and thin the stored points to it."""
+        self.stride *= 2
+        self.pairs = [p for p in self.pairs if p[0] % self.stride == 0]
 
 
 def build_outcome(

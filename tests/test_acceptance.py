@@ -16,11 +16,11 @@ import pytest
 from bareopt.benchmarks import BudgetedObjective, get_objective, make_benchmark
 from bareopt.bip import (
     BipConfig,
+    BipRun,
     Particle,
     accept_sample,
     gaussian_step,
     mean_replace_worst,
-    run_bip,
     tunneling_probability,
 )
 from bareopt.diagnostics import record_run, transmission_trace, wave_modulus
@@ -296,8 +296,8 @@ class TestCriterion8PropertyBattery:
         # sampling-scale schedule is exact and the population never resizes
         events = []
         obj = BudgetedObjective(make_benchmark(7, 4), 4000)
-        run_bip(obj, BipConfig(seed=2, success_threshold=0.0),
-                callback=events.append)
+        BipRun(obj, BipConfig(seed=2, success_threshold=0.0),
+               callback=events.append).run()
         halves = [e for e in events if e.kind == "scale-halve"]
         span = obj.spec.max_span
         if not halves or any(e.sigma != span / 2.0 ** j

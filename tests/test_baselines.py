@@ -13,9 +13,6 @@ from bareopt.baselines import (
     GbdeConfig,
     GbdeRun,
     _clamped_cr,
-    run_bbfwa,
-    run_bbpso,
-    run_gbde,
 )
 from bareopt.benchmarks import BudgetedObjective, ObjectiveSpec, make_benchmark
 
@@ -95,12 +92,12 @@ class TestBbpso:
 
     def test_sphere_convergence(self):
         obj = BudgetedObjective(make_benchmark(7, 10), max_fes=50_000)
-        out = run_bbpso(obj, BbpsoConfig(seed=0))
+        out = BbpsoRun(obj, BbpsoConfig(seed=0)).run()
         assert out.succeeded and out.final_error <= 1e-8
 
     def test_determinism(self):
-        a = run_bbpso(BudgetedObjective(make_benchmark(2, 5), 4000), BbpsoConfig(seed=9))
-        b = run_bbpso(BudgetedObjective(make_benchmark(2, 5), 4000), BbpsoConfig(seed=9))
+        a = BbpsoRun(BudgetedObjective(make_benchmark(2, 5), 4000), BbpsoConfig(seed=9)).run()
+        b = BbpsoRun(BudgetedObjective(make_benchmark(2, 5), 4000), BbpsoConfig(seed=9)).run()
         assert a.error_trace == b.error_trace and a.final_error == b.final_error
 
 
@@ -143,7 +140,7 @@ class TestBbfwa:
 
     def test_sphere_at_double_budget(self):
         obj = BudgetedObjective(make_benchmark(7, 10), max_fes=100_000)
-        out = run_bbfwa(obj, BbfwaConfig(seed=0, success_threshold=1e-8))
+        out = BbfwaRun(obj, BbfwaConfig(seed=0, success_threshold=1e-8)).run()
         assert out.final_error < 1e-6
 
     def test_sparks_respect_the_box(self):
@@ -178,25 +175,25 @@ class TestGbde:
 
     def test_sphere_convergence(self):
         obj = BudgetedObjective(make_benchmark(7, 10), max_fes=50_000)
-        out = run_gbde(obj, GbdeConfig(seed=0))
+        out = GbdeRun(obj, GbdeConfig(seed=0)).run()
         assert out.succeeded and out.final_error <= 1e-8
 
     def test_determinism(self):
-        a = run_gbde(BudgetedObjective(make_benchmark(3, 6), 6000), GbdeConfig(seed=2))
-        b = run_gbde(BudgetedObjective(make_benchmark(3, 6), 6000), GbdeConfig(seed=2))
+        a = GbdeRun(BudgetedObjective(make_benchmark(3, 6), 6000), GbdeConfig(seed=2)).run()
+        b = GbdeRun(BudgetedObjective(make_benchmark(3, 6), 6000), GbdeConfig(seed=2)).run()
         assert a.error_trace == b.error_trace and a.final_error == b.final_error
 
 
 class TestSharedProtocol:
     def test_event_vocabulary_is_reduced(self):
         for runner, cfg in (
-            (run_bbpso, BbpsoConfig(np_=5, seed=0)),
-            (run_bbfwa, BbfwaConfig(np_=5, seed=0)),
-            (run_gbde, GbdeConfig(np_=5, seed=0)),
+            (BbpsoRun, BbpsoConfig(np_=5, seed=0)),
+            (BbfwaRun, BbfwaConfig(np_=5, seed=0)),
+            (GbdeRun, GbdeConfig(np_=5, seed=0)),
         ):
             events = []
             obj = BudgetedObjective(make_benchmark(7, 2), max_fes=300)
-            runner(obj, cfg, callback=events.append)
+            runner(obj, cfg, callback=events.append).run()
             kinds = {e.kind for e in events}
             assert kinds <= {"init", "accept-better", "reject"}
             assert "init" in kinds
@@ -205,14 +202,14 @@ class TestSharedProtocol:
 
     def test_budget_is_never_exceeded(self):
         for runner, cfg in (
-            (run_bbpso, BbpsoConfig(np_=7, seed=1, success_threshold=0.0)),
-            (run_bbfwa, BbfwaConfig(np_=7, seed=1, success_threshold=0.0)),
-            (run_gbde, GbdeConfig(np_=7, seed=1, success_threshold=0.0)),
+            (BbpsoRun, BbpsoConfig(np_=7, seed=1, success_threshold=0.0)),
+            (BbfwaRun, BbfwaConfig(np_=7, seed=1, success_threshold=0.0)),
+            (GbdeRun, GbdeConfig(np_=7, seed=1, success_threshold=0.0)),
         ):
             obj = BudgetedObjective(make_benchmark(7, 2), max_fes=103)
-            out = runner(obj, cfg)
+            out = runner(obj, cfg).run()
             assert out.evals_used == 103
 
     def test_zero_budget_outcome(self):
-        out = run_gbde(BudgetedObjective(make_benchmark(7, 2), 0), GbdeConfig(seed=0))
+        out = GbdeRun(BudgetedObjective(make_benchmark(7, 2), 0), GbdeConfig(seed=0)).run()
         assert math.isnan(out.final_error) and out.evals_used == 0

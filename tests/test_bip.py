@@ -15,7 +15,6 @@ from bareopt.bip import (
     gaussian_step,
     ground_state_reached,
     mean_replace_worst,
-    run_bip,
     tunneling_probability,
 )
 
@@ -232,19 +231,19 @@ class TestBipRun:
         return BudgetedObjective(make_benchmark(fid, dim), max_fes)
 
     def test_same_seed_gives_bitwise_identical_traces(self):
-        a = run_bip(self.budget(), BipConfig(seed=12, success_threshold=0.0))
-        b = run_bip(self.budget(), BipConfig(seed=12, success_threshold=0.0))
+        a = BipRun(self.budget(), BipConfig(seed=12, success_threshold=0.0)).run()
+        b = BipRun(self.budget(), BipConfig(seed=12, success_threshold=0.0)).run()
         assert a.error_trace == b.error_trace
         assert a.final_error == b.final_error
         assert np.array_equal(a.best_position, b.best_position)
 
     def test_different_seeds_differ(self):
-        a = run_bip(self.budget(), BipConfig(seed=1, success_threshold=0.0))
-        b = run_bip(self.budget(), BipConfig(seed=2, success_threshold=0.0))
+        a = BipRun(self.budget(), BipConfig(seed=1, success_threshold=0.0)).run()
+        b = BipRun(self.budget(), BipConfig(seed=2, success_threshold=0.0)).run()
         assert a.error_trace != b.error_trace
 
     def test_best_so_far_is_monotone(self):
-        out = run_bip(self.budget(), BipConfig(seed=3, success_threshold=0.0))
+        out = BipRun(self.budget(), BipConfig(seed=3, success_threshold=0.0)).run()
         errors = [e for _, e in out.error_trace]
         assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
         assert out.error_trace[-1][1] == out.final_error
@@ -254,7 +253,7 @@ class TestBipRun:
         run = BipRun(self.budget(max_fes=2000), BipConfig(seed=4, success_threshold=0.0),
                      callback=events.append)
         while run.step():
-            assert len(run.state.particles) == run.config.k
+            assert len(run.positions) == run.config.k
 
     def test_sigma_schedule_is_exact(self):
         events = []
@@ -339,13 +338,13 @@ class TestBipRun:
                     assert np.all(e.position <= obj.spec.upper_bound + 1e-12)
 
     def test_zero_budget_outcome(self):
-        out = run_bip(self.budget(max_fes=0), BipConfig(seed=0))
+        out = BipRun(self.budget(max_fes=0), BipConfig(seed=0)).run()
         assert math.isnan(out.final_error)
         assert out.evals_used == 0 and not out.succeeded
         assert out.error_trace == []
 
     def test_partial_init_budget(self):
-        out = run_bip(self.budget(max_fes=5), BipConfig(seed=0, k=15))
+        out = BipRun(self.budget(max_fes=5), BipConfig(seed=0, k=15)).run()
         assert out.evals_used == 5 and not math.isnan(out.final_error)
 
     def test_init_position_tiles_the_population(self):
@@ -373,24 +372,24 @@ class TestBipRun:
     def test_min_scale_stops_the_run(self):
         obj = self.budget(max_fes=100_000)
         cfg = BipConfig(seed=0, min_scale=1.0, success_threshold=0.0)
-        out = run_bip(obj, cfg)
+        out = BipRun(obj, cfg).run()
         assert out.evals_used < 100_000
 
     def test_success_threshold_stops_early(self):
         obj = self.budget(dim=10, max_fes=50_000)
-        out = run_bip(obj, BipConfig(seed=0, success_threshold=1e-8))
+        out = BipRun(obj, BipConfig(seed=0, success_threshold=1e-8)).run()
         assert out.succeeded and out.final_error <= 1e-8
         assert out.evals_used < 50_000
 
     def test_sphere_reaches_deep_accuracy(self):
         # desk-scale headline: full budget drives the error below 1e-10
         obj = BudgetedObjective(make_benchmark(7, 10), max_fes=50_000)
-        out = run_bip(obj, BipConfig(seed=0, success_threshold=0.0))
+        out = BipRun(obj, BipConfig(seed=0, success_threshold=0.0)).run()
         assert out.final_error < 1e-10
 
     def test_mean_replace_toggle_changes_the_run(self):
-        a = run_bip(self.budget(max_fes=4000),
-                    BipConfig(seed=11, success_threshold=0.0))
-        b = run_bip(self.budget(max_fes=4000),
-                    BipConfig(seed=11, mean_replace=False, success_threshold=0.0))
+        a = BipRun(self.budget(max_fes=4000),
+                   BipConfig(seed=11, success_threshold=0.0)).run()
+        b = BipRun(self.budget(max_fes=4000),
+                   BipConfig(seed=11, mean_replace=False, success_threshold=0.0)).run()
         assert a.error_trace != b.error_trace

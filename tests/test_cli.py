@@ -168,6 +168,21 @@ class TestExperiment:
                      "--dims", "2", "--trials", "1", "--max-fes", "100"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-fes", "0", "--max-fes must be positive"),
+        ("--max-fes", "-5", "--max-fes must be positive"),
+        ("--trials", "0", "--trials must be positive"),
+    ])
+    def test_an_empty_grid_is_refused_before_any_output(self, tmp_path, capsys,
+                                                        flag, value, message):
+        out = tmp_path / "results"
+        args = {"--max-fes": "100", "--trials": "1", flag: value}
+        code = main(["experiment", "--algos", "gbde", "--funcs", "F7", "--dims", "2",
+                     *(x for kv in args.items() for x in kv), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_bad_cell_is_counted_and_fails_the_run(self, tmp_path, monkeypatch):
         def bad_cell(*args, **kwargs):
             raise ValueError("dim must be at least 1")
@@ -220,6 +235,15 @@ class TestDiagnose:
         base = "bip_F7_2d_seed3"
         payload = json.loads((tmp_path / f"trace_{base}.json").read_text())
         assert len(payload["trace"]) == n > 0
+
+
+    def test_bad_bins_are_refused_before_the_trial(self, tmp_path, capsys):
+        code = main(["diagnose", "--algo", "bip", "--func", "F7", "--dim", "2",
+                     "--max-fes", "300", "--seed", "3", "--bins", "0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "--bins must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRank:

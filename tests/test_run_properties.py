@@ -96,9 +96,9 @@ def test_a_constant_objective_runs_out_the_budget(variant, dim, max_fes):
     spec = constant(dim)
 
     def start():
-        config_cls, run_cls = REGISTRY[algorithm]
+        run_cls = REGISTRY[algorithm]
         config = (BipConfig(bounds_policy=policy, seed=3) if run_cls is BipRun
-                  else config_cls(seed=3))
+                  else run_cls.config_class(seed=3))
         return run_cls(BudgetedObjective(spec, max_fes), config)
 
     started = start()
