@@ -28,12 +28,10 @@ from .benchmarks import (
 from .bip import (
     BipConfig,
     BipRun,
-    Particle,
-    accept_sample,
+    accept_moves,
     anneal_gamma,
     gaussian_step,
     ground_state_reached,
-    mean_replace_worst,
     tunneling_probability,
 )
 from .diagnostics import (

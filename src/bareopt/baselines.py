@@ -162,6 +162,12 @@ class RunScaffold:
 
     def _note_best(self, xs, fs):
         j = int(fs.argmin())
+        if math.isnan(fs[j]):
+            # argmin stops at the first NaN: rank NaN as worst, and an
+            # all-NaN batch leaves the best as it was
+            if np.isnan(fs).all():
+                return
+            j = int(np.nanargmin(fs))
         if fs[j] < self.best_fitness:
             self.best_fitness = float(fs[j])
             self.best_position = np.array(xs[j], dtype=float)

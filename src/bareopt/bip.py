@@ -29,13 +29,11 @@ from .records import (  # noqa: F401
 
 __all__ = [
     "BipConfig",
-    "Particle",
     "BipRun",
     "gaussian_step",
     "tunneling_probability",
-    "accept_sample",
+    "accept_moves",
     "ground_state_reached",
-    "mean_replace_worst",
     "anneal_gamma",
 ]
 
@@ -78,12 +76,6 @@ class BipConfig:
             raise ValueError("min_scale must be nonnegative")
         if self.bounds_policy not in BOUNDS_POLICIES:
             raise ValueError(f"bounds_policy must be one of {BOUNDS_POLICIES}")
-
-
-@dataclass
-class Particle:
-    position: np.ndarray
-    fitness: float
 
 
 def _apply_bounds(xs, lower, upper, policy, rng, reference=None, sigma=None):
@@ -153,27 +145,7 @@ def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
     return prob
 
 
-def accept_sample(current: Particle, candidate: Particle, gamma, config: BipConfig, rng):
-    """Decide between the current particle and a candidate move.
-
-    Returns (kept_particle, was_tunneling, probability_used).  Improving or
-    equal candidates are always taken with probability 1.  Worsening
-    candidates are taken with the tunneling probability; with amplitude zero
-    they are rejected outright without consulting the generator.
-    It is a one-particle call of the decision ``BipRun.step`` makes for a
-    whole sweep.
-    """
-    delta_f = np.array([candidate.fitness - current.fitness], dtype=float)
-    d = np.asarray(candidate.position, dtype=float) - current.position
-    delta_x = np.array([np.sqrt(np.add.reduce(d * d))])
-    accept, probs = _accept_moves(delta_f, delta_x, gamma, config.amplitude_a, rng)
-    if probs is None:
-        return (candidate, False, 1.0) if accept[0] else (current, False, 0.0)
-    prob = float(probs[0])
-    return (candidate, True, prob) if accept[0] else (current, False, prob)
-
-
-def _accept_moves(delta_f, delta_x, gamma, amplitude_a, rng):
+def accept_moves(delta_f, delta_x, gamma, amplitude_a, rng):
     """Which moves of a sweep to take, given their fitness gaps and jump lengths.
 
     Improving or equal moves are always taken.  Each worsening move is taken
@@ -194,17 +166,13 @@ def _accept_moves(delta_f, delta_x, gamma, amplitude_a, rng):
     return accept, probs
 
 
-def ground_state_reached(particles, sigma_s) -> bool:
+def ground_state_reached(positions, sigma_s) -> bool:
     """True when the population spread has fallen below the sampling scale.
 
     The spread is the largest per-dimension sample standard deviation
-    (n-1 normalization).  Accepts a list of particles or an array of
-    positions with shape (k, n).
+    (n-1 normalization) of ``positions``, shape (k, n).
     """
-    if not isinstance(particles, np.ndarray) and len(particles) >= 1 \
-            and hasattr(particles[0], "position"):
-        particles = [p.position for p in particles]
-    positions = np.asarray(particles, dtype=float)
+    positions = np.asarray(positions, dtype=float)
     if positions.ndim < 2:
         positions = np.atleast_2d(positions)
     k = positions.shape[0]
@@ -219,34 +187,6 @@ def ground_state_reached(particles, sigma_s) -> bool:
     dev *= dev
     sigma_k = math.sqrt(np.add.reduce(dev, axis=0).max() / (k - 1))
     return bool(sigma_k < sigma_s)
-
-
-def _mean_and_worst(positions, fitness, objective):
-    """The population mean, its fitness, and the index of the worst particle.
-
-    The mean is evaluated before anything is replaced, consuming one budget
-    unit when ``objective`` is metered.  Ties for worst resolve to the lowest
-    index.
-    """
-    mean_x = positions.mean(axis=0)
-    return mean_x, objective.evaluate(mean_x), int(np.argmax(fitness))
-
-
-def mean_replace_worst(particles: list[Particle], objective) -> list[Particle]:
-    """Replace the worst particle with the population mean (worst included).
-
-    The mean is evaluated before the replacement, consuming one budget unit
-    when ``objective`` is metered.  Ties for worst resolve to the lowest
-    index.  Returns a new particle list.
-    """
-    if len(particles) < 2:
-        raise ValueError("mean replacement needs at least 2 particles")
-    positions = np.stack([p.position for p in particles])
-    mean_x, mean_f, worst = _mean_and_worst(positions, [p.fitness for p in particles],
-                                            objective)
-    out = list(particles)
-    out[worst] = Particle(mean_x, mean_f)
-    return out
 
 
 def anneal_gamma(gamma0: float, ac: int, tau: float = 1.0) -> float:
@@ -264,7 +204,8 @@ class BipRun(RunScaffold):
     ``step()`` advances a single population sweep (plus any scale transition
     it triggers) and returns False once the run has ended; ``run()`` drives
     the loop to completion and returns the TrialOutcome.  An optional
-    ``callback`` receives an Event for every evaluation and scale change.
+    ``callback`` sees every evaluation and scale change: a callable gets one
+    Event each, an ``EventLog`` gets each step's events as one batch.
     """
 
     algorithm = "bip"
@@ -308,7 +249,7 @@ class BipRun(RunScaffold):
         delta_f = cand_f - self.fitness[:m]
         d = candidates - current
         delta_x = np.sqrt(np.add.reduce(d * d, axis=1))
-        accept, probs = _accept_moves(delta_f, delta_x, self.gamma, cfg.amplitude_a, self.rng)
+        accept, probs = accept_moves(delta_f, delta_x, self.gamma, cfg.amplitude_a, self.rng)
 
         if self.callback is not None:
             better = delta_f <= 0
@@ -334,10 +275,13 @@ class BipRun(RunScaffold):
         """Collapse step and scale division at the end of a scale."""
         cfg = self.config
         if cfg.mean_replace:
-            # one metered evaluation; remaining >= 1 is guaranteed by step()
+            # one metered evaluation (remaining >= 1 is guaranteed by step()):
+            # the mean of the whole population, worst included, before anything
+            # is replaced; ties for worst go to the lowest index
             eval_index = self.objective.evals_used + 1
-            mean_x, mean_f, worst = _mean_and_worst(self.positions, self.fitness,
-                                                    self.objective)
+            mean_x = self.positions.mean(axis=0)
+            mean_f = self.objective.evaluate(mean_x)
+            worst = int(np.argmax(self.fitness))
             if self.callback is not None:
                 self._emit(eval_index, np.array([worst]), np.array([MEAN_REPLACE]),
                            np.array([mean_f - self.fitness[worst]]),

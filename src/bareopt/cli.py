@@ -188,6 +188,10 @@ def cmd_experiment(args) -> int:
         raise ValueError("--max-fes must be positive")
     if trials < 1:
         raise ValueError("--trials must be positive")
+    if args.success_threshold < 0:
+        raise ValueError("--success-threshold must be nonnegative")
+    if args.base_seed < 0:
+        raise ValueError("--base-seed must be nonnegative")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -191,8 +191,9 @@ class ErrorTrace:
         fs = np.atleast_1d(np.asarray(fitnesses, dtype=float))
         if fs.size == 0:
             return
-        running = np.minimum.accumulate(fs)
-        np.minimum(running, self._best, out=running)
+        # fmin skips NaN, as replay_best does, so a NaN never enters the curve
+        running = np.fmin.accumulate(fs)
+        np.fmin(running, self._best, out=running)
         self._best = float(running[-1])
         # the first index of the batch that is a multiple of the stride
         start = -first_index % self.stride

@@ -17,10 +17,8 @@ from bareopt.benchmarks import BudgetedObjective, get_objective, make_benchmark
 from bareopt.bip import (
     BipConfig,
     BipRun,
-    Particle,
-    accept_sample,
+    accept_moves,
     gaussian_step,
-    mean_replace_worst,
     tunneling_probability,
 )
 from bareopt.diagnostics import record_run, transmission_trace, wave_modulus
@@ -120,10 +118,9 @@ class TestCriterion5TunnelingOracle:
         n = 100_000
         target = math.exp(-1.0)
         rng = np.random.default_rng(2024)
-        cfg = BipConfig()
-        cur = Particle(np.zeros(1), 0.0)
-        cand = Particle(np.ones(1), 4.0)  # delta_f=4, delta_x=1; gamma=2
-        taken = sum(accept_sample(cur, cand, 2.0, cfg, rng)[1] for _ in range(n))
+        # n worsening moves with delta_f=4, delta_x=1; gamma=2, A=1
+        accept, _ = accept_moves(np.full(n, 4.0), np.ones(n), 2.0, 1.0, rng)
+        taken = int(np.count_nonzero(accept))
         freq = taken / n
         sd = math.sqrt(target * (1 - target) / n)
         ok = abs(freq - target) <= 3 * sd
@@ -323,12 +320,11 @@ class TestCriterion8PropertyBattery:
             failures.append("gaussian step moments")
 
         # mean replacement on a hand-computed case
-        sphere = BudgetedObjective(make_benchmark(7, 1), 10)
-        got = mean_replace_worst(
-            [Particle(np.array([0.0]), 0.0), Particle(np.array([2.0]), 4.0)],
-            sphere,
-        )
-        if not (np.array_equal(got[1].position, [1.0]) and got[1].fitness == 1.0):
+        got = BipRun(BudgetedObjective(make_benchmark(7, 1), 10), BipConfig(k=2))
+        got.positions = np.array([[0.0], [2.0]])
+        got.fitness = np.array([0.0, 4.0])
+        got._transition_scale()
+        if not (np.array_equal(got.positions[1], [1.0]) and got.fitness[1] == 1.0):
             failures.append("mean replacement oracle")
 
         # histogram normalization

@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from bareopt.benchmarks import BudgetedObjective, get_objective, make_benchmark
+from bareopt.benchmarks import BudgetExhausted, BudgetedObjective, get_objective, make_benchmark
 from bareopt.bip import (
     BipConfig,
     BipRun,
-    Particle,
-    accept_sample,
+    accept_moves,
     anneal_gamma,
     gaussian_step,
     ground_state_reached,
-    mean_replace_worst,
     tunneling_probability,
 )
 
@@ -109,40 +107,32 @@ class TestGaussianStep:
 class TestAcceptSample:
     def test_improvement_always_taken(self):
         rng = np.random.default_rng(0)
-        cur = Particle(np.zeros(2), 5.0)
-        cand = Particle(np.ones(2), 4.0)
-        kept, tunneled, prob = accept_sample(cur, cand, 1.0, BipConfig(), rng)
-        assert kept is cand and not tunneled and prob == 1.0
+        accept, probs = accept_moves(np.array([-1.0]), np.array([math.sqrt(2.0)]),
+                                     1.0, 1.0, rng)
+        assert accept.tolist() == [True] and probs is None
 
     def test_tie_counts_as_acceptance(self):
         rng = np.random.default_rng(0)
-        cur = Particle(np.zeros(2), 5.0)
-        cand = Particle(np.ones(2), 5.0)
-        kept, _, prob = accept_sample(cur, cand, 1.0, BipConfig(), rng)
-        assert kept is cand and prob == 1.0
+        accept, probs = accept_moves(np.array([0.0]), np.array([math.sqrt(2.0)]),
+                                     1.0, 1.0, rng)
+        assert accept.tolist() == [True] and probs is None
 
     def test_zero_amplitude_rejects_without_drawing(self):
-        cfg = BipConfig(amplitude_a=0.0)
-        cur = Particle(np.zeros(2), 0.0)
-        cand = Particle(np.ones(2), 1.0)
         rng = np.random.default_rng(42)
-        kept, tunneled, prob = accept_sample(cur, cand, 1.0, cfg, rng)
-        assert kept is cur and not tunneled and prob == 0.0
+        accept, probs = accept_moves(np.array([1.0]), np.array([math.sqrt(2.0)]),
+                                     1.0, 0.0, rng)
+        assert accept.tolist() == [False] and probs is None
         # the generator must not have been consulted
         assert rng.random() == np.random.default_rng(42).random()
 
     def test_worse_uses_the_tunneling_law(self):
-        cfg = BipConfig()
-        cur = Particle(np.zeros(1), 0.0)
-        cand = Particle(np.ones(1), 4.0)  # delta_x=1, delta_f=4, gamma=2
-        expected = math.exp(-1.0)
-        taken = 0
         n = 20_000
+        expected = math.exp(-1.0)
         rng = np.random.default_rng(8)
-        for _ in range(n):
-            kept, tunneled, prob = accept_sample(cur, cand, 2.0, cfg, rng)
-            assert prob == pytest.approx(expected, abs=1e-15)
-            taken += tunneled
+        # delta_x=1, delta_f=4, gamma=2
+        accept, probs = accept_moves(np.full(n, 4.0), np.ones(n), 2.0, 1.0, rng)
+        assert np.all(np.abs(probs - expected) <= 1e-15)
+        taken = np.count_nonzero(accept)
         sd = math.sqrt(expected * (1 - expected) / n)
         assert abs(taken / n - expected) < 4 * sd
 
@@ -159,52 +149,43 @@ class TestGroundState:
         assert not ground_state_reached(positions, 1.0)
         assert ground_state_reached(positions[:, :1], 1.0)
 
-    def test_accepts_particle_lists(self):
-        particles = [Particle(np.zeros(2), 0.0), Particle(np.zeros(2), 1.0)]
-        assert ground_state_reached(particles, 1e-9) is True
-
     def test_needs_two_particles(self):
         with pytest.raises(ValueError):
             ground_state_reached([np.zeros(3)], 1.0)
 
 
+def collapse(xs, fs, max_fes=10):
+    """A bip run on the 1-D sphere whose population is set to ``xs``/``fs``
+    and then put through one scale transition."""
+    run = BipRun(BudgetedObjective(make_benchmark(7, 1), max_fes), BipConfig(k=len(xs)))
+    run.positions = np.array(xs, dtype=float)[:, None]
+    run.fitness = np.array(fs, dtype=float)
+    used, span = run.objective.evals_used, run.sigma_s
+    run._transition_scale()
+    assert run.objective.evals_used == used + 1
+    assert run.sigma_s == span / 2
+    return run
+
+
 class TestMeanReplaceWorst:
     def test_two_particle_oracle(self):
-        sphere = BudgetedObjective(make_benchmark(7, 1), max_fes=10)
-        particles = [Particle(np.array([0.0]), 0.0), Particle(np.array([2.0]), 4.0)]
-        out = mean_replace_worst(particles, sphere)
-        assert np.array_equal(out[1].position, [1.0]) and out[1].fitness == 1.0
-        assert np.array_equal(out[0].position, [0.0])
-        assert sphere.evals_used == 1
+        run = collapse([0.0, 2.0], [0.0, 4.0])
+        assert np.array_equal(run.positions[1], [1.0]) and run.fitness[1] == 1.0
+        assert np.array_equal(run.positions[0], [0.0]) and run.fitness[0] == 0.0
 
     def test_three_particle_oracle(self):
-        sphere = BudgetedObjective(make_benchmark(7, 1), max_fes=10)
-        particles = [
-            Particle(np.array([0.0]), 0.0),
-            Particle(np.array([0.0]), 0.0),
-            Particle(np.array([3.0]), 9.0),
-        ]
-        out = mean_replace_worst(particles, sphere)
-        assert np.array_equal(out[2].position, [1.0]) and out[2].fitness == 1.0
+        run = collapse([0.0, 0.0, 3.0], [0.0, 0.0, 9.0])
+        assert np.array_equal(run.positions[2], [1.0]) and run.fitness[2] == 1.0
 
     def test_tie_replaces_the_lowest_index(self):
-        sphere = BudgetedObjective(make_benchmark(7, 1), max_fes=10)
-        particles = [Particle(np.array([-2.0]), 4.0), Particle(np.array([2.0]), 4.0)]
-        out = mean_replace_worst(particles, sphere)
-        assert np.array_equal(out[0].position, [0.0]) and out[0].fitness == 0.0
-        assert np.array_equal(out[1].position, [2.0])
-
-    def test_input_list_is_not_mutated(self):
-        sphere = BudgetedObjective(make_benchmark(7, 1), max_fes=10)
-        particles = [Particle(np.array([0.0]), 0.0), Particle(np.array([2.0]), 4.0)]
-        mean_replace_worst(particles, sphere)
-        assert particles[1].fitness == 4.0
+        run = collapse([-2.0, 2.0], [4.0, 4.0])
+        assert np.array_equal(run.positions[0], [0.0]) and run.fitness[0] == 0.0
+        assert np.array_equal(run.positions[1], [2.0])
 
     def test_consumes_budget(self):
-        sphere = BudgetedObjective(make_benchmark(7, 1), max_fes=0)
-        particles = [Particle(np.array([0.0]), 0.0), Particle(np.array([2.0]), 4.0)]
-        with pytest.raises(Exception):
-            mean_replace_worst(particles, sphere)
+        # the initial population spends the whole budget of 2
+        with pytest.raises(BudgetExhausted):
+            collapse([0.0, 2.0], [0.0, 4.0], max_fes=2)
 
 
 class TestBipConfig:

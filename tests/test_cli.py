@@ -172,6 +172,8 @@ class TestExperiment:
         ("--max-fes", "0", "--max-fes must be positive"),
         ("--max-fes", "-5", "--max-fes must be positive"),
         ("--trials", "0", "--trials must be positive"),
+        ("--success-threshold", "-1", "--success-threshold must be nonnegative"),
+        ("--base-seed", "-1", "--base-seed must be nonnegative"),
     ])
     def test_an_empty_grid_is_refused_before_any_output(self, tmp_path, capsys,
                                                         flag, value, message):

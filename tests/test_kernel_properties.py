@@ -10,9 +10,7 @@ from hypothesis.extra.numpy import arrays
 from bareopt.baselines import _row_norms
 from bareopt.bip import (
     BOUNDS_POLICIES,
-    BipConfig,
-    Particle,
-    accept_sample,
+    accept_moves,
     gaussian_step,
     ground_state_reached,
     tunneling_probability,
@@ -33,14 +31,6 @@ class TestGroundStateReached:
         # last-bit difference would flip the answer
         for s in (sigma_s, spread, np.nextafter(spread, math.inf)):
             assert ground_state_reached(x, s) is bool(spread < s)
-
-    @settings(max_examples=50, deadline=None)
-    @given(populations)
-    def test_particle_lists_match_arrays(self, x):
-        spread = x.std(axis=0, ddof=1).max()
-        particles = [Particle(row.copy(), 0.0) for row in x]
-        for s in (spread, np.nextafter(spread, math.inf)):
-            assert ground_state_reached(particles, s) is bool(spread < s)
 
 
 class StridedModuloTrace(ErrorTrace):
@@ -99,24 +89,47 @@ class TestGaussianStep:
         assert ((out >= lower) & (out <= upper)).all()
 
 
+# a sweep's fitness gaps, mixing improving, tied and worsening moves, with
+# a jump length for each
+gaps = st.one_of(st.floats(-100.0, 0.0), st.just(0.0),
+                 st.floats(0.0, 100.0, exclude_min=True))
+sweeps = st.integers(1, 20).flatmap(lambda m: st.tuples(
+    arrays(np.float64, m, elements=gaps),
+    arrays(np.float64, m, elements=st.floats(0.0, 10.0))))
+
+
 class TestAcceptSample:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.floats(0.0, 100.0, exclude_min=True),
-        arrays(np.float64, st.integers(1, 8), elements=st.floats(-3.0, 3.0)),
-        st.floats(1e-3, 10.0),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_worsening_move_spends_one_draw(self, gap, step, gamma, seed):
-        cur = Particle(np.zeros(step.size), 0.0)
-        cand = Particle(step, gap)
+    """``accept_moves`` on a whole sweep."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweeps, st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))
+    def test_worsening_move_spends_one_draw(self, sweep, gamma, seed):
+        delta_f, delta_x = sweep
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        kept, tunneled, prob = accept_sample(cur, cand, gamma, BipConfig(), rng)
-        delta_x = math.sqrt(float(np.add.reduce(step * step)))
-        assert prob == tunneling_probability(gap, delta_x, gamma)
-        assert tunneled is (twin.random() < prob)
-        assert kept is (cand if tunneled else cur)
+        accept, probs = accept_moves(delta_f, delta_x, gamma, 1.0, rng)
+        worse = delta_f > 0
+        assert accept[~worse].all()
+        if worse.any():
+            assert np.array_equal(
+                probs, tunneling_probability(delta_f[worse], delta_x[worse], gamma))
+            # one draw per worsening move, in particle order
+            draws = np.array([twin.random() for _ in range(np.count_nonzero(worse))])
+            assert np.array_equal(accept[worse], draws < probs)
+        else:
+            assert probs is None
         assert rng.random() == twin.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweeps, st.sampled_from([(0.0, 1.0), (1.0, 0.0)]), st.integers(0, 2**32 - 1))
+    def test_no_amplitude_or_no_gamma_rejects_without_drawing(self, sweep, a_gamma,
+                                                               seed):
+        delta_f, delta_x = sweep
+        amplitude_a, gamma = a_gamma
+        rng = np.random.default_rng(seed)
+        accept, probs = accept_moves(delta_f, delta_x, gamma, amplitude_a, rng)
+        assert probs is None
+        assert np.array_equal(accept, delta_f <= 0)
+        assert rng.random() == np.random.default_rng(seed).random()
 
 
 class TestRowNorms:

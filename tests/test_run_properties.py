@@ -5,8 +5,10 @@ Every run, whatever the algorithm, bounds policy, dimension or budget
 its best position in the box, repeats itself exactly for the same seed, and
 reports a best-so-far curve that never rises and ends at the last
 evaluation.  A constant objective, where every move ties, is held to the
-same invariants.  The events a per-event callback receives are the ones a
-recorded log holds, one per evaluation in order.
+same invariants, and so is one that is NaN over half the box, where every
+run must still report a best point and a curve without NaN.  The events a
+per-event callback receives are the ones a recorded log holds, one per
+evaluation in order.
 """
 
 import math
@@ -109,6 +111,39 @@ def test_a_constant_objective_runs_out_the_budget(variant, dim, max_fes):
     assert started.step() is False
     assert started.objective.evals_used == max_fes
     check_invariants(out, spec, max_fes, lambda: start().run())
+
+
+def half_nan_sphere():
+    """A sphere on [-5, 5]^3 that is NaN wherever x0 > 0."""
+    def impl(x):
+        return np.where(x[..., 0] > 0, np.nan, np.sum(x * x, axis=-1))
+
+    return ObjectiveSpec(
+        name="half-nan sphere", dim=3, lower_bound=np.full(3, -5.0),
+        upper_bound=np.full(3, 5.0), optimum_position=np.zeros(3),
+        optimum_value=0.0, _impl=impl,
+    )
+
+
+@pytest.mark.parametrize("variant", [
+    *((name, None) for name in REGISTRY if name != "bip"),
+    *(("bip", p) for p in BOUNDS_POLICIES),
+], ids=lambda v: "-".join(filter(None, v)))
+def test_nan_evaluations_leave_a_best_point_and_a_curve(variant):
+    algorithm, policy = variant
+    spec = half_nan_sphere()
+
+    def run():
+        run_cls = REGISTRY[algorithm]
+        config = (BipConfig(bounds_policy=policy) if run_cls is BipRun
+                  else run_cls.config_class())
+        return run_cls(BudgetedObjective(spec, 500), config).run()
+
+    out = run()
+    assert out.best_position is not None and out.best_position[0] <= 0
+    assert math.isfinite(out.final_error)
+    assert not any(math.isnan(e) for _, e in out.error_trace)
+    check_invariants(out, spec, 500, run)
 
 
 def same_event(a, b):
