@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "BudgetExhausted",
@@ -249,6 +248,9 @@ def double_well(params: DoubleWellParams) -> ObjectiveSpec:
         x_star = -a
         per_dim = 0.0
     else:
+        # scipy.optimize costs more to import than the rest of the package
+        from scipy.optimize import brentq
+
         def slope(x):
             return 4.0 * v0 * x * (x * x - a * a) / a ** 4 + delta
 

@@ -198,6 +198,15 @@ def anneal_gamma(gamma0: float, ac: int, tau: float = 1.0) -> float:
     return float(gamma0) * math.exp(-ac / tau)
 
 
+def _fitness_gap(new_f, old_f):
+    """Delta f of each move, ``new_f - old_f``, with equal values giving +0.0.
+
+    Two equal infinities are an equal move, not inf - inf = NaN (which would
+    also warn).  Any other pair keeps the bits of the plain difference.
+    """
+    return np.subtract(new_f, old_f, out=np.zeros(len(new_f)), where=new_f != old_f)
+
+
 class BipRun(RunScaffold):
     """One seeded run of the multi-scale sampler over a metered objective.
 
@@ -246,7 +255,7 @@ class BipRun(RunScaffold):
             current, self.sigma_s, self.rng, self.lower, self.upper, cfg.bounds_policy
         )
         cand_f = self.objective.evaluate_many(candidates)
-        delta_f = cand_f - self.fitness[:m]
+        delta_f = _fitness_gap(cand_f, self.fitness[:m])
         d = candidates - current
         delta_x = np.sqrt(np.add.reduce(d * d, axis=1))
         accept, probs = accept_moves(delta_f, delta_x, self.gamma, cfg.amplitude_a, self.rng)
@@ -284,7 +293,7 @@ class BipRun(RunScaffold):
             worst = int(np.argmax(self.fitness))
             if self.callback is not None:
                 self._emit(eval_index, np.array([worst]), np.array([MEAN_REPLACE]),
-                           np.array([mean_f - self.fitness[worst]]),
+                           _fitness_gap(np.array([mean_f]), self.fitness[worst:worst + 1]),
                            np.array([np.linalg.norm(mean_x - self.positions[worst])]),
                            np.ones(1), mean_x[None, :], np.array([mean_f]))
             self.positions[worst] = mean_x

@@ -28,6 +28,7 @@ from .harness import (
     rank_algorithms,
     run_experiment,
     run_single,
+    software_versions,
     summary_dict,
     read_trials_csv,
     write_trials_csv,
@@ -152,6 +153,7 @@ def cmd_run(args) -> int:
         base = diagnostics_basename(args.algo, args.func, args.dim, args.seed)
         payload = {
             "effective_config": _effective_config(args, trial),
+            "versions": software_versions(),
             "final_error": outcome.final_error,
             "evals_used": outcome.evals_used,
             "succeeded": outcome.succeeded,
@@ -259,12 +261,15 @@ def cmd_experiment(args) -> int:
 def cmd_diagnose(args) -> int:
     if args.bins < 1:
         raise ValueError("--bins must be at least 1")
-    outcome, log = record_run(args.algo, args.func, args.dim, **_trial_kwargs(args))
+    trial = _trial_kwargs(args)
+    outcome, log = record_run(args.algo, args.func, args.dim, **trial)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = diagnostics_basename(args.algo, args.func, args.dim, args.seed)
     meta = {"algorithm": args.algo, "function": args.func,
-            "dim": args.dim, "seed": args.seed}
+            "dim": args.dim, "seed": args.seed,
+            "effective_config": _effective_config(args, trial),
+            "versions": software_versions()}
 
     events_path = out_dir / f"events_{base}.csv"
     export_events_csv(log, events_path)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .baselines import BbfwaRun, BbpsoRun, GbdeRun
 from .benchmarks import BudgetedObjective, get_objective
@@ -36,6 +35,7 @@ __all__ = [
     "write_trials_csv",
     "read_trials_csv",
     "summary_dict",
+    "software_versions",
     "TRIAL_CSV_COLUMNS",
     "SUMMARY_SCHEMA_VERSION",
 ]
@@ -204,6 +204,9 @@ def rank_algorithms(stats: dict, group) -> RankingTable:
             algorithms.append(algo)
     if not algorithms:
         raise ValueError("stats is empty")
+    # scipy.stats costs more to import than the rest of the package
+    from scipy.stats import rankdata
+
     ranks: dict = {}
     totals = {a: 0.0 for a in algorithms}
     for fn in group:
@@ -280,6 +283,16 @@ def read_trials_csv(path) -> list[dict]:
     return rows
 
 
+def software_versions() -> dict:
+    """The software that produced a result, as every output file records it."""
+    # the installed scipy's metadata, so that naming it loads no scipy module
+    from importlib.metadata import version
+
+    from . import __version__
+    return {"bareopt": __version__, "numpy": np.__version__,
+            "scipy": version("scipy"), "python": platform.python_version()}
+
+
 def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
                  success_threshold: float, max_fes, n_trials, base_seed,
                  cell_max_fes: dict | None = None) -> dict:
@@ -291,7 +304,6 @@ def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
     cell to the budget it actually ran with, and defaults to ``max_fes``.
     ``versions`` names the software that produced the numbers.
     """
-    from . import __version__
     cells = []
     for (algo, fn, dim), stats in cell_stats.items():
         cells.append({
@@ -312,8 +324,7 @@ def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
         "max_fes": max_fes,
         "n_trials": n_trials,
         "base_seed": base_seed,
-        "versions": {"bareopt": __version__, "numpy": np.__version__,
-                     "python": platform.python_version()},
+        "versions": software_versions(),
         "cells": cells,
     }
     if rankings:

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from bareopt.benchmarks import BudgetExhausted, BudgetedObjective, get_objective, make_benchmark
+from bareopt.benchmarks import (
+    BudgetExhausted,
+    BudgetedObjective,
+    ObjectiveSpec,
+    get_objective,
+    make_benchmark,
+)
 from bareopt.bip import (
     BipConfig,
     BipRun,
@@ -228,6 +234,22 @@ class TestBipRun:
         errors = [e for _, e in out.error_trace]
         assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
         assert out.error_trace[-1][1] == out.final_error
+
+    @pytest.mark.filterwarnings("error")
+    def test_equal_infinite_values_are_equal_moves(self):
+        # +inf everywhere: every sweep move and every mean replacement has a
+        # fitness gap of 0, not inf - inf = NaN, so each move is taken
+        spec = ObjectiveSpec(
+            name="infinite", dim=2, lower_bound=np.full(2, -1.0),
+            upper_bound=np.full(2, 1.0), optimum_position=np.zeros(2),
+            optimum_value=0.0, _impl=lambda x: np.full(x.shape[:-1], np.inf),
+        )
+        events = []
+        BipRun(BudgetedObjective(spec, 1000), BipConfig(k=5, seed=0),
+               callback=events.append).run()
+        moves = [e for e in events if e.kind not in ("init", "scale-halve")]
+        assert {e.kind for e in moves} == {"accept-better", "mean-replace"}
+        assert all(e.delta_f == 0.0 for e in moves)
 
     def test_population_size_is_constant(self):
         events = []

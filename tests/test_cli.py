@@ -8,11 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import bareopt
 from bareopt import cli
 from bareopt.cli import main
 from bareopt.harness import read_trials_csv
+
+
+# what every output file records as the software that produced it
+VERSIONS = {
+    "bareopt": bareopt.__version__,
+    "numpy": np.__version__,
+    "scipy": scipy.__version__,
+    "python": platform.python_version(),
+}
 
 
 class TestRun:
@@ -42,6 +52,7 @@ class TestRun:
         assert cfg["overrides"] == {"np_": 20}
         assert payload["evals_used"] == 400
         assert len(payload["best_position"]) == 3
+        assert payload["versions"] == VERSIONS
 
     def test_unknown_function_fails_cleanly(self, capsys):
         code = main(["run", "--algo", "bip", "--func", "F99", "--dim", "2",
@@ -127,11 +138,7 @@ class TestExperiment:
                      "--trials", "1", "--max-fes", "200", "--out", str(tmp_path)])
         assert code == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["versions"] == {
-            "bareopt": bareopt.__version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        }
+        assert summary["versions"] == VERSIONS
         # the keys every summary carried before the versions
         assert {"schema_version", "success_threshold", "max_fes", "n_trials",
                 "base_seed", "cells", "rankings"} <= set(summary)
@@ -228,6 +235,20 @@ class TestDiagnose:
         assert payload["marginal"] is False
         out = capsys.readouterr().out
         assert "expected_solution_value=" in out and "mode_cell=" in out
+
+    def test_jsons_record_the_effective_config_and_versions(self, tmp_path):
+        code = main(["diagnose", "--algo", "bip", "--func", "double_well",
+                     "--dim", "2", "--max-fes", "200", "--seed", "0",
+                     "--k", "5", "--init", "2,2", "--out", str(tmp_path)])
+        assert code == 0
+        for kind in ("histogram", "trace"):
+            payload = json.loads((tmp_path / f"{kind}_bip_double_well_2d_seed0.json").read_text())
+            assert payload["effective_config"] == {
+                "algorithm": "bip", "function": "double_well", "dim": 2,
+                "max_fes": 200, "seed": 0, "success_threshold": 0.0,
+                "init": [2.0, 2.0], "overrides": {"k": 5},
+            }
+            assert payload["versions"] == VERSIONS
 
     def test_tunneling_decision_count_is_reported(self, tmp_path, capsys):
         main(["diagnose", "--algo", "bip", "--func", "F7", "--dim", "2",

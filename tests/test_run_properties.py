@@ -5,13 +5,14 @@ Every run, whatever the algorithm, bounds policy, dimension or budget
 its best position in the box, repeats itself exactly for the same seed, and
 reports a best-so-far curve that never rises and ends at the last
 evaluation.  A constant objective, where every move ties, is held to the
-same invariants, and so is one that is NaN over half the box, where every
-run must still report a best point and a curve without NaN.  The events a
-per-event callback receives are the ones a recorded log holds, one per
-evaluation in order.
+same invariants, and so is one that is NaN or +inf over half the box, where
+every run must still report a best point and a curve without NaN, and warn
+nothing.  The events a per-event callback receives are the ones a recorded
+log holds, one per evaluation in order.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,13 +114,13 @@ def test_a_constant_objective_runs_out_the_budget(variant, dim, max_fes):
     check_invariants(out, spec, max_fes, lambda: start().run())
 
 
-def half_nan_sphere():
-    """A sphere on [-5, 5]^3 that is NaN wherever x0 > 0."""
+def half_sphere(fill):
+    """A sphere on [-5, 5]^3 that is ``fill`` (NaN or +inf) wherever x0 > 0."""
     def impl(x):
-        return np.where(x[..., 0] > 0, np.nan, np.sum(x * x, axis=-1))
+        return np.where(x[..., 0] > 0, fill, np.sum(x * x, axis=-1))
 
     return ObjectiveSpec(
-        name="half-nan sphere", dim=3, lower_bound=np.full(3, -5.0),
+        name=f"half-{fill} sphere", dim=3, lower_bound=np.full(3, -5.0),
         upper_bound=np.full(3, 5.0), optimum_position=np.zeros(3),
         optimum_value=0.0, _impl=impl,
     )
@@ -130,20 +131,25 @@ def half_nan_sphere():
     *(("bip", p) for p in BOUNDS_POLICIES),
 ], ids=lambda v: "-".join(filter(None, v)))
 def test_nan_evaluations_leave_a_best_point_and_a_curve(variant):
+    """NaN and +inf alike: a best point, a finite error, no NaN in the curve,
+    and no runtime warning (inf - inf in a fitness gap would raise one)."""
     algorithm, policy = variant
-    spec = half_nan_sphere()
+    for fill in (np.nan, np.inf):
+        spec = half_sphere(fill)
 
-    def run():
-        run_cls = REGISTRY[algorithm]
-        config = (BipConfig(bounds_policy=policy) if run_cls is BipRun
-                  else run_cls.config_class())
-        return run_cls(BudgetedObjective(spec, 500), config).run()
+        def run():
+            run_cls = REGISTRY[algorithm]
+            config = (BipConfig(bounds_policy=policy) if run_cls is BipRun
+                      else run_cls.config_class())
+            return run_cls(BudgetedObjective(spec, 500), config).run()
 
-    out = run()
-    assert out.best_position is not None and out.best_position[0] <= 0
-    assert math.isfinite(out.final_error)
-    assert not any(math.isnan(e) for _, e in out.error_trace)
-    check_invariants(out, spec, 500, run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run()
+            assert out.best_position is not None and out.best_position[0] <= 0
+            assert math.isfinite(out.final_error)
+            assert not any(math.isnan(e) for _, e in out.error_trace)
+            check_invariants(out, spec, 500, run)
 
 
 def same_event(a, b):
