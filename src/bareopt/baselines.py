@@ -2,7 +2,7 @@
 
 All three, and the multi-scale sampler, run on ``RunScaffold``: a metered
 objective, a seeded generator, best-so-far tracking with a bounded error
-trace, an optional per-evaluation event callback, and a config that carries
+trace, an optional ``EventLog`` for its events, and a config that carries
 the seed and the success threshold.  Sampling positions are clamped to the
 box.
 """
@@ -21,7 +21,6 @@ from .records import (
     REJECT,
     ErrorTrace,
     EventBatch,
-    EventLog,
     TrialOutcome,
     build_outcome,
 )
@@ -113,9 +112,8 @@ class RunScaffold:
     without a scale or a tunneling width emit NaN for both in their events;
     the multi-scale sampler sets ``gamma`` and ``sigma_s`` on itself.
 
-    ``callback`` is None, a callable that receives every Event in order
-    during the step that produced it, or an ``EventLog``, which receives
-    each step's events as one ``EventBatch``.
+    ``events`` is None or an ``EventLog``, which receives each step's
+    events as one ``EventBatch``.
 
     Each subclass names its algorithm and its config class; a run built
     without a config uses that class's defaults.
@@ -126,14 +124,14 @@ class RunScaffold:
     gamma = math.nan
     sigma_s = math.nan
 
-    def __init__(self, objective: BudgetedObjective, config=None, *, callback=None):
+    def __init__(self, objective: BudgetedObjective, config=None, *, events=None):
         if config is None:
             config = self.config_class()
         if config.success_threshold < 0:
             raise ValueError("success_threshold must be nonnegative")
         self.objective = objective
         self.config = config
-        self.callback = callback
+        self.events = events
         self.rng = np.random.default_rng(config.seed)
         spec = objective.spec
         self.lower = spec.lower_bound
@@ -145,20 +143,15 @@ class RunScaffold:
 
     def _emit(self, first, particle, kind, delta_f, delta_x, probability,
               position, fitness):
-        """Hand one step's events to the callback.
+        """Hand one step's events to the event log.
 
         Rows are the evaluations ``first``, ``first + 1``, ...; every argument
         but ``first`` is a column with one entry per row, and ``position`` is
         (rows, dim) or None.  The arrays must not change afterwards.
         """
-        batch = EventBatch(np.arange(first, first + len(fitness)), particle, kind,
-                           delta_f, delta_x, float(self.gamma), float(self.sigma_s),
-                           probability, position, fitness)
-        if isinstance(self.callback, EventLog):
-            self.callback.add(batch)
-        else:
-            for event in batch.events():
-                self.callback(event)
+        self.events.add(EventBatch(np.arange(first, first + len(fitness)), particle,
+                                   kind, delta_f, delta_x, float(self.gamma),
+                                   float(self.sigma_s), probability, position, fitness))
 
     def _note_best(self, xs, fs):
         j = int(fs.argmin())
@@ -213,7 +206,7 @@ class RunScaffold:
         if m > 0:
             fs = self.objective.evaluate_many(positions[:m])
             fitness[:m] = fs
-            if self.callback is not None:
+            if self.events is not None:
                 zeros = np.zeros(m)
                 self._emit(1, np.arange(m), np.full(m, INIT), zeros, zeros,
                            np.ones(m), positions[:m].copy(), fs)
@@ -248,8 +241,8 @@ class BbpsoRun(RunScaffold):
     algorithm = "bbpso"
     config_class = BbpsoConfig
 
-    def __init__(self, objective, config=None, *, callback=None):
-        super().__init__(objective, config, callback=callback)
+    def __init__(self, objective, config=None, *, events=None):
+        super().__init__(objective, config, events=events)
         self.positions, fitness = self._init_population(self.config.np_)
         self.pbest = self.positions.copy()
         self.pbest_f = fitness.copy()
@@ -267,7 +260,7 @@ class BbpsoRun(RunScaffold):
         samples = np.clip(self.rng.normal(mid, sd), self.lower, self.upper)
         fs = self.objective.evaluate_many(samples)
         improved = fs < self.pbest_f[:m]
-        if self.callback is not None:
+        if self.events is not None:
             self._emit(first, np.arange(m), np.where(improved, ACCEPT_BETTER, REJECT),
                        fs - self.pbest_f[:m], _row_norms(samples - self.pbest[:m]),
                        improved.astype(float), samples, fs)
@@ -285,8 +278,8 @@ class BbfwaRun(RunScaffold):
     algorithm = "bbfwa"
     config_class = BbfwaConfig
 
-    def __init__(self, objective, config=None, *, callback=None):
-        super().__init__(objective, config, callback=callback)
+    def __init__(self, objective, config=None, *, events=None):
+        super().__init__(objective, config, events=events)
         spec = objective.spec
         self.span = spec.span.astype(float)
         if self.config.amp_init is None:
@@ -310,7 +303,7 @@ class BbfwaRun(RunScaffold):
         fs = self.objective.evaluate_many(sparks)
         j = int(np.argmin(fs))
         improved = fs[j] < self.center_f
-        if self.callback is not None:
+        if self.events is not None:
             taken = np.zeros(m, dtype=bool)
             taken[j] = improved
             self._emit(first, np.zeros(m, dtype=int),
@@ -331,8 +324,8 @@ class GbdeRun(RunScaffold):
     algorithm = "gbde"
     config_class = GbdeConfig
 
-    def __init__(self, objective, config=None, *, callback=None):
-        super().__init__(objective, config, callback=callback)
+    def __init__(self, objective, config=None, *, events=None):
+        super().__init__(objective, config, events=events)
         self.positions, self.fitness = self._init_population(self.config.np_)
 
     def step(self) -> bool:
@@ -355,7 +348,7 @@ class GbdeRun(RunScaffold):
         trials = np.where(cross, mutants, self.positions[:m])
         fs = self.objective.evaluate_many(trials)
         selected = fs <= self.fitness[:m]
-        if self.callback is not None:
+        if self.events is not None:
             self._emit(first, np.arange(m), np.where(selected, ACCEPT_BETTER, REJECT),
                        fs - self.fitness[:m], _row_norms(trials - self.positions[:m]),
                        selected.astype(float), trials, fs)

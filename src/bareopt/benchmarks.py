@@ -63,14 +63,16 @@ class ObjectiveSpec:
             )
         return float(self._impl(x))
 
-    def evaluate_many(self, xs) -> np.ndarray:
-        """Objective values for a batch of shape (m, dim)."""
+    def as_batch(self, xs) -> np.ndarray:
+        """``xs`` as a float array, checked to have shape (m, dim)."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(
-                f"{self.name} expects shape (m, {self.dim}), got {xs.shape}"
-            )
-        return np.asarray(self._impl(xs), dtype=float)
+            raise ValueError(f"{self.name} expects shape (m, {self.dim}), got {xs.shape}")
+        return xs
+
+    def evaluate_many(self, xs) -> np.ndarray:
+        """Objective values for a batch of shape (m, dim)."""
+        return np.asarray(self._impl(self.as_batch(xs)), dtype=float)
 
 
 def _box(dim: int, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +319,8 @@ class BudgetedObjective:
 
     An evaluation attempted at the cap raises BudgetExhausted instead of
     silently evaluating.  Batch callers are expected to slice their batch to
-    ``remaining`` first; an oversized batch raises without consuming budget.
+    ``remaining`` first; an oversized or misshapen batch raises without
+    consuming budget, and the shape is checked first.
     """
 
     def __init__(self, spec: ObjectiveSpec, max_fes: int):
@@ -343,14 +346,12 @@ class BudgetedObjective:
         return value
 
     def evaluate_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        m = 0 if xs.size == 0 else xs.shape[0]
+        xs = self.spec.as_batch(xs)
+        m = len(xs)
         if m == 0:
             return np.empty(0)
         if m > self.remaining:
-            raise BudgetExhausted(
-                f"batch of {m} exceeds remaining budget {self.remaining}"
-            )
+            raise BudgetExhausted(f"batch of {m} exceeds remaining budget {self.remaining}")
         values = self.spec.evaluate_many(xs)
         self._used += m
         return values

@@ -213,15 +213,15 @@ class BipRun(RunScaffold):
     ``step()`` advances a single population sweep (plus any scale transition
     it triggers) and returns False once the run has ended; ``run()`` drives
     the loop to completion and returns the TrialOutcome.  An optional
-    ``callback`` sees every evaluation and scale change: a callable gets one
-    Event each, an ``EventLog`` gets each step's events as one batch.
+    ``events`` log receives every evaluation and scale change, one batch
+    per step.
     """
 
     algorithm = "bip"
     config_class = BipConfig
 
-    def __init__(self, objective, config=None, *, callback=None, init_position=None):
-        super().__init__(objective, config, callback=callback)
+    def __init__(self, objective, config=None, *, events=None, init_position=None):
+        super().__init__(objective, config, events=events)
         self.span = objective.spec.max_span
         self.scale_index = 0
         self.sigma_s = self.span
@@ -260,7 +260,7 @@ class BipRun(RunScaffold):
         delta_x = np.sqrt(np.add.reduce(d * d, axis=1))
         accept, probs = accept_moves(delta_f, delta_x, self.gamma, cfg.amplitude_a, self.rng)
 
-        if self.callback is not None:
+        if self.events is not None:
             better = delta_f <= 0
             prob = better.astype(float)
             if probs is not None:
@@ -291,7 +291,7 @@ class BipRun(RunScaffold):
             mean_x = self.positions.mean(axis=0)
             mean_f = self.objective.evaluate(mean_x)
             worst = int(np.argmax(self.fitness))
-            if self.callback is not None:
+            if self.events is not None:
                 self._emit(eval_index, np.array([worst]), np.array([MEAN_REPLACE]),
                            _fitness_gap(np.array([mean_f]), self.fitness[worst:worst + 1]),
                            np.array([np.linalg.norm(mean_x - self.positions[worst])]),
@@ -305,7 +305,7 @@ class BipRun(RunScaffold):
         self.ac = 0
         self.gamma0 = self.sigma_s
         self.gamma = self.sigma_s
-        if self.callback is not None:
+        if self.events is not None:
             self._emit(self.objective.evals_used, np.array([-1]), np.array([SCALE_HALVE]),
                        np.zeros(1), np.zeros(1), np.ones(1), None, np.array([math.nan]))
         # only the mean's evaluation, booked by _record above, can end the run here

@@ -119,7 +119,7 @@ def record_run(
         algorithm, function, dim,
         max_fes=max_fes, seed=seed, success_threshold=success_threshold,
         overrides=overrides, init_position=init_position,
-        callback=log.events,
+        events=log.events,
     )
     return outcome, log
 

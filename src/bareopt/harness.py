@@ -79,14 +79,14 @@ def run_single(
     success_threshold: float = 1e-8,
     overrides: dict | None = None,
     init_position=None,
-    callback=None,
+    events=None,
 ) -> TrialOutcome:
     """Run one seeded trial and return its outcome.
 
     ``overrides`` maps config field names of the chosen algorithm to values.
     ``init_position`` starts every particle at a fixed point and is only
-    meaningful for the multi-scale sampler.  ``callback`` is passed to the
-    run: a callable that receives every Event, or an ``EventLog``.
+    meaningful for the multi-scale sampler.  ``events`` is None or an
+    ``EventLog`` that the run hands its events to.
     """
     config = build_config(algorithm, seed, success_threshold, overrides)
     kwargs = {}
@@ -96,7 +96,7 @@ def run_single(
         kwargs["init_position"] = init_position
     spec = get_objective(function, dim)
     objective = BudgetedObjective(spec, max_fes)
-    outcome = REGISTRY[algorithm](objective, config, callback=callback, **kwargs).run()
+    outcome = REGISTRY[algorithm](objective, config, events=events, **kwargs).run()
     # report under the registry name the caller used
     outcome.function = spec.name
     return outcome

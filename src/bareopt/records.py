@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -94,18 +93,15 @@ class EventLog(Sequence):
     """A run's event stream, kept as the batches its steps emitted.
 
     ``len()`` counts rows without building anything.  Indexing and iteration
-    build Event records from the batches as they go; an Event that a caller
-    still holds is handed out again rather than rebuilt, so a row is the same
-    object for as long as anyone keeps it, and counting through a long log
-    never holds all of its Events at once.  Pass an EventLog as a run's
-    ``callback`` to have the run hand it whole batches.
+    build Event records from the batches as they go, so counting through a
+    long log never holds all of its Events at once.  Pass an EventLog as a
+    run's ``events`` to have the run hand it whole batches.
     """
 
     def __init__(self):
         self.batches: list[EventBatch] = []
         self._starts: list[int] = []  # the row of each batch's first event
         self._rows = 0
-        self._held = weakref.WeakValueDictionary()  # row -> Event
 
     def add(self, batch: EventBatch) -> None:
         self.batches.append(batch)
@@ -115,27 +111,16 @@ class EventLog(Sequence):
     def __len__(self) -> int:
         return self._rows
 
-    def _events_of(self, b: int) -> list[Event]:
-        start = self._starts[b]
-        events = self.batches[b].events()
-        for j, event in enumerate(events):
-            held = self._held.get(start + j)
-            if held is None:
-                self._held[start + j] = event
-            else:
-                events[j] = held
-        return events
-
     def __iter__(self):
-        for b in range(len(self.batches)):
-            yield from self._events_of(b)
+        for batch in self.batches:
+            yield from batch.events()
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(self._rows))]
         i = range(self._rows)[i]  # negative indices, and IndexError past the end
         b = bisect.bisect_right(self._starts, i) - 1
-        return self._events_of(b)[i - self._starts[b]]
+        return self.batches[b].events()[i - self._starts[b]]
 
     def column(self, name: str) -> np.ndarray:
         """One per-row column over the whole log (not ``gamma``, ``sigma`` or

@@ -23,6 +23,7 @@ from bareopt.bip import (
 )
 from bareopt.diagnostics import record_run, transmission_trace, wave_modulus
 from bareopt.harness import aggregate, rank_algorithms, run_experiment, run_single
+from bareopt.records import EventLog
 
 DIM = 10
 TRIALS = 20
@@ -291,10 +292,10 @@ class TestCriterion8PropertyBattery:
             failures.append("best-so-far monotonicity")
 
         # sampling-scale schedule is exact and the population never resizes
-        events = []
+        events = EventLog()
         obj = BudgetedObjective(make_benchmark(7, 4), 4000)
         BipRun(obj, BipConfig(seed=2, success_threshold=0.0),
-               callback=events.append).run()
+               events=events).run()
         halves = [e for e in events if e.kind == "scale-halve"]
         span = obj.spec.max_span
         if not halves or any(e.sigma != span / 2.0 ** j

@@ -15,6 +15,7 @@ from bareopt.baselines import (
     _clamped_cr,
 )
 from bareopt.benchmarks import BudgetedObjective, ObjectiveSpec, make_benchmark
+from bareopt.records import EventLog
 
 import bareopt.benchmarks as benchmarks
 
@@ -144,9 +145,9 @@ class TestBbfwa:
         assert out.final_error < 1e-6
 
     def test_sparks_respect_the_box(self):
-        events = []
+        events = EventLog()
         obj = BudgetedObjective(make_benchmark(5, 3), max_fes=3000)
-        run = BbfwaRun(obj, BbfwaConfig(np_=20, seed=4), callback=events.append)
+        run = BbfwaRun(obj, BbfwaConfig(np_=20, seed=4), events=events)
         run.run()
         for e in events:
             if e.position is not None:
@@ -191,9 +192,9 @@ class TestSharedProtocol:
             (BbfwaRun, BbfwaConfig(np_=5, seed=0)),
             (GbdeRun, GbdeConfig(np_=5, seed=0)),
         ):
-            events = []
+            events = EventLog()
             obj = BudgetedObjective(make_benchmark(7, 2), max_fes=300)
-            runner(obj, cfg, callback=events.append).run()
+            runner(obj, cfg, events=events).run()
             kinds = {e.kind for e in events}
             assert kinds <= {"init", "accept-better", "reject"}
             assert "init" in kinds

@@ -209,6 +209,15 @@ class TestBudgetedObjective:
             budget.evaluate_many(np.zeros((5, 2)))
         assert budget.evals_used == 1 and budget.remaining == 4
 
+    @pytest.mark.parametrize("max_fes", [2, 5])
+    def test_single_point_batch_is_a_shape_error(self, max_fes):
+        # a point of shape (dim,) is not a batch, whether or not dim exceeds
+        # the remaining budget
+        budget = BudgetedObjective(make_benchmark(1, 3), max_fes=max_fes)
+        with pytest.raises(ValueError, match=r"expects shape \(m, 3\)"):
+            budget.evaluate_many(np.zeros(3))
+        assert budget.evals_used == 0 and budget.remaining == max_fes
+
     def test_empty_batch_is_free(self):
         budget = BudgetedObjective(make_benchmark(7, 2), max_fes=1)
         out = budget.evaluate_many(np.zeros((0, 2)))

@@ -21,6 +21,7 @@ from bareopt.bip import (
     ground_state_reached,
     tunneling_probability,
 )
+from bareopt.records import EventLog
 
 
 class TestTunnelingProbability:
@@ -244,25 +245,23 @@ class TestBipRun:
             upper_bound=np.full(2, 1.0), optimum_position=np.zeros(2),
             optimum_value=0.0, _impl=lambda x: np.full(x.shape[:-1], np.inf),
         )
-        events = []
+        events = EventLog()
         BipRun(BudgetedObjective(spec, 1000), BipConfig(k=5, seed=0),
-               callback=events.append).run()
+               events=events).run()
         moves = [e for e in events if e.kind not in ("init", "scale-halve")]
         assert {e.kind for e in moves} == {"accept-better", "mean-replace"}
         assert all(e.delta_f == 0.0 for e in moves)
 
     def test_population_size_is_constant(self):
-        events = []
-        run = BipRun(self.budget(max_fes=2000), BipConfig(seed=4, success_threshold=0.0),
-                     callback=events.append)
+        run = BipRun(self.budget(max_fes=2000), BipConfig(seed=4, success_threshold=0.0))
         while run.step():
             assert len(run.positions) == run.config.k
 
     def test_sigma_schedule_is_exact(self):
-        events = []
+        events = EventLog()
         obj = self.budget(max_fes=5000)
         run = BipRun(obj, BipConfig(seed=5, success_threshold=0.0),
-                     callback=events.append)
+                     events=events)
         run.run()
         halves = [e for e in events if e.kind == "scale-halve"]
         assert len(halves) >= 3, "expected several scale transitions"
@@ -271,10 +270,10 @@ class TestBipRun:
             assert e.sigma == span / 2.0 ** j  # exact, no drift
 
     def test_gamma_decays_within_a_scale_and_resets_upward(self):
-        events = []
+        events = EventLog()
         run = BipRun(self.budget(max_fes=5000),
                      BipConfig(seed=6, success_threshold=0.0),
-                     callback=events.append)
+                     events=events)
         run.run()
         # walk sweeps: gamma hold steady inside a sweep, decays sweep to sweep
         sweep_gammas = []
@@ -302,10 +301,10 @@ class TestBipRun:
         assert jumps >= 1, "gamma should reset upward at some scale transition"
 
     def test_zero_amplitude_is_pure_descent(self):
-        events = []
+        events = EventLog()
         run = BipRun(self.budget(max_fes=2000),
                      BipConfig(seed=7, amplitude_a=0.0, success_threshold=0.0),
-                     callback=events.append)
+                     events=events)
         run.run()
         kinds = {e.kind for e in events}
         assert "accept-tunnel" not in kinds
@@ -315,10 +314,10 @@ class TestBipRun:
                 assert e.delta_f <= 0.0
 
     def test_accepted_worse_probability_is_recomputable(self):
-        events = []
+        events = EventLog()
         run = BipRun(self.budget(max_fes=2000),
                      BipConfig(seed=8, success_threshold=0.0),
-                     callback=events.append)
+                     events=events)
         run.run()
         tunnels = [e for e in events if e.kind == "accept-tunnel"]
         assert tunnels, "expected some tunneling acceptances"
@@ -329,11 +328,11 @@ class TestBipRun:
 
     def test_positions_stay_inside_the_box(self):
         for policy in ("clamp", "reflect", "resample"):
-            events = []
+            events = EventLog()
             obj = self.budget(fid=2, dim=3, max_fes=1500)
             run = BipRun(obj, BipConfig(seed=9, bounds_policy=policy,
                                         success_threshold=0.0),
-                         callback=events.append)
+                         events=events)
             run.run()
             for e in events:
                 if e.position is not None:
@@ -351,10 +350,10 @@ class TestBipRun:
         assert out.evals_used == 5 and not math.isnan(out.final_error)
 
     def test_init_position_tiles_the_population(self):
-        events = []
+        events = EventLog()
         obj = BudgetedObjective(get_objective("double_well", 2), max_fes=50)
         run = BipRun(obj, BipConfig(seed=1, k=5, success_threshold=0.0),
-                     callback=events.append, init_position=(2.0, 2.0))
+                     events=events, init_position=(2.0, 2.0))
         run.run()
         inits = [e for e in events if e.kind == "init"]
         assert len(inits) == 5

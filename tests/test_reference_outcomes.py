@@ -54,7 +54,7 @@ def test_grid_cells_match_the_reference(reference, algorithm, function, dim, max
 ])
 def test_event_capture_runs_match_the_reference(reference, function, dim,
                                                 max_fes, overrides, key):
-    # the per-evaluation callback takes its own branch through each step
+    # recording events takes its own branch through each step
     algorithm = key.split(".", 1)[0]
     for seed in SEEDS:
         outcome, _ = record_run(algorithm, function, dim, max_fes=max_fes,
