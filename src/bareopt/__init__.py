@@ -22,7 +22,6 @@ from .benchmarks import (
     double_well,
     get_objective,
     make_benchmark,
-    paraboloid,
     registry_names,
 )
 from .bip import (

@@ -1,10 +1,10 @@
 """Parameter-light reference optimizers: BBPSO, BBFWA, and GBDE.
 
 All three, and the multi-scale sampler, run on ``RunScaffold``: a metered
-objective, a seeded generator, best-so-far tracking with a bounded error
-trace, an optional ``EventLog`` for its events, and a config that carries
-the seed and the success threshold.  Sampling positions are clamped to the
-box.
+objective, a seeded generator, one best-so-far record (an ``ErrorTrace``:
+the best point, its error and a bounded error curve), an optional
+``EventLog`` for its events, and a config that carries the seed and the
+success threshold.  Sampling positions are clamped to the box.
 """
 
 from __future__ import annotations
@@ -104,13 +104,15 @@ def _clamped_cr(rng, m, mean, std):
 
 
 class RunScaffold:
-    """Shared run scaffolding of all four algorithms: budget, best tracking,
-    trace, events, stopping and the outcome record.
+    """Shared run scaffolding of all four algorithms: budget, best-so-far
+    record, events, stopping and the outcome record.
 
-    ``config`` carries ``seed`` and ``success_threshold``; a run stops once
-    its best error reaches the threshold (zero runs the budget out).  Runs
-    without a scale or a tunneling width emit NaN for both in their events;
-    the multi-scale sampler sets ``gamma`` and ``sigma_s`` on itself.
+    ``trace`` (an ``ErrorTrace``) holds the run's best point, its error and
+    the best-so-far curve.  ``config`` carries ``seed`` and
+    ``success_threshold``; a run stops once the trace's error reaches the
+    threshold (zero runs the budget out).  Runs without a scale or a
+    tunneling width emit NaN for both in their events; the multi-scale
+    sampler sets ``gamma`` and ``sigma_s`` on itself.
 
     ``events`` is None or an ``EventLog``, which receives each step's
     events as one ``EventBatch``.
@@ -136,8 +138,6 @@ class RunScaffold:
         spec = objective.spec
         self.lower = spec.lower_bound
         self.upper = spec.upper_bound
-        self.best_position: np.ndarray | None = None
-        self.best_fitness = math.inf
         self.trace = ErrorTrace(spec.optimum_value)
         self.finished = False
 
@@ -153,24 +153,6 @@ class RunScaffold:
                                    kind, delta_f, delta_x, float(self.gamma),
                                    float(self.sigma_s), probability, position, fitness))
 
-    def _note_best(self, xs, fs):
-        j = int(fs.argmin())
-        if math.isnan(fs[j]):
-            # argmin stops at the first NaN: rank NaN as worst, and an
-            # all-NaN batch leaves the best as it was
-            if np.isnan(fs).all():
-                return
-            j = int(np.nanargmin(fs))
-        if fs[j] < self.best_fitness:
-            self.best_fitness = float(fs[j])
-            self.best_position = np.array(xs[j], dtype=float)
-
-    def _success(self) -> bool:
-        if self.best_position is None:
-            return False
-        err = max(self.best_fitness - self.objective.spec.optimum_value, 0.0)
-        return err <= self.config.success_threshold
-
     def _sweep_size(self, pop) -> int:
         """How many of ``pop`` proposals the next step may evaluate; 0 once
         the run is over (a spent budget ends it here)."""
@@ -182,11 +164,11 @@ class RunScaffold:
         return m
 
     def _record(self, first, xs, fs) -> bool:
-        """Book a step's evaluations ``first``, ``first + 1``, ... at ``xs``:
-        best so far, trace and stop check.  Returns whether the run goes on."""
-        self._note_best(xs, fs)
-        self.trace.extend(first, fs)
-        if self._success() or self.objective.remaining == 0:
+        """Book a step's evaluations ``first``, ``first + 1``, ... at ``xs`` in
+        the trace, and check for a stop.  Returns whether the run goes on."""
+        self.trace.extend(first, xs, fs)
+        # a NaN error (no best point yet) compares False
+        if self.trace.error <= self.config.success_threshold or self.objective.remaining == 0:
             self.finished = True
         return not self.finished
 
@@ -229,9 +211,6 @@ class RunScaffold:
             spec.dim,
             self.config.seed,
             evals_used=self.objective.evals_used,
-            best_position=self.best_position,
-            best_fitness=self.best_fitness,
-            optimum_value=spec.optimum_value,
             trace=self.trace,
             success_threshold=self.config.success_threshold,
         )

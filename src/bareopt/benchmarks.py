@@ -7,6 +7,7 @@ of shape (dim,) or a batch of shape (m, dim) and reduce over the last axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,7 +20,6 @@ __all__ = [
     "DoubleWellParams",
     "make_benchmark",
     "double_well",
-    "paraboloid",
     "get_objective",
     "registry_names",
     "SCHWEFEL_OPTIMUM",
@@ -273,28 +273,12 @@ def double_well(params: DoubleWellParams) -> ObjectiveSpec:
     )
 
 
-def paraboloid(dim: int) -> ObjectiveSpec:
-    """Plain sphere bowl on [-5.12, 5.12]^dim; global min f(0,...,0) = 0."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    lower, upper = _box(dim, -5.12, 5.12)
-    return ObjectiveSpec(
-        name="paraboloid",
-        dim=dim,
-        lower_bound=lower,
-        upper_bound=upper,
-        optimum_position=np.zeros(dim),
-        optimum_value=0.0,
-        _impl=_sphere,
-    )
-
-
 # --- registry ----------------------------------------------------------------
 
 
 def registry_names() -> list[str]:
     """All objective names accepted by get_objective."""
-    return [f"F{i}" for i in sorted(_TABLE)] + ["double_well", "paraboloid"]
+    return [f"F{i}" for i in sorted(_TABLE)] + ["double_well"]
 
 
 def get_objective(name: str, dim: int) -> ObjectiveSpec:
@@ -304,8 +288,6 @@ def get_objective(name: str, dim: int) -> ObjectiveSpec:
         return make_benchmark(int(key[1:]), dim)
     if key == "double_well":
         return double_well(DoubleWellParams(dim=dim))
-    if key == "paraboloid":
-        return paraboloid(dim)
     raise ValueError(
         f"unknown objective {name!r}; known names: {', '.join(registry_names())}"
     )
@@ -318,9 +300,10 @@ class BudgetedObjective:
     """Wraps an ObjectiveSpec and counts every evaluation against a cap.
 
     An evaluation attempted at the cap raises BudgetExhausted instead of
-    silently evaluating.  Batch callers are expected to slice their batch to
-    ``remaining`` first; an oversized or misshapen batch raises without
-    consuming budget, and the shape is checked first.
+    silently evaluating.  A NaN value is reported as +inf, so every
+    comparison a run makes ranks it as worst.  Batch callers are expected to
+    slice their batch to ``remaining`` first; an oversized or misshapen batch
+    raises without consuming budget, and the shape is checked first.
     """
 
     def __init__(self, spec: ObjectiveSpec, max_fes: int):
@@ -343,7 +326,7 @@ class BudgetedObjective:
             raise BudgetExhausted(f"budget of {self.max_fes} evaluations is spent")
         value = self.spec.evaluate(x)
         self._used += 1
-        return value
+        return math.inf if math.isnan(value) else value
 
     def evaluate_many(self, xs) -> np.ndarray:
         xs = self.spec.as_batch(xs)
@@ -354,4 +337,5 @@ class BudgetedObjective:
             raise BudgetExhausted(f"batch of {m} exceeds remaining budget {self.remaining}")
         values = self.spec.evaluate_many(xs)
         self._used += m
-        return values
+        # fmin(NaN, inf) is inf, and fmin(v, inf) is v bit for bit
+        return np.fmin(values, math.inf)

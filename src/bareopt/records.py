@@ -1,4 +1,6 @@
-"""Shared run records: trial outcomes, diagnostic events, error traces."""
+"""Shared run records: trial outcomes, diagnostic events, and the
+best-so-far record (``ErrorTrace``: a run's best point, its error and its
+thinned error curve)."""
 
 from __future__ import annotations
 
@@ -135,7 +137,8 @@ class TrialOutcome:
     """Final statistics of one seeded optimizer run.
 
     ``final_error`` is best fitness minus the known optimum, floored at zero;
-    it is NaN for a run that never got to evaluate anything.  ``error_trace``
+    it is NaN for a run without a best point (nothing evaluated, or nothing
+    below +inf).  ``error_trace``
     holds (evaluation_index, best_error_so_far) pairs, down-sampled to a
     bounded number of points with the final point always present.
     """
@@ -153,55 +156,71 @@ class TrialOutcome:
 
 
 class ErrorTrace:
-    """Best-so-far error curve kept to at most ``cap`` points.
+    """A run's best-so-far record: the best point, its fitness and error, and
+    the error curve kept to at most ``cap`` points.
 
-    Every evaluation is observed; once the stored curve would exceed the cap
-    the sampling stride doubles and already-stored points are thinned to the
-    new stride, so the retained indices stay mutually consistent.
+    Evaluations arrive in contiguous batches numbered from 1.  The curve holds
+    the best fitness at every multiple of ``stride`` up to the last one; the
+    stride is the smallest power of two that keeps those multiples within the
+    cap, so the kept indices depend on the evaluation count alone.  A NaN
+    fitness ranks as worst: it never becomes the best or enters the curve.
     """
 
     def __init__(self, optimum_value: float, cap: int = 2000):
         self.optimum = float(optimum_value)
         self.cap = int(cap)
         self.stride = 1
-        self.pairs: list[tuple[int, float]] = []
-        self._best = math.inf
+        self.best_position: np.ndarray | None = None
+        self.best_fitness = math.inf
+        self._curve = np.empty(self.cap)
+        self._size = 0
 
     @property
-    def best_fitness(self) -> float:
-        return self._best
+    def error(self) -> float:
+        """Best fitness minus the optimum, floored at 0; NaN before any best point."""
+        if self.best_position is None:
+            return math.nan
+        return max(self.best_fitness - self.optimum, 0.0)
 
-    def extend(self, first_index: int, fitnesses) -> None:
-        """Record a contiguous batch of evaluations starting at ``first_index`` (1-based)."""
+    def extend(self, first_index: int, xs, fitnesses) -> None:
+        """Record the evaluations ``first_index``, ``first_index + 1``, ... of
+        the points ``xs``."""
         fs = np.atleast_1d(np.asarray(fitnesses, dtype=float))
         if fs.size == 0:
             return
+        last = first_index + fs.size - 1
+        while last // self.stride > self.cap:
+            self.stride *= 2
+            self._size //= 2
+            self._curve[:self._size] = self._curve[1:2 * self._size:2]
         # fmin skips NaN, as replay_best does, so a NaN never enters the curve
-        running = np.fmin.accumulate(fs)
-        np.fmin(running, self._best, out=running)
-        self._best = float(running[-1])
-        # the first index of the batch that is a multiple of the stride
-        start = -first_index % self.stride
-        errors = np.maximum(running[start::self.stride] - self.optimum, 0.0)
-        self.pairs.extend(zip(range(first_index + start, first_index + fs.size, self.stride),
-                              errors.tolist()))
-        while len(self.pairs) > self.cap:
-            self._double_stride()
+        running = np.fmin.accumulate(fs)[-first_index % self.stride::self.stride]
+        end = self._size + len(running)
+        np.fmin(running, self.best_fitness, out=self._curve[self._size:end])
+        self._size = end
+        # argmin stops at the first NaN: rank NaN as worst, and an all-NaN
+        # batch leaves the best as it was
+        j = int(fs.argmin())
+        if math.isnan(fs[j]) and not np.isnan(fs).all():
+            j = int(np.nanargmin(fs))
+        if fs[j] < self.best_fitness:
+            self.best_fitness = float(fs[j])
+            self.best_position = np.array(xs[j], dtype=float)
 
-    def finalize(self, last_index: int, final_error: float) -> list[tuple[int, float]]:
-        """Ensure the final point is present and return the trace."""
-        if self.pairs and self.pairs[-1][0] == last_index:
-            self.pairs[-1] = (last_index, float(final_error))
-        elif last_index > 0:
-            if len(self.pairs) >= self.cap:
-                self._double_stride()
-            self.pairs.append((last_index, float(final_error)))
-        return self.pairs
-
-    def _double_stride(self) -> None:
-        """Double the sampling stride and thin the stored points to it."""
-        self.stride *= 2
-        self.pairs = [p for p in self.pairs if p[0] % self.stride == 0]
+    def finalize(self, last_index: int) -> list[tuple[int, float]]:
+        """The curve as a fresh list of (evaluation index, error) pairs, with
+        the current error at ``last_index``; the trace itself is unchanged."""
+        stride, curve = self.stride, self._curve[:self._size]
+        if last_index % stride and self._size == self.cap:
+            # no room for the final point: thin as one more doubling would
+            stride, curve = 2 * stride, curve[1::2]
+        errors = np.maximum(curve - self.optimum, 0.0).tolist()
+        pairs = list(zip(range(stride, last_index + 1, stride), errors))
+        if pairs and pairs[-1][0] == last_index:
+            pairs.pop()
+        if last_index > 0:
+            pairs.append((last_index, self.error))
+        return pairs
 
 
 def build_outcome(
@@ -211,27 +230,20 @@ def build_outcome(
     seed: int,
     *,
     evals_used: int,
-    best_position: np.ndarray | None,
-    best_fitness: float,
-    optimum_value: float,
     trace: ErrorTrace,
     success_threshold: float,
 ) -> TrialOutcome:
-    """Assemble a TrialOutcome from raw run state."""
-    if evals_used == 0 or best_position is None:
-        final_error = math.nan
-    else:
-        final_error = max(float(best_fitness) - float(optimum_value), 0.0)
-    succeeded = (not math.isnan(final_error)) and final_error <= success_threshold
+    """Assemble a TrialOutcome from a run's evaluation count and its trace."""
+    error, position = trace.error, trace.best_position
     return TrialOutcome(
         algorithm=algorithm,
         function=function,
         dim=dim,
         seed=seed,
-        final_error=final_error,
+        final_error=error,
         evals_used=evals_used,
-        error_trace=trace.finalize(evals_used, final_error),
-        succeeded=succeeded,
-        best_position=None if best_position is None else np.array(best_position, dtype=float),
-        best_fitness=float(best_fitness),
+        error_trace=trace.finalize(evals_used),
+        succeeded=error <= success_threshold,  # a NaN error compares False
+        best_position=None if position is None else position.copy(),
+        best_fitness=trace.best_fitness,
     )

@@ -13,7 +13,6 @@ from bareopt.benchmarks import (
     double_well,
     get_objective,
     make_benchmark,
-    paraboloid,
     registry_names,
 )
 
@@ -176,7 +175,7 @@ class TestRegistry:
         names = registry_names()
         for fid in range(1, 13):
             assert f"F{fid}" in names
-        assert "double_well" in names and "paraboloid" in names
+        assert "double_well" in names
 
     def test_lookup_is_case_insensitive(self):
         a = get_objective("f3", 4)
@@ -186,11 +185,6 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             get_objective("F99", 3)
-
-    def test_paraboloid_is_a_plain_bowl(self):
-        spec = paraboloid(4)
-        assert spec.evaluate([0, 0, 0, 0]) == 0.0
-        assert spec.evaluate([1, 0, 0, 0]) == 1.0
 
 
 class TestBudgetedObjective:

@@ -1,5 +1,6 @@
 """Property tests for the per-sweep kernels of the sampler and the trace."""
 
+import copy
 import math
 
 import numpy as np
@@ -33,42 +34,83 @@ class TestGroundStateReached:
             assert ground_state_reached(x, s) is bool(spread < s)
 
 
-class StridedModuloTrace(ErrorTrace):
-    """The trace as first written: an index mask ``indices % stride == 0``."""
+class ListTrace:
+    """The error curve as first kept: a list of (index, error) pairs, thinned
+    by a list comprehension whenever it outgrows the cap."""
+
+    def __init__(self, optimum_value, cap=2000):
+        self.optimum = float(optimum_value)
+        self.cap = int(cap)
+        self.stride = 1
+        self.pairs = []
+        self._best = math.inf
 
     def extend(self, first_index, fitnesses):
         fs = np.atleast_1d(np.asarray(fitnesses, dtype=float))
         if fs.size == 0:
             return
-        running = np.minimum(np.minimum.accumulate(fs), self._best)
+        running = np.fmin.accumulate(fs)
+        np.fmin(running, self._best, out=running)
         self._best = float(running[-1])
-        errors = np.maximum(running - self.optimum, 0.0)
-        indices = np.arange(first_index, first_index + fs.size)
-        keep = indices % self.stride == 0
-        self.pairs.extend(zip(indices[keep].tolist(), errors[keep].tolist()))
+        start = -first_index % self.stride
+        errors = np.maximum(running[start::self.stride] - self.optimum, 0.0)
+        self.pairs.extend(zip(range(first_index + start, first_index + fs.size, self.stride),
+                              errors.tolist()))
         while len(self.pairs) > self.cap:
-            self.stride *= 2
-            self.pairs = [p for p in self.pairs if p[0] % self.stride == 0]
+            self._double_stride()
+
+    def finalize(self, last_index, final_error):
+        if self.pairs and self.pairs[-1][0] == last_index:
+            self.pairs[-1] = (last_index, float(final_error))
+        elif last_index > 0:
+            if len(self.pairs) >= self.cap:
+                self._double_stride()
+            self.pairs.append((last_index, float(final_error)))
+        return self.pairs
+
+    def _double_stride(self):
+        self.stride *= 2
+        self.pairs = [p for p in self.pairs if p[0] % self.stride == 0]
+
+
+def same_pairs(a, b):
+    return len(a) == len(b) and all(
+        i == j and (e == f or (math.isnan(e) and math.isnan(f)))
+        for (i, e), (j, f) in zip(a, b))
+
+
+fitness_values = st.one_of(st.floats(-1e3, 1e3),
+                           st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 class TestErrorTraceExtend:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(
-        st.lists(st.lists(st.floats(-1e3, 1e3), max_size=40), min_size=1, max_size=30),
+        st.lists(st.lists(fitness_values, max_size=40), min_size=1, max_size=30),
         st.integers(2, 12),
         st.floats(-10.0, 10.0),
     )
-    def test_matches_the_index_mask_version(self, batches, cap, optimum):
-        new, old = ErrorTrace(optimum, cap=cap), StridedModuloTrace(optimum, cap=cap)
+    def test_matches_the_list_version(self, batches, cap, optimum):
+        new, old = ErrorTrace(optimum, cap=cap), ListTrace(optimum, cap=cap)
         first = 1
         for batch in batches:
-            new.extend(first, batch)
+            # each point is its own fitness, so the best point can be checked
+            points = np.array(batch, dtype=float).reshape(-1, 1)
+            new.extend(first, points, batch)
             old.extend(first, batch)
             first += len(batch)
-            assert new.pairs == old.pairs
+            last = first - 1
             assert new.stride == old.stride
-            assert new.best_fitness == old.best_fitness
-        assert new.finalize(first - 1, 0.0) == old.finalize(first - 1, 0.0)
+            assert new.best_fitness == old._best
+            # the best point, as the runs kept it before the trace did: none
+            # until a value below +inf, NaN never
+            if old._best == math.inf:
+                assert new.best_position is None
+                final_error = math.nan
+            else:
+                assert new.best_position[0] == new.best_fitness
+                final_error = max(old._best - old.optimum, 0.0)
+            assert same_pairs(new.finalize(last), copy.deepcopy(old).finalize(last, final_error))
 
 
 class TestGaussianStep:

@@ -7,7 +7,8 @@ reports a best-so-far curve that never rises and ends at the last
 evaluation.  A constant objective, where every move ties, is held to the
 same invariants, and so is one that is NaN or +inf over half the box, where
 every run must still report a best point and a curve without NaN, and warn
-nothing.  Recording events leaves the outcome as it is, and a recorded log
+nothing; the NaN half gives the +inf half's outcome exactly.  An outcome
+taken mid-run is a snapshot the rest of the run leaves alone.  Recording events leaves the outcome as it is, and a recorded log
 yields the same rows by iteration and by index, one per evaluation in order.
 """
 
@@ -132,8 +133,11 @@ def half_sphere(fill):
 ], ids=lambda v: "-".join(filter(None, v)))
 def test_nan_evaluations_leave_a_best_point_and_a_curve(variant):
     """NaN and +inf alike: a best point, a finite error, no NaN in the curve,
-    and no runtime warning (inf - inf in a fitness gap would raise one)."""
+    and no runtime warning (inf - inf in a fitness gap would raise one).  The
+    metered objective reports NaN as +inf, so every decision ranks a NaN as
+    worst and both runs give the same outcome."""
     algorithm, policy = variant
+    outcomes = []
     for fill in (np.nan, np.inf):
         spec = half_sphere(fill)
 
@@ -150,6 +154,29 @@ def test_nan_evaluations_leave_a_best_point_and_a_curve(variant):
             assert math.isfinite(out.final_error)
             assert not any(math.isnan(e) for _, e in out.error_trace)
             check_invariants(out, spec, 500, run)
+        outcomes.append(out)
+    assert same_outcome(*outcomes)
+
+
+def test_an_outcome_taken_mid_run_is_a_snapshot():
+    """An outcome taken between steps neither changes as the run goes on nor
+    leaves a point of its own in the finished trace."""
+    def start():
+        return BipRun(BudgetedObjective(get_objective("F2", 2), 3000),
+                      BipConfig(success_threshold=0.0))
+
+    run = start()
+    # past the cap of 2000 points, at an odd count, so the stride is 2 and
+    # the snapshot's last point is not on it
+    while run.objective.evals_used < 2029 and run.step():
+        pass
+    assert run.objective.evals_used == 2029
+    early = run.outcome()
+    kept = list(early.error_trace)
+    assert kept[-1][0] == 2029
+    finished = run.run()
+    assert early.error_trace == kept
+    assert same_outcome(finished, start().run())
 
 
 def same_event(a, b):
