@@ -15,6 +15,7 @@ import argparse
 import numpy as np
 
 from bareopt import record_run, transmission_trace
+from bareopt.records import ACCEPT_TUNNEL, SCALE_HALVE
 
 
 def main():
@@ -33,23 +34,25 @@ def main():
           f"error {outcome.final_error:.3e} after {outcome.evals_used} "
           f"evaluations, {len(trace)} tunneling decisions\n")
 
-    # bucket the decisions by sampling scale using the scale-halve markers
-    boundaries = [e.eval_index for e in log.events if e.kind == "scale-halve"]
-    accepted = {e.eval_index for e in log.events if e.kind == "accept-tunnel"}
+    # bucket the decisions by sampling scale using the scale-halve markers,
+    # each of which carries the sigma of the scale it starts
+    kind, index = log.events.column("kind"), log.events.column("index")
+    boundaries = index[kind == SCALE_HALVE].tolist()
+    accepted = index[kind == ACCEPT_TUNNEL]
+    sigmas = [log.events.batches[0].sigma,
+              *(b.sigma for b in log.events.batches if b.kind[0] == SCALE_HALVE)]
     print(f"{'scale':>5} {'sigma':>12} {'decisions':>9} {'accepted':>8} "
           f"{'max prob':>9} {'mean prob':>9}")
-    sigma = log.upper_bound[0] - log.lower_bound[0]
     start = 0
-    for scale, end in enumerate([*boundaries, args.budget + 1]):
+    for scale, (end, sigma) in enumerate(zip([*boundaries, args.budget + 1], sigmas)):
         probs = np.array([p for i, p in trace.items() if start <= i < end])
-        taken = sum(start <= i < end for i in accepted)
+        taken = np.count_nonzero((start <= accepted) & (accepted < end))
         if probs.size:
             print(f"{scale:>5} {sigma:>12.4g} {probs.size:>9} {taken:>8} "
                   f"{probs.max():>9.3f} {probs.mean():>9.3f}")
         else:
             print(f"{scale:>5} {sigma:>12.4g} {0:>9} {taken:>8} {'-':>9} "
                   f"{'-':>9}")
-        sigma /= 2.0
         start = end
 
     print("\nthe max probability climbs back after each halving because the")

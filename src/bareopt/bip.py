@@ -301,7 +301,11 @@ class BipRun(RunScaffold):
             self._record(eval_index, mean_x[None, :], np.array([mean_f]))
 
         self.scale_index += 1
-        self.sigma_s = self.span / cfg.scale_divisor ** self.scale_index
+        try:
+            self.sigma_s = self.span / cfg.scale_divisor ** self.scale_index
+        except OverflowError:  # the scale has shrunk past every float: the run ends
+            self.finished = True
+            return
         self.ac = 0
         self.gamma0 = self.sigma_s
         self.gamma = self.sigma_s

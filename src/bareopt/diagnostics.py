@@ -26,7 +26,6 @@ from .records import (
     EVENT_KINDS,
     REJECT,
     SCALE_HALVE,
-    Event,
     EventBatch,
     EventLog,
     TrialOutcome,
@@ -54,8 +53,8 @@ class TrajectoryLog:
     ``amplitude`` is the worsening-move amplitude the run used (0 for
     algorithms without tunneling), needed to tell a tunneling-disabled run
     apart from one whose probabilities merely underflowed.  ``events`` keeps
-    the stream as the run's column batches; the summaries and exports here
-    read those columns, and only iterating or indexing it builds Events.
+    the stream as the run's column batches, which the summaries and exports
+    here read.
     """
 
     algorithm: str
@@ -68,23 +67,25 @@ class TrajectoryLog:
     amplitude: float
     events: EventLog = field(default_factory=EventLog)
 
-    def positions(self, kinds=ACCEPTED_KINDS) -> np.ndarray:
-        """Stacked positions of the given event kinds, shape (m, dim)."""
+    def positions(self) -> np.ndarray:
+        """Stacked positions the particles held (the ``ACCEPTED_KINDS`` rows),
+        shape (m, dim)."""
         held = [b for b in self.events.batches if b.position is not None]
         if not held:
             return np.empty((0, self.dim))
         kind = np.concatenate([b.kind for b in held])
-        wanted = [EVENT_KINDS.index(k) for k in kinds]
-        return np.concatenate([b.position for b in held])[np.isin(kind, wanted)]
+        return np.concatenate([b.position for b in held])[np.isin(kind, ACCEPTED_KINDS)]
 
-    def final_population(self) -> dict[int, Event]:
-        """Last position-defining event per particle index."""
-        particle = self.events.column("particle")
-        accepted = [EVENT_KINDS.index(k) for k in ACCEPTED_KINDS]
-        rows = np.flatnonzero(np.isin(self.events.column("kind"), accepted) & (particle >= 0))
-        # a later row of a particle overwrites its entry but keeps its place
-        latest = dict(zip(particle[rows].tolist(), rows.tolist()))
-        return {p: self.events[row] for p, row in latest.items()}
+    def final_population(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The particle indices in order of first appearance, each one's last
+        held position, shape (m, dim), and that position's fitness."""
+        accepted = np.isin(self.events.column("kind"), ACCEPTED_KINDS)
+        # row r here is row r of positions(), which stacks the same rows; a
+        # later row of a particle overwrites its entry but keeps its place
+        latest = {p: r for r, p in enumerate(self.events.column("particle")[accepted].tolist())}
+        last = list(latest.values())
+        return (np.array(list(latest), dtype=int), self.positions()[last],
+                self.events.column("fitness")[accepted][last])
 
 
 def record_run(
@@ -210,15 +211,14 @@ def expected_solution_value(log: TrajectoryLog, objective=None) -> float:
     Uses the logged fitness values; pass the objective (spec or metered) to
     re-evaluate the final positions instead, which must agree.
     """
-    final = log.final_population()
-    if not final:
+    _, positions, fitness = log.final_population()
+    if not fitness.size:
         raise ValueError("log holds no population")
     if objective is None:
-        return float(np.mean([e.fitness for e in final.values()]))
+        return float(np.mean(fitness))
     spec = objective.spec if isinstance(objective, BudgetedObjective) else objective
     if not isinstance(spec, ObjectiveSpec):
         raise TypeError("objective must be an ObjectiveSpec or BudgetedObjective")
-    positions = np.stack([e.position for e in final.values()])
     return float(np.mean(spec.evaluate_many(positions)))
 
 

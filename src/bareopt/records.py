@@ -4,9 +4,7 @@ thinned error curve)."""
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -25,7 +23,7 @@ EVENT_KINDS = (
 INIT, ACCEPT_BETTER, ACCEPT_TUNNEL, REJECT, MEAN_REPLACE, SCALE_HALVE = range(6)
 
 # Kinds whose position is (or becomes) an actual particle position.
-ACCEPTED_KINDS = ("init", "accept-better", "accept-tunnel", "mean-replace")
+ACCEPTED_KINDS = (INIT, ACCEPT_BETTER, ACCEPT_TUNNEL, MEAN_REPLACE)
 
 
 @dataclass
@@ -79,50 +77,36 @@ class EventBatch:
     def __len__(self) -> int:
         return len(self.index)
 
-    def events(self) -> list[Event]:
-        """The rows as Event records; each position is a view of its row."""
-        positions = repeat(None) if self.position is None else iter(self.position)
-        return [
-            Event(i, p, EVENT_KINDS[k], df, dx, self.gamma, self.sigma, pr, x, f)
-            for i, p, k, df, dx, pr, x, f in zip(
-                self.index.tolist(), self.particle.tolist(), self.kind.tolist(),
-                self.delta_f.tolist(), self.delta_x.tolist(),
-                self.probability.tolist(), positions, self.fitness.tolist())
-        ]
 
-
-class EventLog(Sequence):
+class EventLog:
     """A run's event stream, kept as the batches its steps emitted.
 
-    ``len()`` counts rows without building anything.  Indexing and iteration
-    build Event records from the batches as they go, so counting through a
-    long log never holds all of its Events at once.  Pass an EventLog as a
-    run's ``events`` to have the run hand it whole batches.
+    ``len()`` counts rows and ``column()`` reads one field over the whole
+    log.  Pass an EventLog as a run's ``events`` to have the run hand it
+    whole batches.
     """
 
     def __init__(self):
         self.batches: list[EventBatch] = []
-        self._starts: list[int] = []  # the row of each batch's first event
         self._rows = 0
 
     def add(self, batch: EventBatch) -> None:
         self.batches.append(batch)
-        self._starts.append(self._rows)
         self._rows += len(batch)
 
     def __len__(self) -> int:
         return self._rows
 
     def __iter__(self):
-        for batch in self.batches:
-            yield from batch.events()
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._rows))]
-        i = range(self._rows)[i]  # negative indices, and IndexError past the end
-        b = bisect.bisect_right(self._starts, i) - 1
-        return self.batches[b].events()[i - self._starts[b]]
+        # Event rows, built batch by batch; bench/worker.py:check_log is the
+        # one reader left
+        for b in self.batches:
+            positions = repeat(None) if b.position is None else iter(b.position)
+            for i, p, k, df, dx, pr, x, f in zip(
+                    b.index.tolist(), b.particle.tolist(), b.kind.tolist(),
+                    b.delta_f.tolist(), b.delta_x.tolist(),
+                    b.probability.tolist(), positions, b.fitness.tolist()):
+                yield Event(i, p, EVENT_KINDS[k], df, dx, b.gamma, b.sigma, pr, x, f)
 
     def column(self, name: str) -> np.ndarray:
         """One per-row column over the whole log (not ``gamma``, ``sigma`` or

@@ -23,7 +23,14 @@ from bareopt.bip import (
 )
 from bareopt.diagnostics import record_run, transmission_trace, wave_modulus
 from bareopt.harness import aggregate, rank_algorithms, run_experiment, run_single
-from bareopt.records import EventLog
+from bareopt.records import (
+    ACCEPT_BETTER,
+    ACCEPT_TUNNEL,
+    MEAN_REPLACE,
+    REJECT,
+    SCALE_HALVE,
+    EventLog,
+)
 
 DIM = 10
 TRIALS = 20
@@ -139,10 +146,10 @@ class TestCriterion6DensityConcentration:
 
         A run that never left the first scale stalled at the full span.
         """
-        halves = [e for e in log.events if e.kind == "scale-halve"]
+        halves = [b for b in log.events.batches if b.kind[0] == SCALE_HALVE]
         if not halves:
             return span
-        return halves[-1].sigma if halves[-1].eval_index < cls.STALL_EVAL else None
+        return halves[-1].sigma if halves[-1].index[0] < cls.STALL_EVAL else None
 
     def test_mode_cell_lands_on_the_global_well(self):
         spec = get_objective("double_well", 2)
@@ -186,22 +193,20 @@ class TestCriterion7TransmissionCycles:
     gaps and step lengths, so it is reported but not asserted on.
     """
 
-    DECISIONS = ("accept-tunnel", "reject")
+    DECISIONS = (ACCEPT_TUNNEL, REJECT)
     BARRIER = (1.0, 1.0)  # (delta_f, delta_x) of the fixed barrier in check (c)
 
     @staticmethod
     def sweeps(log):
-        """Sweep events grouped as (scale index, sweep index within the scale, events)."""
+        """Sweep batches as (scale index, sweep index within the scale, batch)."""
         out = []
         scale, j = 0, -1
-        for e in log.events:
-            if e.kind == "scale-halve":
+        for b in log.events.batches:
+            if b.kind[0] == SCALE_HALVE:
                 scale, j = scale + 1, -1
-            elif e.kind in ("accept-better", "accept-tunnel", "reject"):
-                if e.particle == 0:
-                    j += 1
-                    out.append((scale, j, []))
-                out[-1][2].append(e)
+            elif b.kind[0] in (ACCEPT_BETTER, ACCEPT_TUNNEL, REJECT):
+                j += 1
+                out.append((scale, j, b))
         return out
 
     @staticmethod
@@ -214,16 +219,15 @@ class TestCriterion7TransmissionCycles:
         span = get_objective("F7", DIM).max_span
         _, log = record_run("bip", "F7", DIM, max_fes=BUDGET, seed=0,
                             success_threshold=1e-8)
-        transitions = sum(e.kind == "scale-halve" for e in log.events)
+        transitions = int(np.count_nonzero(log.events.column("kind") == SCALE_HALVE))
         assert transitions >= 3, "protocol needs several scale transitions"
         sweeps = self.sweeps(log)
         gammas = [span / cfg.scale_divisor ** i * math.exp(-j / cfg.anneal_tau)
                   for i, j, _ in sweeps]
 
         # (a) every event of a sweep carries the scheduled gamma
-        off_schedule = sum(not self.on_schedule(e.gamma, g)
-                           for (_, _, events), g in zip(sweeps, gammas)
-                           for e in events)
+        off_schedule = sum(len(b) * (not self.on_schedule(b.gamma, g))
+                           for (_, _, b), g in zip(sweeps, gammas))
 
         # (b) every tunneling decision used the formula at its sweep's gamma
         def transmission(delta_f, delta_x, gamma):
@@ -231,27 +235,26 @@ class TestCriterion7TransmissionCycles:
                 return 0.0
             return tunneling_probability(delta_f, delta_x, gamma, cfg.amplitude_a)
 
-        decisions = [(e, g) for (_, _, events), g in zip(sweeps, gammas)
-                     for e in events if e.kind in self.DECISIONS]
+        decisions = [(p, df, dx, g) for (_, _, b), g in zip(sweeps, gammas)
+                     for k, p, df, dx in zip(b.kind.tolist(), b.probability.tolist(),
+                                             b.delta_f.tolist(), b.delta_x.tolist())
+                     if k in self.DECISIONS]
         off_formula = sum(
-            not math.isclose(e.probability, transmission(e.delta_f, e.delta_x, g),
-                             rel_tol=1e-12, abs_tol=0.0)
-            for e, g in decisions)
+            not math.isclose(p, transmission(df, dx, g), rel_tol=1e-12, abs_tol=0.0)
+            for p, df, dx, g in decisions)
 
         # (c) for a fixed barrier at the gamma each sweep recorded, the
         # transmission never rises within a scale and rises again at a
         # transition; a one-sweep scale hands gamma = sigma_s to a scale
         # starting at sigma_s / divisor, so not at every one
-        fixed = [(i, transmission(*self.BARRIER, events[0].gamma))
-                 for i, _, events in sweeps]
+        fixed = [(i, transmission(*self.BARRIER, b.gamma)) for i, _, b in sweeps]
         rises = [s1 == s0 for (s0, t0), (s1, t1) in zip(fixed, fixed[1:]) if t1 > t0]
         within_rises = sum(rises)
         transition_rises = len(rises) - within_rises
 
         # information only: the sampled per-sweep maximum is noisy
-        sampled = [(i, max(probs)) for i, _, events in sweeps
-                   if (probs := [e.probability for e in events
-                                 if e.kind in self.DECISIONS])]
+        sampled = [(i, max(probs)) for i, _, b in sweeps
+                   if (probs := b.probability[np.isin(b.kind, self.DECISIONS)].tolist())]
         sampled_rises = sum(s1 == s0 and m1 > m0
                             for (s0, m0), (s1, m1) in zip(sampled, sampled[1:]))
 
@@ -296,13 +299,14 @@ class TestCriterion8PropertyBattery:
         obj = BudgetedObjective(make_benchmark(7, 4), 4000)
         BipRun(obj, BipConfig(seed=2, success_threshold=0.0),
                events=events).run()
-        halves = [e for e in events if e.kind == "scale-halve"]
+        halves = [b.sigma for b in events.batches if b.kind[0] == SCALE_HALVE]
         span = obj.spec.max_span
-        if not halves or any(e.sigma != span / 2.0 ** j
-                             for j, e in enumerate(halves, start=1)):
+        if not halves or any(sigma != span / 2.0 ** j
+                             for j, sigma in enumerate(halves, start=1)):
             failures.append("sigma schedule exactness")
-        sweep_particles = {e.particle for e in events
-                           if e.kind not in ("scale-halve", "mean-replace")}
+        kind = events.column("kind")
+        sweep_particles = set(events.column("particle")[
+            (kind != SCALE_HALVE) & (kind != MEAN_REPLACE)].tolist())
         if sweep_particles != set(range(15)):
             failures.append("population size constancy")
 

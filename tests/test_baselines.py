@@ -15,7 +15,7 @@ from bareopt.baselines import (
     _clamped_cr,
 )
 from bareopt.benchmarks import BudgetedObjective, ObjectiveSpec, make_benchmark
-from bareopt.records import EventLog
+from bareopt.records import ACCEPT_BETTER, INIT, REJECT, EventLog
 
 import bareopt.benchmarks as benchmarks
 
@@ -149,10 +149,10 @@ class TestBbfwa:
         obj = BudgetedObjective(make_benchmark(5, 3), max_fes=3000)
         run = BbfwaRun(obj, BbfwaConfig(np_=20, seed=4), events=events)
         run.run()
-        for e in events:
-            if e.position is not None:
-                assert np.all(e.position >= obj.spec.lower_bound)
-                assert np.all(e.position <= obj.spec.upper_bound)
+        held = np.concatenate([b.position for b in events.batches
+                               if b.position is not None])
+        assert np.all(held >= obj.spec.lower_bound)
+        assert np.all(held <= obj.spec.upper_bound)
 
 
 class TestGbde:
@@ -195,11 +195,11 @@ class TestSharedProtocol:
             events = EventLog()
             obj = BudgetedObjective(make_benchmark(7, 2), max_fes=300)
             runner(obj, cfg, events=events).run()
-            kinds = {e.kind for e in events}
-            assert kinds <= {"init", "accept-better", "reject"}
-            assert "init" in kinds
-            for e in events:
-                assert math.isnan(e.gamma) and math.isnan(e.sigma)
+            kinds = set(events.column("kind").tolist())
+            assert kinds <= {INIT, ACCEPT_BETTER, REJECT}
+            assert INIT in kinds
+            for b in events.batches:
+                assert math.isnan(b.gamma) and math.isnan(b.sigma)
 
     def test_budget_is_never_exceeded(self):
         for runner, cfg in (

@@ -21,7 +21,15 @@ from bareopt.bip import (
     ground_state_reached,
     tunneling_probability,
 )
-from bareopt.records import EventLog
+from bareopt.harness import run_single
+from bareopt.records import (
+    ACCEPT_BETTER,
+    ACCEPT_TUNNEL,
+    INIT,
+    MEAN_REPLACE,
+    SCALE_HALVE,
+    EventLog,
+)
 
 
 class TestTunnelingProbability:
@@ -248,9 +256,10 @@ class TestBipRun:
         events = EventLog()
         BipRun(BudgetedObjective(spec, 1000), BipConfig(k=5, seed=0),
                events=events).run()
-        moves = [e for e in events if e.kind not in ("init", "scale-halve")]
-        assert {e.kind for e in moves} == {"accept-better", "mean-replace"}
-        assert all(e.delta_f == 0.0 for e in moves)
+        kind = events.column("kind")
+        moves = (kind != INIT) & (kind != SCALE_HALVE)
+        assert set(kind[moves].tolist()) == {ACCEPT_BETTER, MEAN_REPLACE}
+        assert np.all(events.column("delta_f")[moves] == 0.0)
 
     def test_population_size_is_constant(self):
         run = BipRun(self.budget(max_fes=2000), BipConfig(seed=4, success_threshold=0.0))
@@ -263,11 +272,11 @@ class TestBipRun:
         run = BipRun(obj, BipConfig(seed=5, success_threshold=0.0),
                      events=events)
         run.run()
-        halves = [e for e in events if e.kind == "scale-halve"]
+        halves = [b.sigma for b in events.batches if b.kind[0] == SCALE_HALVE]
         assert len(halves) >= 3, "expected several scale transitions"
         span = obj.spec.max_span
-        for j, e in enumerate(halves, start=1):
-            assert e.sigma == span / 2.0 ** j  # exact, no drift
+        for j, sigma in enumerate(halves, start=1):
+            assert sigma == span / 2.0 ** j  # exact, no drift
 
     def test_gamma_decays_within_a_scale_and_resets_upward(self):
         events = EventLog()
@@ -275,18 +284,14 @@ class TestBipRun:
                      BipConfig(seed=6, success_threshold=0.0),
                      events=events)
         run.run()
-        # walk sweeps: gamma hold steady inside a sweep, decays sweep to sweep
+        # walk sweeps (one batch each, sharing one gamma): gamma decays sweep
+        # to sweep
         sweep_gammas = []
-        prev_particle = None
-        for e in events:
-            if e.kind in ("init", "scale-halve", "mean-replace"):
-                prev_particle = None if e.kind == "scale-halve" else prev_particle
-                if e.kind == "scale-halve":
-                    sweep_gammas.append(("halve", e.gamma))
-                continue
-            if prev_particle is None or e.particle <= prev_particle:
-                sweep_gammas.append(("sweep", e.gamma))
-            prev_particle = e.particle
+        for b in events.batches:
+            if b.kind[0] == SCALE_HALVE:
+                sweep_gammas.append(("halve", b.gamma))
+            elif b.kind[0] not in (INIT, MEAN_REPLACE):
+                sweep_gammas.append(("sweep", b.gamma))
         prev = None
         jumps = 0
         for kind, g in sweep_gammas:
@@ -306,12 +311,10 @@ class TestBipRun:
                      BipConfig(seed=7, amplitude_a=0.0, success_threshold=0.0),
                      events=events)
         run.run()
-        kinds = {e.kind for e in events}
-        assert "accept-tunnel" not in kinds
+        kind = events.column("kind")
+        assert ACCEPT_TUNNEL not in kind
         # every accepted move is an actual improvement for its particle
-        for e in events:
-            if e.kind == "accept-better":
-                assert e.delta_f <= 0.0
+        assert np.all(events.column("delta_f")[kind == ACCEPT_BETTER] <= 0.0)
 
     def test_accepted_worse_probability_is_recomputable(self):
         events = EventLog()
@@ -319,12 +322,14 @@ class TestBipRun:
                      BipConfig(seed=8, success_threshold=0.0),
                      events=events)
         run.run()
-        tunnels = [e for e in events if e.kind == "accept-tunnel"]
-        assert tunnels, "expected some tunneling acceptances"
-        for e in tunnels:
-            assert e.probability == pytest.approx(
-                tunneling_probability(e.delta_f, e.delta_x, e.gamma, 1.0), rel=1e-12
-            )
+        tunnels = events.column("kind") == ACCEPT_TUNNEL
+        assert tunnels.any(), "expected some tunneling acceptances"
+        gamma = np.concatenate([np.full(len(b), b.gamma) for b in events.batches])
+        delta_f, delta_x = events.column("delta_f"), events.column("delta_x")
+        assert events.column("probability")[tunnels] == pytest.approx(
+            tunneling_probability(delta_f[tunnels], delta_x[tunnels], gamma[tunnels], 1.0),
+            rel=1e-12,
+        )
 
     def test_positions_stay_inside_the_box(self):
         for policy in ("clamp", "reflect", "resample"):
@@ -334,10 +339,10 @@ class TestBipRun:
                                         success_threshold=0.0),
                          events=events)
             run.run()
-            for e in events:
-                if e.position is not None:
-                    assert np.all(e.position >= obj.spec.lower_bound - 1e-12)
-                    assert np.all(e.position <= obj.spec.upper_bound + 1e-12)
+            held = np.concatenate([b.position for b in events.batches
+                                   if b.position is not None])
+            assert np.all(held >= obj.spec.lower_bound - 1e-12)
+            assert np.all(held <= obj.spec.upper_bound + 1e-12)
 
     def test_zero_budget_outcome(self):
         out = BipRun(self.budget(max_fes=0), BipConfig(seed=0)).run()
@@ -355,10 +360,11 @@ class TestBipRun:
         run = BipRun(obj, BipConfig(seed=1, k=5, success_threshold=0.0),
                      events=events, init_position=(2.0, 2.0))
         run.run()
-        inits = [e for e in events if e.kind == "init"]
+        inits = np.concatenate([b.position[b.kind == INIT] for b in events.batches
+                                if b.position is not None])
         assert len(inits) == 5
-        for e in inits:
-            assert np.array_equal(e.position, [2.0, 2.0])
+        for x in inits:
+            assert np.array_equal(x, [2.0, 2.0])
 
     def test_init_position_outside_box_rejected(self):
         obj = self.budget(dim=2)
@@ -376,6 +382,21 @@ class TestBipRun:
         cfg = BipConfig(seed=0, min_scale=1.0, success_threshold=0.0)
         out = BipRun(obj, cfg).run()
         assert out.evals_used < 100_000
+
+    @pytest.mark.parametrize("function, seed, overrides", [
+        ("F4", 3, {"k": 2}),
+        ("double_well", 0, {"k": 2, "bounds_policy": "reflect"}),
+    ])
+    def test_scale_past_the_floats_ends_the_run(self, function, seed, overrides):
+        # two particles collapse nearly every sweep, so the divisor's power
+        # passes 2.0 ** 1024 within the budget
+        max_fes = 5000
+        out = run_single("bip", function, 1, max_fes=max_fes, seed=seed,
+                         success_threshold=0.0, overrides=overrides)
+        assert out.evals_used <= max_fes
+        errors = [e for _, e in out.error_trace]
+        assert all(b <= a for a, b in zip(errors, errors[1:]))
+        assert math.isfinite(out.final_error)
 
     def test_success_threshold_stops_early(self):
         obj = self.budget(dim=10, max_fes=50_000)

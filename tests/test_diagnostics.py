@@ -24,7 +24,18 @@ from bareopt.diagnostics import (
     transmission_trace,
     wave_modulus,
 )
-from bareopt.records import INIT, REJECT, SCALE_HALVE, EventBatch
+from bareopt.records import (
+    ACCEPT_BETTER,
+    ACCEPT_TUNNEL,
+    EVENT_KINDS,
+    INIT,
+    MEAN_REPLACE,
+    REJECT,
+    SCALE_HALVE,
+    EventBatch,
+)
+
+SETS_POSITION = (INIT, ACCEPT_BETTER, ACCEPT_TUNNEL, MEAN_REPLACE)
 
 
 def synthetic_log(points, dim=2, low=-4.0, high=4.0, amplitude=1.0):
@@ -47,8 +58,8 @@ def synthetic_log(points, dim=2, low=-4.0, high=4.0, amplitude=1.0):
 class TestRecordRun:
     def test_one_record_per_evaluation_at_most(self):
         out, log = record_run("bip", "F7", 3, max_fes=500, seed=0)
-        position_bearing = [e for e in log.events if e.kind != "scale-halve"]
-        assert len(position_bearing) == out.evals_used <= 500
+        position_bearing = log.events.column("kind") != SCALE_HALVE
+        assert np.count_nonzero(position_bearing) == out.evals_used <= 500
 
     def test_figure_protocol_replays_its_setup(self):
         out, log = record_run(
@@ -58,10 +69,11 @@ class TestRecordRun:
         assert log.algorithm == "bip" and log.function == "double_well"
         assert log.dim == 2 and log.seed == 0 and log.amplitude == 1.0
         assert np.all(log.lower_bound == -4.0) and np.all(log.upper_bound == 4.0)
-        inits = [e for e in log.events if e.kind == "init"]
+        inits = np.concatenate([b.position[b.kind == INIT] for b in log.events.batches
+                                if b.position is not None])
         assert len(inits) == 5
-        for e in inits:
-            assert np.array_equal(e.position, [2.0, 2.0])
+        for x in inits:
+            assert np.array_equal(x, [2.0, 2.0])
         assert out.evals_used == 200
 
     def test_disabled_tunneling_never_tunnels(self):
@@ -70,7 +82,7 @@ class TestRecordRun:
             overrides={"k": 5, "amplitude_a": 0.0}, init_position=(2.0, 2.0),
         )
         assert log.amplitude == 0.0
-        assert all(e.kind != "accept-tunnel" for e in log.events)
+        assert np.all(log.events.column("kind") != ACCEPT_TUNNEL)
         assert transmission_trace(log) == []
 
     def test_baseline_runs_are_recordable(self):
@@ -81,26 +93,25 @@ class TestRecordRun:
     def test_final_population_tracks_last_accepted_move(self):
         _, log = record_run("bip", "F7", 2, max_fes=400, seed=2,
                             overrides={"k": 4})
-        final = log.final_population()
-        assert set(final) == {0, 1, 2, 3}
-        for i, e in final.items():
-            later = [x for x in log.events
-                     if x.particle == i and x.kind in
-                     ("init", "accept-better", "accept-tunnel", "mean-replace")]
-            np.testing.assert_equal(vars(later[-1]), vars(e))
+        particles, positions, fitness = log.final_population()
+        assert set(particles.tolist()) == {0, 1, 2, 3}
+        # each particle's last row of a kind that sets its position, walking
+        # the batches in order
+        later = {}
+        for b in log.events.batches:
+            for r in np.flatnonzero(np.isin(b.kind, SETS_POSITION)):
+                later[int(b.particle[r])] = (b.position[r], b.fitness[r])
+        assert list(later) == particles.tolist()
+        for (x, f), got_x, got_f in zip(later.values(), positions, fitness):
+            np.testing.assert_equal(got_x, x)
+            assert got_f == f
 
-    def test_event_log_counts_and_indexes_like_the_list_it_replaced(self):
+    def test_iterated_rows_name_the_kind_column(self):
+        # bench's log check counts evaluations by iterating the log
         _, log = record_run("bip", "F7", 2, max_fes=300, seed=0, overrides={"k": 4})
-        events = list(log.events)
-        assert len(log.events) == len(events) > 300  # scale-halve markers included
-        for i in (0, 7, -1, -len(events)):
-            np.testing.assert_equal(vars(log.events[i]), vars(events[i]))
-        picked = log.events[3:40:3]
-        assert len(picked) == 13
-        for a, b in zip(picked, events[3:40:3]):
-            np.testing.assert_equal(vars(a), vars(b))
-        with pytest.raises(IndexError):
-            log.events[len(events)]
+        kinds = [e.kind for e in log.events]
+        assert len(kinds) == len(log.events) > 300  # scale-halve markers included
+        assert kinds == [EVENT_KINDS[k] for k in log.events.column("kind").tolist()]
 
 
 class TestWaveModulus:
@@ -170,14 +181,16 @@ class TestTransmissionTrace:
         _, log = record_run("bip", "F7", 3, max_fes=2000, seed=3)
         trace = transmission_trace(log)
         assert trace, "expected tunneling decisions on a hot start"
-        traced = {e.eval_index: e for e in log.events
-                  if e.kind in ("accept-tunnel", "reject")}
+        decided = np.flatnonzero(np.isin(log.events.column("kind"), (ACCEPT_TUNNEL, REJECT)))
+        traced = dict(zip(log.events.column("index")[decided].tolist(), decided.tolist()))
+        delta_f, delta_x = log.events.column("delta_f"), log.events.column("delta_x")
+        gamma = np.concatenate([np.full(len(b), b.gamma) for b in log.events.batches])
         for idx, prob in trace:
-            e = traced[idx]
-            assert prob == e.probability
-            if e.gamma > 0:
+            r = traced[idx]
+            assert prob == log.events.column("probability")[r]
+            if gamma[r] > 0:
                 assert prob == pytest.approx(
-                    tunneling_probability(e.delta_f, e.delta_x, e.gamma, 1.0),
+                    tunneling_probability(delta_f[r], delta_x[r], gamma[r], 1.0),
                     rel=1e-12,
                 )
 
@@ -192,10 +205,13 @@ class TestSummaries:
     def test_expected_solution_value_matches_population_mean(self):
         _, log = record_run("bip", "F7", 2, max_fes=600, seed=5)
         esv = expected_solution_value(log)
-        final = log.final_population()
-        assert esv == pytest.approx(
-            np.mean([e.fitness for e in final.values()]), rel=1e-12
-        )
+        held = np.isin(log.events.column("kind"), SETS_POSITION)
+        particle = log.events.column("particle")[held]
+        fitness = log.events.column("fitness")[held]
+        last = [np.flatnonzero(particle == i)[-1] for i in np.unique(particle)]
+        assert esv == pytest.approx(np.mean(fitness[last]), rel=1e-12)
+        _, _, final_fitness = log.final_population()
+        assert np.array_equal(np.sort(final_fitness), np.sort(fitness[last]))
 
     def test_expected_solution_value_against_objective(self):
         _, log = record_run("bip", "F7", 2, max_fes=600, seed=5)
@@ -235,7 +251,7 @@ class TestExports:
         assert len(rows) == 1 + len(log.events)
         first = rows[1]
         assert first[2] == "init" and float(first[9]) == pytest.approx(
-            log.events[0].position[0]
+            log.events.batches[0].position[0, 0]
         )
 
     @settings(max_examples=60, deadline=None)
@@ -245,7 +261,7 @@ class TestExports:
                                 arrays(np.int64, b[0], elements=st.integers(0, 4)))),
         max_size=6))))
     def test_events_csv_matches_the_csv_module(self, tmp_path_factory, case):
-        # the export before the columnar log: csv.writer over every Event, with
+        # the export before the columnar log: csv.writer over every row, with
         # str() of each float
         dim, batches = case
         log = synthetic_log([], dim=dim)
@@ -267,12 +283,15 @@ class TestExports:
                 "gamma", "sigma", "probability_used", "fitness",
                 *(f"pos_{d}" for d in range(dim)),
             ])
-            for e in log.events:
-                pos = [""] * dim if e.position is None else [str(v) for v in e.position]
-                writer.writerow([
-                    e.eval_index, e.particle, e.kind, str(e.delta_f), str(e.delta_x),
-                    str(e.gamma), str(e.sigma), str(e.probability), str(e.fitness), *pos,
-                ])
+            for b in log.events.batches:
+                for r in range(len(b)):
+                    pos = [""] * dim if b.position is None else [str(v) for v in b.position[r]]
+                    writer.writerow([
+                        b.index[r], b.particle[r], EVENT_KINDS[b.kind[r]],
+                        str(b.delta_f[r].item()), str(b.delta_x[r].item()),
+                        str(b.gamma), str(b.sigma), str(b.probability[r].item()),
+                        str(b.fitness[r].item()), *pos,
+                    ])
         assert (path / "columns.csv").read_bytes() == (path / "events.csv").read_bytes()
 
     def test_histogram_json_round_trip(self, tmp_path):
