@@ -8,6 +8,7 @@ of shape (dim,) or a batch of shape (m, dim) and reduce over the last axis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -216,6 +217,58 @@ def make_benchmark(function_id: int, dim: int) -> ObjectiveSpec:
 # --- double-well landscape ---------------------------------------------------
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4 * sys.float_info.epsilon,
+            maxiter: int = 100) -> float:
+    """A root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4) as scipy's ``brentq`` runs it, step
+    for step, so the root is the same float: xcur is the best estimate, xblk
+    the contrapoint across the root and xpre the previous estimate.  It stops
+    once the bracket is narrower than xtol + rtol*|xcur|.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            # min(b, a) is ``a < b ? a : b``, C's MIN(a, b), even when b is NaN
+            if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations; last x {xcur!r}")
+
+
 @dataclass(frozen=True)
 class DoubleWellParams:
     """Quartic double-well parameters: barrier height v0, well position a, tilt delta."""
@@ -250,15 +303,12 @@ def double_well(params: DoubleWellParams) -> ObjectiveSpec:
         x_star = -a
         per_dim = 0.0
     else:
-        # scipy.optimize costs more to import than the rest of the package
-        from scipy.optimize import brentq
-
         def slope(x):
             return 4.0 * v0 * x * (x * x - a * a) / a ** 4 + delta
 
         if slope(-2.0 * a) >= 0.0:
             raise ValueError("tilt delta is too large, the lower well vanishes")
-        x_star = brentq(slope, -2.0 * a, -a, xtol=1e-14)
+        x_star = _brentq(slope, -2.0 * a, -a, xtol=1e-14)
         per_dim = v0 * (x_star * x_star - a * a) ** 2 / a ** 4 + delta * x_star
 
     lower, upper = _box(params.dim, -2.0 * a, 2.0 * a)
@@ -335,7 +385,8 @@ class BudgetedObjective:
             return np.empty(0)
         if m > self.remaining:
             raise BudgetExhausted(f"batch of {m} exceeds remaining budget {self.remaining}")
-        values = self.spec.evaluate_many(xs)
+        # the shape is checked, so skip spec.evaluate_many's second check
+        values = np.asarray(self.spec._impl(xs), dtype=float)
         self._used += m
         # fmin(NaN, inf) is inf, and fmin(v, inf) is v bit for bit
         return np.fmin(values, math.inf)

@@ -185,6 +185,8 @@ def cmd_experiment(args) -> int:
     for f in funcs:
         get_objective(f, 2)
     dims = [int(d) for d in (args.dims or "10").split(",")]
+    if min(dims) < 1:
+        raise ValueError("--dims must be positive")
     trials = args.trials if args.trials is not None else 20
     if args.max_fes is not None and args.max_fes < 1:
         raise ValueError("--max-fes must be positive")

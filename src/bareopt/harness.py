@@ -8,6 +8,7 @@ reproducible regardless of scheduling.
 from __future__ import annotations
 
 import csv
+import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,13 +188,25 @@ def rank_means(value) -> float:
     return float(getattr(value, "mean", value))
 
 
+def _average_ranks(values) -> list[float]:
+    """1-based ranks, lowest first, with tied values sharing their mean rank.
+
+    A value's rank is the count of values below it plus half of (the count
+    of values equal to it + 1), as ``scipy.stats.rankdata(method="average")``
+    gives it.  NaN ranks after every number, +inf included, and the NaNs tie.
+    """
+    keys = [(True, 0.0) if math.isnan(v) else (False, v) for v in map(float, values)]
+    return [sum(k < key for k in keys) + (sum(k == key for k in keys) + 1) / 2
+            for key in keys]
+
+
 def rank_algorithms(stats: dict, group) -> RankingTable:
     """Average-rank comparison over a function group.
 
     ``stats`` maps (algorithm, function) to AggregateStats or a raw mean
     error.  Every algorithm must cover every function in ``group``; a
-    missing cell raises.  Lower mean error ranks better; exact ties share
-    the averaged rank.
+    missing cell raises.  Lower mean error ranks better, a NaN mean ranks
+    worst; exact ties share the averaged rank.
     """
     group = tuple(group)
     if not group:
@@ -204,9 +217,6 @@ def rank_algorithms(stats: dict, group) -> RankingTable:
             algorithms.append(algo)
     if not algorithms:
         raise ValueError("stats is empty")
-    # scipy.stats costs more to import than the rest of the package
-    from scipy.stats import rankdata
-
     ranks: dict = {}
     totals = {a: 0.0 for a in algorithms}
     for fn in group:
@@ -215,10 +225,9 @@ def rank_algorithms(stats: dict, group) -> RankingTable:
             if (algo, fn) not in stats:
                 raise ValueError(f"missing cell ({algo}, {fn}) in stats")
             means.append(rank_means(stats[(algo, fn)]))
-        fn_ranks = rankdata(means, method="average")
-        ranks[fn] = {a: float(r) for a, r in zip(algorithms, fn_ranks)}
-        for a, r in zip(algorithms, fn_ranks):
-            totals[a] += float(r)
+        ranks[fn] = dict(zip(algorithms, _average_ranks(means)))
+        for a, r in ranks[fn].items():
+            totals[a] += r
     average = {a: totals[a] / len(group) for a in algorithms}
     return RankingTable(
         algorithms=tuple(algorithms),
@@ -285,12 +294,9 @@ def read_trials_csv(path) -> list[dict]:
 
 def software_versions() -> dict:
     """The software that produced a result, as every output file records it."""
-    # the installed scipy's metadata, so that naming it loads no scipy module
-    from importlib.metadata import version
-
     from . import __version__
     return {"bareopt": __version__, "numpy": np.__version__,
-            "scipy": version("scipy"), "python": platform.python_version()}
+            "python": platform.python_version()}
 
 
 def summary_dict(cell_stats: dict, rankings: dict | None = None, *,

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import bareopt
 from bareopt import cli
@@ -20,7 +19,6 @@ from bareopt.harness import read_trials_csv
 VERSIONS = {
     "bareopt": bareopt.__version__,
     "numpy": np.__version__,
-    "scipy": scipy.__version__,
     "python": platform.python_version(),
 }
 
@@ -176,6 +174,8 @@ class TestExperiment:
         assert code == 2
 
     @pytest.mark.parametrize("flag, value, message", [
+        ("--dims", "0", "--dims must be positive"),
+        ("--dims", "2,-1", "--dims must be positive"),
         ("--max-fes", "0", "--max-fes must be positive"),
         ("--max-fes", "-5", "--max-fes must be positive"),
         ("--trials", "0", "--trials must be positive"),
@@ -185,8 +185,8 @@ class TestExperiment:
     def test_an_empty_grid_is_refused_before_any_output(self, tmp_path, capsys,
                                                         flag, value, message):
         out = tmp_path / "results"
-        args = {"--max-fes": "100", "--trials": "1", flag: value}
-        code = main(["experiment", "--algos", "gbde", "--funcs", "F7", "--dims", "2",
+        args = {"--dims": "2", "--max-fes": "100", "--trials": "1", flag: value}
+        code = main(["experiment", "--algos", "gbde", "--funcs", "F7",
                      *(x for kv in args.items() for x in kv), "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
@@ -299,6 +299,29 @@ class TestRank:
         assert code == 0
         payload = json.loads((tmp_path / "ranks.json").read_text())
         assert payload["average_rank"] == {"a": 1.5, "b": 1.5}
+
+    def test_a_nan_error_ranks_last_and_the_json_stays_valid(self, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "algorithm,function,dim,seed,final_error,evals_used,succeeded\n"
+            "a,F7,2,0,nan,10,false\n"
+            "b,F7,2,0,inf,10,false\n"
+            "c,F7,2,0,1.0,10,false\n"
+            "a,F8,2,0,1.0,10,false\n"
+            "b,F8,2,0,2.0,10,false\n"
+            "c,F8,2,0,3.0,10,false\n"
+        )
+        code = main(["rank", "--csv", str(path), "--group", "F7,F8",
+                     "--out", str(tmp_path)])
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"bare {constant} is not JSON")
+
+        payload = json.loads((tmp_path / "ranks.json").read_text(),
+                             parse_constant=refuse)
+        assert payload["ranks"]["F7"] == {"a": 3.0, "b": 2.0, "c": 1.0}
+        assert payload["average_rank"] == {"a": 2.0, "b": 2.0, "c": 2.0}
 
     def test_malformed_csv_names_the_line(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"

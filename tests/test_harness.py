@@ -154,6 +154,13 @@ class TestRanking:
         table = rank_algorithms(stats, group=["F1"])
         assert table.ranks["F1"] == {"a": 1.5, "b": 1.5, "c": 3.0}
 
+    def test_nan_ranks_after_inf_and_the_nans_tie(self):
+        stats = {("a", "F1"): math.nan, ("b", "F1"): math.inf,
+                 ("c", "F1"): 1.0, ("d", "F1"): math.nan}
+        table = rank_algorithms(stats, group=["F1"])
+        assert table.ranks["F1"] == {"a": 3.5, "b": 2.0, "c": 1.0, "d": 3.5}
+        assert table.average == table.ranks["F1"]
+
     def test_accepts_aggregate_stats_values(self):
         stats = {
             ("a", "F1"): AggregateStats(best=0.0, mean=1.0, std=0.0, sr=1.0, n_trials=2),
