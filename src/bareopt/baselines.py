@@ -4,7 +4,9 @@ All three, and the multi-scale sampler, run on ``RunScaffold``: a metered
 objective, a seeded generator, one best-so-far record (an ``ErrorTrace``:
 the best point, its error and a bounded error curve), an optional
 ``EventLog`` for its events, and a config that carries the seed and the
-success threshold.  Sampling positions are clamped to the box.
+success threshold.  Every evaluated step is booked through ``_book``, which
+logs each algorithm's moves with one Δf, kind and probability rule.
+Sampling positions are clamped to the box.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .benchmarks import BudgetedObjective
 from .records import (
     ACCEPT_BETTER,
+    ACCEPT_TUNNEL,
     INIT,
     REJECT,
     ErrorTrace,
@@ -98,6 +101,15 @@ def _row_norms(d):
     return np.sqrt(np.vecdot(d, d))
 
 
+def _fitness_gap(new_f, old_f):
+    """Delta f of each move, ``new_f - old_f``, with equal values giving +0.0.
+
+    Two equal infinities are an equal move, not inf - inf = NaN (which would
+    also warn).  Any other pair keeps the bits of the plain difference.
+    """
+    return np.subtract(new_f, old_f, out=np.zeros(len(new_f)), where=new_f != old_f)
+
+
 def _clamped_cr(rng, m, mean, std):
     """Per-individual crossover rates, clipped into [0, 1]."""
     return np.clip(rng.normal(mean, std, size=m), 0.0, 1.0)
@@ -114,8 +126,9 @@ class RunScaffold:
     tunneling width emit NaN for both in their events; the multi-scale
     sampler sets ``gamma`` and ``sigma_s`` on itself.
 
-    ``events`` is None or an ``EventLog``, which receives each step's
-    events as one ``EventBatch``.
+    Every evaluated step, the initial population included, is booked by one
+    ``_book`` call, which also hands ``events`` (None or an ``EventLog``)
+    the step's events as one ``EventBatch``.
 
     Each subclass names its algorithm and its config class; a run built
     without a config uses that class's defaults.
@@ -141,18 +154,6 @@ class RunScaffold:
         self.trace = ErrorTrace(spec.optimum_value)
         self.finished = False
 
-    def _emit(self, first, particle, kind, delta_f, delta_x, probability,
-              position, fitness):
-        """Hand one step's events to the event log.
-
-        Rows are the evaluations ``first``, ``first + 1``, ...; every argument
-        but ``first`` is a column with one entry per row, and ``position`` is
-        (rows, dim) or None.  The arrays must not change afterwards.
-        """
-        self.events.add(EventBatch(np.arange(first, first + len(fitness)), particle,
-                                   kind, delta_f, delta_x, float(self.gamma),
-                                   float(self.sigma_s), probability, position, fitness))
-
     def _sweep_size(self, pop) -> int:
         """How many of ``pop`` proposals the next step may evaluate; 0 once
         the run is over (a spent budget ends it here)."""
@@ -163,9 +164,35 @@ class RunScaffold:
             self.finished = True
         return m
 
-    def _record(self, first, xs, fs) -> bool:
-        """Book a step's evaluations ``first``, ``first + 1``, ... at ``xs`` in
-        the trace, and check for a stop.  Returns whether the run goes on."""
+    def _book(self, xs, fs, taken, old_x, old_f, *, kind=None, particle=None,
+              delta_f=None, delta_x=None, probs=None) -> bool:
+        """Book the run's last ``len(fs)`` evaluations, at ``xs``, in the trace
+        and the event log, and check for a stop; returns whether the run goes on.
+
+        ``taken`` marks the moves made from ``old_x`` at ``old_f``, both read
+        before the step changes them.  Δf is ``_fitness_gap(fs, old_f)`` and
+        Δx the norm of ``xs - old_x`` unless given.  A taken move that does not
+        worsen the fitness is accept-better, a taken worsening one
+        accept-tunnel, any other a reject, unless the step names its ``kind``.
+        The probability is ``taken``, with the worsening rows set to ``probs``
+        where given.  The arrays must not change afterwards.
+        """
+        first = self.objective.evals_used - len(fs) + 1
+        if self.events is not None:
+            if delta_f is None:
+                delta_f = _fitness_gap(fs, old_f)
+            if delta_x is None:
+                delta_x = _row_norms(xs - old_x)
+            worse = ~(delta_f <= 0)  # a NaN gap ranks as worsening
+            probability = taken.astype(float)
+            if probs is not None:
+                probability[worse] = probs
+            kinds = (np.where(taken, np.where(worse, ACCEPT_TUNNEL, ACCEPT_BETTER), REJECT)
+                     if kind is None else np.full(len(fs), kind))
+            self.events.add(EventBatch(
+                np.arange(first, first + len(fs)),
+                np.arange(len(fs)) if particle is None else particle, kinds, delta_f,
+                delta_x, float(self.gamma), float(self.sigma_s), probability, xs, fs))
         self.trace.extend(first, xs, fs)
         # a NaN error (no best point yet) compares False
         if self.trace.error <= self.config.success_threshold or self.objective.remaining == 0:
@@ -186,13 +213,9 @@ class RunScaffold:
         fitness = np.full(count, math.nan)
         m = self._sweep_size(count)
         if m > 0:
-            fs = self.objective.evaluate_many(positions[:m])
-            fitness[:m] = fs
-            if self.events is not None:
-                zeros = np.zeros(m)
-                self._emit(1, np.arange(m), np.full(m, INIT), zeros, zeros,
-                           np.ones(m), positions[:m].copy(), fs)
-            self._record(1, positions[:m], fs)
+            xs = positions[:m].copy()  # the population moves on; its log rows stay
+            fitness[:m] = fs = self.objective.evaluate_many(xs)
+            self._book(xs, fs, np.ones(m, dtype=bool), xs, fs, kind=INIT)
         return positions, fitness
 
     def step(self) -> bool:
@@ -233,16 +256,12 @@ class BbpsoRun(RunScaffold):
         m = self._sweep_size(self.config.np_)
         if m == 0:
             return False
-        first = self.objective.evals_used + 1
         mid = 0.5 * (self.pbest[:m] + self.gbest)
         sd = np.abs(self.pbest[:m] - self.gbest)
         samples = np.clip(self.rng.normal(mid, sd), self.lower, self.upper)
         fs = self.objective.evaluate_many(samples)
         improved = fs < self.pbest_f[:m]
-        if self.events is not None:
-            self._emit(first, np.arange(m), np.where(improved, ACCEPT_BETTER, REJECT),
-                       fs - self.pbest_f[:m], _row_norms(samples - self.pbest[:m]),
-                       improved.astype(float), samples, fs)
+        going = self._book(samples, fs, improved, self.pbest[:m], self.pbest_f[:m])
         self.positions[:m] = samples
         self.pbest[:m][improved] = samples[improved]
         self.pbest_f[:m][improved] = fs[improved]
@@ -250,7 +269,7 @@ class BbpsoRun(RunScaffold):
         if self.pbest_f[g] < self.gbest_f:
             self.gbest = self.pbest[g].copy()
             self.gbest_f = float(self.pbest_f[g])
-        return self._record(first, samples, fs)
+        return going
 
 
 class BbfwaRun(RunScaffold):
@@ -274,7 +293,6 @@ class BbfwaRun(RunScaffold):
         m = self._sweep_size(cfg.np_)
         if m == 0:
             return False
-        first = self.objective.evals_used + 1
         n = self.objective.spec.dim
         sparks = self.center + self.rng.uniform(-self.amplitude, self.amplitude,
                                                 size=(m, n))
@@ -282,12 +300,10 @@ class BbfwaRun(RunScaffold):
         fs = self.objective.evaluate_many(sparks)
         j = int(np.argmin(fs))
         improved = fs[j] < self.center_f
-        if self.events is not None:
-            taken = np.zeros(m, dtype=bool)
-            taken[j] = improved
-            self._emit(first, np.zeros(m, dtype=int),
-                       np.where(taken, ACCEPT_BETTER, REJECT), fs - self.center_f,
-                       _row_norms(sparks - self.center), taken.astype(float), sparks, fs)
+        taken = np.zeros(m, dtype=bool)
+        taken[j] = improved
+        going = self._book(sparks, fs, taken, self.center, self.center_f,
+                           particle=np.zeros(m, dtype=int))
         if improved:
             self.center = sparks[j].copy()
             self.center_f = float(fs[j])
@@ -296,7 +312,7 @@ class BbfwaRun(RunScaffold):
             # a tie counts as no improvement
             self.amplitude = self.amplitude * cfg.amp_shrink
         self.amplitude = np.clip(self.amplitude, cfg.amp_floor, self.span)
-        return self._record(first, sparks, fs)
+        return going
 
 
 class GbdeRun(RunScaffold):
@@ -312,7 +328,6 @@ class GbdeRun(RunScaffold):
         m = self._sweep_size(cfg.np_)
         if m == 0:
             return False
-        first = self.objective.evals_used + 1
         n = self.objective.spec.dim
         b = int(np.argmin(self.fitness))
         best = self.positions[b]
@@ -327,11 +342,8 @@ class GbdeRun(RunScaffold):
         trials = np.where(cross, mutants, self.positions[:m])
         fs = self.objective.evaluate_many(trials)
         selected = fs <= self.fitness[:m]
-        if self.events is not None:
-            self._emit(first, np.arange(m), np.where(selected, ACCEPT_BETTER, REJECT),
-                       fs - self.fitness[:m], _row_norms(trials - self.positions[:m]),
-                       selected.astype(float), trials, fs)
+        going = self._book(trials, fs, selected, self.positions[:m], self.fitness[:m])
         self.positions[:m][selected] = trials[selected]
         self.fitness[:m][selected] = fs[selected]
-        return self._record(first, trials, fs)
+        return going
 

@@ -16,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import RunScaffold
+from .baselines import RunScaffold, _fitness_gap
 # bench/tracing.py patches bip.build_outcome, so the name must stay importable
-from .records import (  # noqa: F401
-    ACCEPT_BETTER,
-    ACCEPT_TUNNEL,
-    MEAN_REPLACE,
-    REJECT,
-    SCALE_HALVE,
-    build_outcome,
-)
+from .records import MEAN_REPLACE, SCALE_HALVE, EventBatch, build_outcome  # noqa: F401
 
 __all__ = [
     "BipConfig",
@@ -198,15 +191,6 @@ def anneal_gamma(gamma0: float, ac: int, tau: float = 1.0) -> float:
     return float(gamma0) * math.exp(-ac / tau)
 
 
-def _fitness_gap(new_f, old_f):
-    """Delta f of each move, ``new_f - old_f``, with equal values giving +0.0.
-
-    Two equal infinities are an equal move, not inf - inf = NaN (which would
-    also warn).  Any other pair keeps the bits of the plain difference.
-    """
-    return np.subtract(new_f, old_f, out=np.zeros(len(new_f)), where=new_f != old_f)
-
-
 class BipRun(RunScaffold):
     """One seeded run of the multi-scale sampler over a metered objective.
 
@@ -249,7 +233,6 @@ class BipRun(RunScaffold):
         if m == 0:
             return False
 
-        first_index = self.objective.evals_used + 1
         current = self.positions[:m]
         candidates = gaussian_step(
             current, self.sigma_s, self.rng, self.lower, self.upper, cfg.bounds_policy
@@ -259,22 +242,13 @@ class BipRun(RunScaffold):
         d = candidates - current
         delta_x = np.sqrt(np.add.reduce(d * d, axis=1))
         accept, probs = accept_moves(delta_f, delta_x, self.gamma, cfg.amplitude_a, self.rng)
-
-        if self.events is not None:
-            better = delta_f <= 0
-            prob = better.astype(float)
-            if probs is not None:
-                prob[~better] = probs
-            kind = np.where(better, ACCEPT_BETTER,
-                            np.where(accept, ACCEPT_TUNNEL, REJECT))
-            self._emit(first_index, np.arange(m), kind, delta_f, delta_x, prob,
-                       candidates, cand_f)
-
+        going = self._book(candidates, cand_f, accept, current, self.fitness[:m],
+                           delta_f=delta_f, delta_x=delta_x, probs=probs)
         np.copyto(current, candidates, where=accept[:, None])
         np.copyto(self.fitness[:m], cand_f, where=accept)
         self.ac += 1
         self.gamma = anneal_gamma(self.gamma0, self.ac, cfg.anneal_tau)
-        if not self._record(first_index, candidates, cand_f):
+        if not going:
             return False
         if m == k and ground_state_reached(self.positions, self.sigma_s):
             self._transition_scale()
@@ -287,18 +261,14 @@ class BipRun(RunScaffold):
             # one metered evaluation (remaining >= 1 is guaranteed by step()):
             # the mean of the whole population, worst included, before anything
             # is replaced; ties for worst go to the lowest index
-            eval_index = self.objective.evals_used + 1
             mean_x = self.positions.mean(axis=0)
             mean_f = self.objective.evaluate(mean_x)
             worst = int(np.argmax(self.fitness))
-            if self.events is not None:
-                self._emit(eval_index, np.array([worst]), np.array([MEAN_REPLACE]),
-                           _fitness_gap(np.array([mean_f]), self.fitness[worst:worst + 1]),
-                           np.array([np.linalg.norm(mean_x - self.positions[worst])]),
-                           np.ones(1), mean_x[None, :], np.array([mean_f]))
+            self._book(mean_x[None, :], np.array([mean_f]), np.ones(1, dtype=bool),
+                       self.positions[worst], self.fitness[worst], kind=MEAN_REPLACE,
+                       particle=np.array([worst]))
             self.positions[worst] = mean_x
             self.fitness[worst] = mean_f
-            self._record(eval_index, mean_x[None, :], np.array([mean_f]))
 
         self.scale_index += 1
         try:
@@ -310,9 +280,11 @@ class BipRun(RunScaffold):
         self.gamma0 = self.sigma_s
         self.gamma = self.sigma_s
         if self.events is not None:
-            self._emit(self.objective.evals_used, np.array([-1]), np.array([SCALE_HALVE]),
-                       np.zeros(1), np.zeros(1), np.ones(1), None, np.array([math.nan]))
-        # only the mean's evaluation, booked by _record above, can end the run here
+            self.events.add(EventBatch(
+                np.array([self.objective.evals_used]), np.array([-1]), np.array([SCALE_HALVE]),
+                np.zeros(1), np.zeros(1), float(self.gamma), float(self.sigma_s), np.ones(1),
+                None, np.array([math.nan])))
+        # only the mean's evaluation, booked above, can end the run here
         if cfg.min_scale > 0 and self.sigma_s < cfg.min_scale:
             self.finished = True
 

@@ -40,7 +40,8 @@ _PRESETS = {
 }
 
 def _parse_funcs(text: str) -> list[str]:
-    """Expand a comma list with F-ranges, e.g. 'F1-F3,F7' -> F1 F2 F3 F7."""
+    """Expand a comma list with F-ranges, e.g. 'F1-F3,F7' -> F1 F2 F3 F7, and
+    keep each name once, where it first appears."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -54,7 +55,7 @@ def _parse_funcs(text: str) -> list[str]:
             out.append(part)
     if not out:
         raise ValueError("no functions given")
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _parse_group(text: str, available) -> list[str]:
@@ -177,14 +178,14 @@ def cmd_experiment(args) -> int:
             args.trials = preset["trials"]
         if args.max_fes is None:
             args.max_fes = preset["max_fes"]
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    # a repeated grid entry would run its cells again: keep the first of each
+    algos = list(dict.fromkeys(a.strip() for a in args.algos.split(",") if a.strip()))
     for a in algos:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}; known: {ALGORITHMS}")
-    funcs = _parse_funcs(args.funcs)
-    for f in funcs:
-        get_objective(f, 2)
-    dims = [int(d) for d in (args.dims or "10").split(",")]
+    # the registry's spelling of each name, so F7 and f7 are one cell
+    funcs = list(dict.fromkeys(get_objective(f, 2).name for f in _parse_funcs(args.funcs)))
+    dims = list(dict.fromkeys(int(d) for d in (args.dims or "10").split(",")))
     if min(dims) < 1:
         raise ValueError("--dims must be positive")
     trials = args.trials if args.trials is not None else 20

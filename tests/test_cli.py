@@ -168,6 +168,23 @@ class TestExperiment:
         rows = read_trials_csv(tmp_path / "trials.csv")
         assert {r["function"] for r in rows} == {"F1", "F2", "F3"}
 
+    @pytest.mark.parametrize("flag, value, cells", [
+        ("--algos", "gbde,bbpso,gbde", [("gbde", "F7", 2), ("bbpso", "F7", 2)]),
+        ("--funcs", "F7,F6-F8,f6", [("gbde", "F7", 2), ("gbde", "F6", 2), ("gbde", "F8", 2)]),
+        ("--dims", "2,3,2", [("gbde", "F7", 2), ("gbde", "F7", 3)]),
+    ])
+    def test_a_repeated_grid_entry_runs_once(self, tmp_path, flag, value, cells):
+        args = {"--algos": "gbde", "--funcs": "F7", "--dims": "2", flag: value}
+        code = main(["experiment", *(x for kv in args.items() for x in kv),
+                     "--trials", "2", "--max-fes", "50", "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_trials_csv(tmp_path / "trials.csv")
+        # one row per trial (base seed 1), cells in order of first appearance
+        assert [(r["algorithm"], r["function"], r["dim"], r["seed"]) for r in rows] == [
+            (*cell, seed) for cell in cells for seed in (1, 2)]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [(c["algorithm"], c["function"], c["dim"]) for c in summary["cells"]] == cells
+
     def test_bad_algorithm_list(self, capsys):
         code = main(["experiment", "--algos", "bip,annealer", "--funcs", "F7",
                      "--dims", "2", "--trials", "1", "--max-fes", "100"])

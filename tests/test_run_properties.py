@@ -7,10 +7,11 @@ reports a best-so-far curve that never rises and ends at the last
 evaluation.  A constant objective, where every move ties, is held to the
 same invariants, and so is one that is NaN or +inf over half the box, where
 every run must still report a best point and a curve without NaN, and warn
-nothing; the NaN half gives the +inf half's outcome exactly.  An outcome
-taken mid-run is a snapshot the rest of the run leaves alone.  Recording
-events leaves the outcome as it is, and every column of a recorded log has
-one row per event, with one evaluated row per evaluation in order.
+nothing, and log no NaN gap; the NaN half gives the +inf half's outcome
+exactly.  An outcome taken mid-run is a snapshot the rest of the run leaves
+alone.  Recording events leaves the outcome as it is, every column of a
+recorded log has one row per event, with one evaluated row per evaluation in
+order, and every algorithm's rows follow one kind and probability rule.
 """
 
 import math
@@ -30,7 +31,15 @@ from bareopt.benchmarks import (
 from bareopt.bip import BOUNDS_POLICIES, BipConfig, BipRun
 from bareopt.diagnostics import record_run
 from bareopt.harness import REGISTRY, run_single
-from bareopt.records import SCALE_HALVE
+from bareopt.records import (
+    ACCEPT_BETTER,
+    ACCEPT_TUNNEL,
+    INIT,
+    MEAN_REPLACE,
+    REJECT,
+    SCALE_HALVE,
+    EventLog,
+)
 
 # the smallest population each algorithm accepts
 MINIMAL = {
@@ -137,18 +146,20 @@ def test_nan_evaluations_leave_a_best_point_and_a_curve(variant):
     """NaN and +inf alike: a best point, a finite error, no NaN in the curve,
     and no runtime warning (inf - inf in a fitness gap would raise one).  The
     metered objective reports NaN as +inf, so every decision ranks a NaN as
-    worst and both runs give the same outcome."""
+    worst and both runs give the same outcome.  A recorded run gives that
+    outcome too, and logs no NaN gap: a move from +inf to +inf has gap 0."""
     algorithm, policy = variant
     outcomes = []
     for fill in (np.nan, np.inf):
         spec = half_sphere(fill)
 
-        def run():
+        def run(events=None):
             run_cls = REGISTRY[algorithm]
             config = (BipConfig(bounds_policy=policy) if run_cls is BipRun
                       else run_cls.config_class())
-            return run_cls(BudgetedObjective(spec, 500), config).run()
+            return run_cls(BudgetedObjective(spec, 500), config, events=events).run()
 
+        log = EventLog()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = run()
@@ -156,6 +167,11 @@ def test_nan_evaluations_leave_a_best_point_and_a_curve(variant):
             assert math.isfinite(out.final_error)
             assert not any(math.isnan(e) for _, e in out.error_trace)
             check_invariants(out, spec, 500, run)
+            assert same_outcome(run(log), out)
+        gaps = log.column("delta_f")
+        assert not np.isnan(gaps).any()
+        moves_to_inf = (log.column("kind") != INIT) & np.isinf(log.column("fitness"))
+        assert 0.0 in gaps[moves_to_inf] and set(gaps[moves_to_inf].tolist()) <= {0.0, math.inf}
         outcomes.append(out)
     assert same_outcome(*outcomes)
 
@@ -201,3 +217,13 @@ def test_event_log_columns_cover_every_evaluation(variant, function, dim, max_fe
         assert len(log.events.column(name)) == len(log.events)
     evaluated = log.events.column("index")[log.events.column("kind") != SCALE_HALVE]
     assert evaluated.tolist() == list(range(1, out.evals_used + 1))
+    # one kind and probability rule for every algorithm
+    kind = log.events.column("kind")
+    gap = log.events.column("delta_f")
+    prob = log.events.column("probability")
+    better, tunnel = kind == ACCEPT_BETTER, kind == ACCEPT_TUNNEL
+    assert (gap[better] <= 0).all() and (prob[better] == 1).all()
+    assert algorithm == "bip" or not tunnel.any()
+    assert (gap[tunnel] > 0).all()
+    assert (prob[(kind == INIT) | (kind == MEAN_REPLACE)] == 1).all()
+    assert algorithm == "bip" or (prob[kind == REJECT] == 0).all()
