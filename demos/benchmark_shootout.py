@@ -22,7 +22,6 @@ def main():
     parser.add_argument("--trials", type=int, default=5)
     parser.add_argument("--budget", type=int, default=20_000)
     parser.add_argument("--base-seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
 
     print(f"grid: {len(ALGORITHMS)} algorithms x {len(args.functions)} "
@@ -35,8 +34,7 @@ def main():
             outcomes = run_experiment(algo, fn, args.dim,
                                       n_trials=args.trials,
                                       max_fes=args.budget,
-                                      base_seed=args.base_seed,
-                                      workers=args.workers)
+                                      base_seed=args.base_seed)
             stats[(algo, fn)] = aggregate(outcomes)
 
     header = f"{'function':>9}" + "".join(f"{a:>12}" for a in ALGORITHMS)

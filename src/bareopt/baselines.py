@@ -245,9 +245,7 @@ class BbpsoRun(RunScaffold):
 
     def __init__(self, objective, config=None, *, events=None):
         super().__init__(objective, config, events=events)
-        self.positions, fitness = self._init_population(self.config.np_)
-        self.pbest = self.positions.copy()
-        self.pbest_f = fitness.copy()
+        self.pbest, self.pbest_f = self._init_population(self.config.np_)
         g = int(np.argmin(self.pbest_f))
         self.gbest = self.pbest[g].copy()
         self.gbest_f = float(self.pbest_f[g])
@@ -262,7 +260,6 @@ class BbpsoRun(RunScaffold):
         fs = self.objective.evaluate_many(samples)
         improved = fs < self.pbest_f[:m]
         going = self._book(samples, fs, improved, self.pbest[:m], self.pbest_f[:m])
-        self.positions[:m] = samples
         self.pbest[:m][improved] = samples[improved]
         self.pbest_f[:m][improved] = fs[improved]
         g = int(np.argmin(self.pbest_f))

@@ -210,7 +210,6 @@ class BipRun(RunScaffold):
         self.scale_index = 0
         self.sigma_s = self.span
         self.ac = 0
-        self.gamma0 = self.sigma_s
         self.gamma = self.sigma_s
         k, n = self.config.k, objective.spec.dim
         tiled = None
@@ -247,10 +246,10 @@ class BipRun(RunScaffold):
         np.copyto(current, candidates, where=accept[:, None])
         np.copyto(self.fitness[:m], cand_f, where=accept)
         self.ac += 1
-        self.gamma = anneal_gamma(self.gamma0, self.ac, cfg.anneal_tau)
+        self.gamma = anneal_gamma(self.sigma_s, self.ac, cfg.anneal_tau)
         if not going:
             return False
-        if m == k and ground_state_reached(self.positions, self.sigma_s):
+        if ground_state_reached(self.positions, self.sigma_s):
             self._transition_scale()
         return not self.finished
 
@@ -277,7 +276,6 @@ class BipRun(RunScaffold):
             self.finished = True
             return
         self.ac = 0
-        self.gamma0 = self.sigma_s
         self.gamma = self.sigma_s
         if self.events is not None:
             self.events.add(EventBatch(

@@ -40,8 +40,9 @@ _PRESETS = {
 }
 
 def _parse_funcs(text: str) -> list[str]:
-    """Expand a comma list with F-ranges, e.g. 'F1-F3,F7' -> F1 F2 F3 F7, and
-    keep each name once, where it first appears."""
+    """Expand a comma list with F-ranges, e.g. 'F1-F3,f7' -> F1 F2 F3 F7, in
+    the registry's spelling, so F7 and f7 are one name; each name is kept
+    once, where it first appears."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -55,7 +56,7 @@ def _parse_funcs(text: str) -> list[str]:
             out.append(part)
     if not out:
         raise ValueError("no functions given")
-    return list(dict.fromkeys(out))
+    return list(dict.fromkeys(get_objective(f, 2).name for f in out))
 
 
 def _parse_group(text: str, available) -> list[str]:
@@ -183,8 +184,7 @@ def cmd_experiment(args) -> int:
     for a in algos:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}; known: {ALGORITHMS}")
-    # the registry's spelling of each name, so F7 and f7 are one cell
-    funcs = list(dict.fromkeys(get_objective(f, 2).name for f in _parse_funcs(args.funcs)))
+    funcs = _parse_funcs(args.funcs)
     dims = list(dict.fromkeys(int(d) for d in (args.dims or "10").split(",")))
     if min(dims) < 1:
         raise ValueError("--dims must be positive")
@@ -214,7 +214,6 @@ def cmd_experiment(args) -> int:
                         n_trials=trials, max_fes=max_fes,
                         base_seed=args.base_seed,
                         success_threshold=args.success_threshold,
-                        workers=args.workers,
                     )
                 except ValueError as exc:  # a bad cell; keep the grid going
                     failures.append({"algorithm": algo, "function": func,
@@ -351,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="budget per trial (default 10000*dim)")
     p_exp.add_argument("--base-seed", type=int, default=1)
     p_exp.add_argument("--success-threshold", type=float, default=1e-8)
-    p_exp.add_argument("--workers", type=int, default=1,
-                       help="accepted; trials currently run one after another, in order")
     p_exp.add_argument("--preset", choices=sorted(_PRESETS), default=None)
     p_exp.add_argument("--out", type=str, default="results")
     p_exp.set_defaults(func_cmd=cmd_experiment)

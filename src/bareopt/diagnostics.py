@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import BudgetedObjective, ObjectiveSpec, get_objective
+from .benchmarks import get_objective
 from .harness import build_config, run_single
 from .records import (
     ACCEPT_TUNNEL,
@@ -205,21 +205,12 @@ def transmission_trace(log: TrajectoryLog) -> list[tuple[int, float]]:
                     log.events.column("probability")[decided].tolist()))
 
 
-def expected_solution_value(log: TrajectoryLog, objective=None) -> float:
-    """Mean fitness of the final population snapshot.
-
-    Uses the logged fitness values; pass the objective (spec or metered) to
-    re-evaluate the final positions instead, which must agree.
-    """
-    _, positions, fitness = log.final_population()
+def expected_solution_value(log: TrajectoryLog) -> float:
+    """Mean logged fitness of the final population snapshot."""
+    _, _, fitness = log.final_population()
     if not fitness.size:
         raise ValueError("log holds no population")
-    if objective is None:
-        return float(np.mean(fitness))
-    spec = objective.spec if isinstance(objective, BudgetedObjective) else objective
-    if not isinstance(spec, ObjectiveSpec):
-        raise TypeError("objective must be an ObjectiveSpec or BudgetedObjective")
-    return float(np.mean(spec.evaluate_many(positions)))
+    return float(np.mean(fitness))
 
 
 def replay_best(log: TrajectoryLog) -> list[tuple[int, float]]:

@@ -32,7 +32,6 @@ __all__ = [
     "run_experiment",
     "aggregate",
     "rank_algorithms",
-    "rank_means",
     "write_trials_csv",
     "read_trials_csv",
     "summary_dict",
@@ -97,10 +96,7 @@ def run_single(
         kwargs["init_position"] = init_position
     spec = get_objective(function, dim)
     objective = BudgetedObjective(spec, max_fes)
-    outcome = REGISTRY[algorithm](objective, config, events=events, **kwargs).run()
-    # report under the registry name the caller used
-    outcome.function = spec.name
-    return outcome
+    return REGISTRY[algorithm](objective, config, events=events, **kwargs).run()
 
 
 def run_experiment(
@@ -117,8 +113,9 @@ def run_experiment(
 ) -> list[TrialOutcome]:
     """Run n_trials seeded trials of one grid cell, in trial order.
 
-    Trial i uses seed base_seed + i.  ``workers`` is accepted but currently
-    has no effect: the trials run one after another on the calling thread.
+    Trial i uses seed base_seed + i; the trials run one after another on the
+    calling thread.  ``workers`` has no effect and stays only because the
+    benchmark worker (``bench/worker.py``) still passes it.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -183,11 +180,6 @@ class RankingTable:
         }
 
 
-def rank_means(value) -> float:
-    """Mean error from an AggregateStats or a raw number."""
-    return float(getattr(value, "mean", value))
-
-
 def _average_ranks(values) -> list[float]:
     """1-based ranks, lowest first, with tied values sharing their mean rank.
 
@@ -224,7 +216,8 @@ def rank_algorithms(stats: dict, group) -> RankingTable:
         for algo in algorithms:
             if (algo, fn) not in stats:
                 raise ValueError(f"missing cell ({algo}, {fn}) in stats")
-            means.append(rank_means(stats[(algo, fn)]))
+            cell = stats[(algo, fn)]
+            means.append(float(getattr(cell, "mean", cell)))
         ranks[fn] = dict(zip(algorithms, _average_ranks(means)))
         for a, r in ranks[fn].items():
             totals[a] += r
@@ -301,13 +294,13 @@ def software_versions() -> dict:
 
 def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
                  success_threshold: float, max_fes, n_trials, base_seed,
-                 cell_max_fes: dict | None = None) -> dict:
+                 cell_max_fes: dict) -> dict:
     """Versioned JSON-ready summary of an experiment.
 
     ``cell_stats`` maps (algorithm, function, dim) to AggregateStats;
     ``rankings`` maps a label to a RankingTable.  ``max_fes`` is the budget
-    as requested (None when it defaulted per dim); ``cell_max_fes`` maps a
-    cell to the budget it actually ran with, and defaults to ``max_fes``.
+    as requested (None when it defaulted per dim); ``cell_max_fes`` maps
+    each cell to the budget it actually ran with.
     ``versions`` names the software that produced the numbers.
     """
     cells = []
@@ -316,8 +309,7 @@ def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
             "algorithm": algo,
             "function": fn,
             "dim": dim,
-            "max_fes": (max_fes if cell_max_fes is None
-                        else cell_max_fes[(algo, fn, dim)]),
+            "max_fes": cell_max_fes[(algo, fn, dim)],
             "best": stats.best,
             "mean": stats.mean,
             "std": stats.std,

@@ -40,7 +40,7 @@ BUDGET = 50_000
 def success_count(algorithm, function, threshold, *, max_fes=BUDGET):
     outs = run_experiment(algorithm, function, DIM, n_trials=TRIALS,
                           max_fes=max_fes, base_seed=0,
-                          success_threshold=threshold, workers=4)
+                          success_threshold=threshold)
     return sum(o.final_error < threshold for o in outs)
 
 
@@ -81,7 +81,7 @@ class TestCriterion3MultimodalOrdering:
         for algo in ("bip", "gbde"):
             for fn in group:
                 outs = run_experiment(algo, fn, DIM, n_trials=TRIALS,
-                                      max_fes=100_000, base_seed=0, workers=4)
+                                      max_fes=100_000, base_seed=0)
                 stats[(algo, fn)] = aggregate(outs)
         table = rank_algorithms(stats, group=group)
         gbde, bip = table.average["gbde"], table.average["bip"]

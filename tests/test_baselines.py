@@ -71,7 +71,8 @@ class TestClampedCr:
 class TestBbpso:
     def test_collapsed_swarm_is_stationary(self):
         obj = BudgetedObjective(make_benchmark(7, 3), max_fes=10_000)
-        run = BbpsoRun(obj, BbpsoConfig(np_=6, seed=0))
+        events = EventLog()
+        run = BbpsoRun(obj, BbpsoConfig(np_=6, seed=0), events=events)
         # force every personal best onto the global best: the sampling
         # Gaussian then has zero width everywhere
         run.pbest[:] = run.gbest
@@ -80,7 +81,7 @@ class TestBbpso:
         for _ in range(10):
             run.step()
         assert run.gbest_f == f_before
-        assert np.all(run.positions == run.gbest)
+        assert np.all(events.batches[-1].position == run.gbest)
 
     def test_personal_best_updates_only_on_strict_improvement(self):
         obj = BudgetedObjective(constant_spec(2), max_fes=500)

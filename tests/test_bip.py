@@ -12,6 +12,7 @@ from bareopt.benchmarks import (
     get_objective,
     make_benchmark,
 )
+from bareopt import bip
 from bareopt.bip import (
     BipConfig,
     BipRun,
@@ -349,6 +350,21 @@ class TestBipRun:
         assert math.isnan(out.final_error)
         assert out.evals_used == 0 and not out.succeeded
         assert out.error_trace == []
+
+    def test_a_budget_ending_inside_a_sweep_skips_the_collapse_check(self, monkeypatch):
+        calls = []
+
+        def never_collapsed(positions, sigma_s):
+            calls.append(len(positions))
+            return False
+
+        monkeypatch.setattr(bip, "ground_state_reached", never_collapsed)
+        k = 15
+        # the initial population, three full sweeps, then 7 of the next 15
+        obj = self.budget(max_fes=k + 3 * k + 7)
+        out = BipRun(obj, BipConfig(seed=0, k=k, success_threshold=0.0)).run()
+        assert out.evals_used == k + 3 * k + 7
+        assert calls == [k, k, k]
 
     def test_partial_init_budget(self):
         out = BipRun(self.budget(max_fes=5), BipConfig(seed=0, k=15)).run()

@@ -143,7 +143,7 @@ class TestExperiment:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["experiment", "--algos", "gbde", "--funcs", "F2", "--dims", "2",
-                "--trials", "3", "--max-fes", "300", "--workers", "2"]
+                "--trials", "3", "--max-fes", "300"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
@@ -184,6 +184,38 @@ class TestExperiment:
             (*cell, seed) for cell in cells for seed in (1, 2)]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert [(c["algorithm"], c["function"], c["dim"]) for c in summary["cells"]] == cells
+
+    @pytest.mark.parametrize("flags, calls", [
+        (["--preset", "desk"], [(10, 20, 50000)]),
+        (["--preset", "desk", "--dims", "3"], [(3, 20, 50000)]),
+        (["--preset", "desk", "--trials", "2"], [(10, 2, 50000)]),
+        (["--preset", "desk", "--max-fes", "100"], [(10, 20, 100)]),
+        (["--preset", "full"], [(30, 51, 300000), (60, 51, 600000), (100, 51, 1000000)]),
+    ])
+    def test_a_preset_fills_in_the_flags_not_given(self, tmp_path, monkeypatch,
+                                                   flags, calls):
+        seen = []
+
+        def record(algo, func, dim, *, n_trials, max_fes, **kwargs):
+            seen.append((dim, n_trials, max_fes))
+            raise ValueError("recorded")  # counted as a failed cell
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        code = main(["experiment", "--algos", "gbde", "--funcs", "F7", *flags,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert seen == calls
+
+    def test_desk_preset_runs_with_an_explicit_budget(self, tmp_path):
+        code = main(["experiment", "--preset", "desk", "--algos", "gbde",
+                     "--funcs", "F7", "--max-fes", "100", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_trials"] == 20 and summary["max_fes"] == 100
+        (cell,) = summary["cells"]
+        assert (cell["dim"], cell["n_trials"], cell["max_fes"]) == (10, 20, 100)
+        rows = read_trials_csv(tmp_path / "trials.csv")
+        assert len(rows) == 20 and all(r["dim"] == 10 for r in rows)
 
     def test_bad_algorithm_list(self, capsys):
         code = main(["experiment", "--algos", "bip,annealer", "--funcs", "F7",
@@ -315,6 +347,23 @@ class TestRank:
                      "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "ranks.json").read_text())
+        assert payload["average_rank"] == {"a": 1.5, "b": 1.5}
+
+    @pytest.mark.parametrize("group", ["f7,f8", "f7-f8", "F8,f7"])
+    def test_a_group_is_read_in_the_registry_spelling(self, tmp_path, capsys, group):
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "algorithm,function,dim,seed,final_error,evals_used,succeeded\n"
+            "a,F7,2,0,1.0,10,false\n"
+            "b,F7,2,0,2.0,10,false\n"
+            "a,F8,2,0,4.0,10,false\n"
+            "b,F8,2,0,3.0,10,false\n"
+        )
+        code = main(["rank", "--csv", str(path), "--group", group,
+                     "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "ranks.json").read_text())
+        assert sorted(payload["functions"]) == ["F7", "F8"]
         assert payload["average_rank"] == {"a": 1.5, "b": 1.5}
 
     def test_a_nan_error_ranks_last_and_the_json_stays_valid(self, tmp_path, capsys):

@@ -235,9 +235,11 @@ class TestSummaryDict:
         outs = run_experiment("gbde", "F7", 2, n_trials=2, max_fes=200, base_seed=0)
         stats = {("gbde", "F7", 2): aggregate(outs)}
         summary = summary_dict(stats, success_threshold=1e-8, max_fes=200,
-                               n_trials=2, base_seed=0)
+                               n_trials=2, base_seed=0,
+                               cell_max_fes={("gbde", "F7", 2): 200})
         assert summary["schema_version"] == SUMMARY_SCHEMA_VERSION == 1
         assert summary["n_trials"] == 2 and summary["max_fes"] == 200
         (cell,) = summary["cells"]
         assert cell["algorithm"] == "gbde" and cell["function"] == "F7"
+        assert cell["max_fes"] == 200
         assert {"best", "mean", "std", "sr", "n_trials"} <= set(cell)
