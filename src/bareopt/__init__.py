@@ -38,7 +38,6 @@ from .diagnostics import (
     WaveHistogram,
     expected_solution_value,
     record_run,
-    replay_best,
     transmission_trace,
     wave_modulus,
 )

@@ -8,7 +8,6 @@ of shape (dim,) or a batch of shape (m, dim) and reduce over the last axis.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -217,58 +216,6 @@ def make_benchmark(function_id: int, dim: int) -> ObjectiveSpec:
 # --- double-well landscape ---------------------------------------------------
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4 * sys.float_info.epsilon,
-            maxiter: int = 100) -> float:
-    """A root of ``f`` in [xa, xb], where f(xa) and f(xb) differ in sign.
-
-    Brent's method (Brent 1973, ch. 4) as scipy's ``brentq`` runs it, step
-    for step, so the root is the same float: xcur is the best estimate, xblk
-    the contrapoint across the root and xpre the previous estimate.  It stops
-    once the bracket is narrower than xtol + rtol*|xcur|.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            # min(b, a) is ``a < b ? a : b``, C's MIN(a, b), even when b is NaN
-            if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} iterations; last x {xcur!r}")
-
-
 @dataclass(frozen=True)
 class DoubleWellParams:
     """Quartic double-well parameters: barrier height v0, well position a, tilt delta."""
@@ -284,7 +231,8 @@ def double_well(params: DoubleWellParams) -> ObjectiveSpec:
 
     With delta = 0 the wells at x = -a and x = +a are degenerate with value 0.
     A positive delta tilts the landscape so the negative well becomes the
-    unique global minimum; the stored optimum is located numerically.
+    unique global minimum; the stored optimum is the lowest root of the
+    slope, in closed form.
     """
     if params.dim < 1:
         raise ValueError("dim must be at least 1")
@@ -308,7 +256,17 @@ def double_well(params: DoubleWellParams) -> ObjectiveSpec:
 
         if slope(-2.0 * a) >= 0.0:
             raise ValueError("tilt delta is too large, the lower well vanishes")
-        x_star = _brentq(slope, -2.0 * a, -a, xtol=1e-14)
+        # the lowest root of x^3 - a^2 x + delta a^4 / (4 v0) by the cubic
+        # formula, trigonometric for c <= 1 (three real roots) and hyperbolic
+        # for c > 1 (one); c holds no a^4, so it cannot overflow.  One Newton
+        # step brings the root to within 2 ulp of the exact one
+        c = 3.0 * math.sqrt(3.0) / 8.0 * delta * a / v0
+        r = 2.0 * a / math.sqrt(3.0)
+        if c <= 1.0:
+            x_star = r * math.cos(math.acos(-c) / 3.0 - 4.0 * math.pi / 3.0)
+        else:
+            x_star = -r * math.cosh(math.acosh(c) / 3.0)
+        x_star -= slope(x_star) / (4.0 * v0 * (3.0 * x_star * x_star - a * a) / a ** 4)
         per_dim = v0 * (x_star * x_star - a * a) ** 2 / a ** 4 + delta * x_star
 
     lower, upper = _box(params.dim, -2.0 * a, 2.0 * a)

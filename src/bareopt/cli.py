@@ -50,8 +50,10 @@ def _parse_funcs(text: str) -> list[str]:
             continue
         lo, sep, hi = part.partition("-")
         if sep and lo.upper().startswith("F") and hi.upper().startswith("F"):
-            a, b = int(lo[1:]), int(hi[1:])
-            out.extend(f"F{i}" for i in range(a, b + 1))
+            a, b = lo[1:], hi[1:]
+            if not (a.isdecimal() and b.isdecimal() and int(a) <= int(b)):
+                raise ValueError(f"bad function range {part!r}; write it as F<low>-F<high>")
+            out.extend(f"F{i}" for i in range(int(a), int(b) + 1))
         else:
             out.append(part)
     if not out:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -25,7 +24,6 @@ from .records import (
     ACCEPTED_KINDS,
     EVENT_KINDS,
     REJECT,
-    SCALE_HALVE,
     EventBatch,
     EventLog,
     TrialOutcome,
@@ -38,7 +36,6 @@ __all__ = [
     "wave_modulus",
     "transmission_trace",
     "expected_solution_value",
-    "replay_best",
     "export_events_csv",
     "export_histogram_json",
     "export_trace_json",
@@ -211,19 +208,6 @@ def expected_solution_value(log: TrajectoryLog) -> float:
     if not fitness.size:
         raise ValueError("log holds no population")
     return float(np.mean(fitness))
-
-
-def replay_best(log: TrajectoryLog) -> list[tuple[int, float]]:
-    """Best-so-far fitness after every evaluation, reconstructed from the log.
-
-    Covers every evaluated point, including rejected candidates (which can
-    never beat the incumbent, but belong to the evaluation count).
-    """
-    evaluated = log.events.column("kind") != SCALE_HALVE
-    # fmin passes over a NaN fitness, as a `fitness < best` test would
-    best = np.fmin.accumulate(
-        np.concatenate(([math.inf], log.events.column("fitness")[evaluated])))
-    return list(zip(log.events.column("index")[evaluated].tolist(), best[1:].tolist()))
 
 
 # --- exports ------------------------------------------------------------------

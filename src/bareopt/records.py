@@ -177,7 +177,7 @@ class ErrorTrace:
             self.stride *= 2
             self._size //= 2
             self._curve[:self._size] = self._curve[1:2 * self._size:2]
-        # fmin skips NaN, as replay_best does, so a NaN never enters the curve
+        # fmin skips NaN, so a NaN never enters the curve
         running = np.fmin.accumulate(fs)[-first_index % self.stride::self.stride]
         end = self._size + len(running)
         np.fmin(running, self.best_fitness, out=self._curve[self._size:end])

@@ -93,7 +93,8 @@ class TestBenchmarkValues:
             xs = rng.uniform(spec.lower_bound, spec.upper_bound, size=(20, 6))
             batch = spec.evaluate_many(xs)
             singles = np.array([spec.evaluate(x) for x in xs])
-            # summation order may differ between the batched and single paths
+            # numpy's power can round x ** 4 for one point (F12's s2 ** 4)
+            # differently than for a batch
             assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
 
     def test_optimum_residuals(self):

@@ -20,7 +20,6 @@ from bareopt.diagnostics import (
     export_histogram_json,
     export_trace_json,
     record_run,
-    replay_best,
     transmission_trace,
     wave_modulus,
 )
@@ -36,6 +35,19 @@ from bareopt.records import (
 )
 
 SETS_POSITION = (INIT, ACCEPT_BETTER, ACCEPT_TUNNEL, MEAN_REPLACE)
+
+
+def replay_best(log):
+    """Best-so-far fitness after every evaluation, reconstructed from the log.
+
+    Covers every evaluated point, including rejected candidates (which can
+    never beat the incumbent, but belong to the evaluation count).
+    """
+    evaluated = log.events.column("kind") != SCALE_HALVE
+    # fmin passes over a NaN fitness, as a `fitness < best` test would
+    best = np.fmin.accumulate(
+        np.concatenate(([math.inf], log.events.column("fitness")[evaluated])))
+    return list(zip(log.events.column("index")[evaluated].tolist(), best[1:].tolist()))
 
 
 def synthetic_log(points, dim=2, low=-4.0, high=4.0, amplitude=1.0):

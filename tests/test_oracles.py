@@ -1,18 +1,20 @@
-"""The package's own numerics against scipy, bit for bit.
+"""The package's own numerics against exact and reference answers.
 
-The tilted double well's optimum comes from a port of scipy's ``brentq`` and
-the rank tables from an average-rank count that stands in for
-``scipy.stats.rankdata(method="average")``.  scipy is a test dependency only,
-so these checks skip where it is missing.
+The tilted double well's optimum comes from the cubic formula and one Newton
+step; it is checked against the exact root of the slope, computed in
+``fractions.Fraction``.  The rank tables come from an average-rank count that
+stands in for ``scipy.stats.rankdata(method="average")``, checked bit for bit;
+scipy is a test dependency only, so those checks skip where it is missing.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bareopt.benchmarks import DoubleWellParams, _brentq, double_well
+from bareopt.benchmarks import DoubleWellParams, double_well, get_objective
 from bareopt.harness import _average_ranks
 
 
@@ -20,45 +22,59 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
-@settings(max_examples=300, deadline=None)
-@given(v0=st.floats(1e-3, 1e3), a=st.floats(1e-3, 1e3),
-       tilt=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-def test_brentq_port_finds_scipys_root_of_the_tilted_well(v0, a, tilt):
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    # the lower well is present while delta < 24 * v0 / a
-    delta = tilt * 24.0 * v0 / a
+def exact_slope(v0, a, delta, x):
+    """4 v0 x (x^2 - a^2) / a^4 + delta, with no rounding."""
+    v0, a, delta, x = map(Fraction, (v0, a, delta, x))
+    return 4 * v0 * x * (x * x - a * a) / a ** 4 + delta
 
-    def slope(x):
-        return 4.0 * v0 * x * (x * x - a * a) / a ** 4 + delta
 
-    if slope(-2.0 * a) >= 0.0:
+def floats_toward(x, n, y):
+    """The n-th float from x toward y."""
+    for _ in range(n):
+        x = math.nextafter(x, y)
+    return x
+
+
+scale = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def tilted_wells(draw):
+    """(v0, a, delta) with the lower well present: c = (3 sqrt 3 / 8) delta a / v0
+    below 1 (three real roots), above 1 (one), or delta at most 64 floats under
+    24 v0 / a, where the lower well is about to vanish."""
+    v0, a = draw(scale), draw(scale)
+    top = 24.0 * v0 / a
+    c1 = 8.0 / (3.0 * math.sqrt(3.0)) * v0 / a  # delta at c = 1
+    tilt = st.floats(0.0, 1.0, exclude_min=True)
+    delta = draw(st.one_of(
+        tilt.map(lambda t: t * c1),
+        tilt.map(lambda t: c1 + t * (top - c1)),
+        st.integers(1, 64).map(lambda n: floats_toward(top, n, 0.0)),
+    ))
+    return v0, a, delta
+
+
+@settings(max_examples=500, deadline=None)
+@given(tilted_wells())
+def test_the_tilted_well_optimum_is_within_2_ulp_of_the_exact_root(well):
+    v0, a, delta = well
+    try:
+        spec = double_well(DoubleWellParams(dim=1, v0=v0, a=a, delta=delta))
+    except ValueError as exc:
+        # at the top of the range the rounded slope at -2a can already be >= 0
+        assert "lower well vanishes" in str(exc) and delta > 23.9 * v0 / a
         return
-    expected = brentq(slope, -2.0 * a, -a, xtol=1e-14)
-    assert _brentq(slope, -2.0 * a, -a, xtol=1e-14).hex() == expected.hex()
-    spec = double_well(DoubleWellParams(dim=1, v0=v0, a=a, delta=delta))
-    assert spec.optimum_position[0].hex() == expected.hex()
+    x = spec.optimum_position[0]
+    assert -2.0 * a <= x <= -a
+    lo, hi = floats_toward(x, 2, -math.inf), floats_toward(x, 2, math.inf)
+    # the slope rises through its lowest root
+    assert exact_slope(v0, a, delta, lo) <= 0 <= exact_slope(v0, a, delta, hi)
 
 
-@pytest.mark.parametrize("f, lo, hi, xtol", [
-    (math.cos, 0.0, 3.0, 2e-12),
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 2e-12),
-    (lambda x: (x - 0.3) ** 7, -1.0, 4.0, 1e-6),
-    (lambda x: x - 1.0, 1.0, 2.0, 1e-12),
-])
-def test_brentq_port_matches_scipy_on_other_functions(f, lo, hi, xtol):
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    assert _brentq(f, lo, hi, xtol).hex() == brentq(f, lo, hi, xtol=xtol).hex()
-
-
-def test_brentq_port_raises_where_scipy_does():
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    steep = lambda x: (x - 0.3) ** 7  # noqa: E731
-    with pytest.raises(RuntimeError):
-        brentq(steep, -1.0, 4.0, xtol=1e-30, maxiter=5)
-    with pytest.raises(RuntimeError, match="5 iterations"):
-        _brentq(steep, -1.0, 4.0, 1e-30, maxiter=5)
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(math.cos, 0.0, 1.0, 1e-12)
+def test_the_default_well_keeps_its_optimum():
+    spec = get_objective("double_well", 3)
+    assert hexes(spec.optimum_position) == ["-0x1.032454f867a6bp+1"] * 3
 
 
 SPECIAL = [0.0, -0.0, 1.0, 1.0, 2.5, -3.0, math.inf, -math.inf, 5e-324, 1e308]
