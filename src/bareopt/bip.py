@@ -112,7 +112,9 @@ def gaussian_step(x, sigma, rng, lower=None, upper=None, policy="clamp"):
     if policy not in BOUNDS_POLICIES:
         raise ValueError(f"policy must be one of {BOUNDS_POLICIES}")
     x = np.asarray(x, dtype=float)
-    step = x + sigma * rng.standard_normal(x.shape)
+    step = rng.standard_normal(x.shape)  # x + sigma * N(0, I) bit for bit, in place
+    step *= sigma
+    step += x
     return _apply_bounds(step, lower, upper, policy, rng, reference=x, sigma=sigma)
 
 
@@ -128,14 +130,15 @@ def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
     delta_f = np.asarray(delta_f, dtype=float)
     if np.count_nonzero(delta_f < 0):
         raise ValueError("delta_f must be nonnegative for a tunneling decision")
-    # a denormal gamma can overflow the quotient to inf; exp(-inf) = 0 is the
-    # correct limit, so only the spurious warning needs suppressing
+    prob = _tunneling(delta_f, np.asarray(delta_x, dtype=float), gamma, amplitude_a)
+    return float(prob) if prob.ndim == 0 else prob
+
+
+def _tunneling(delta_f, delta_x, gamma, amplitude_a):
+    """``tunneling_probability`` on float arrays, without the argument checks."""
+    # a denormal gamma overflows the quotient to inf; exp(-inf) = 0 is the limit
     with np.errstate(over="ignore"):
-        exponent = -np.asarray(delta_x, dtype=float) * np.sqrt(delta_f) / gamma
-        prob = np.minimum(1.0, amplitude_a * np.exp(exponent))
-    if prob.ndim == 0:
-        return float(prob)
-    return prob
+        return np.minimum(1.0, amplitude_a * np.exp(delta_x * np.sqrt(delta_f) / -gamma))
 
 
 def accept_moves(delta_f, delta_x, gamma, amplitude_a, rng):
@@ -154,7 +157,7 @@ def accept_moves(delta_f, delta_x, gamma, amplitude_a, rng):
     if n_worse == 0 or not (amplitude_a > 0 and gamma != 0):
         return accept, None
     worse = ~accept
-    probs = tunneling_probability(delta_f[worse], delta_x[worse], gamma, amplitude_a)
+    probs = _tunneling(delta_f[worse], delta_x[worse], gamma, amplitude_a)
     accept[worse] = rng.random(n_worse) < probs
     return accept, probs
 
@@ -221,14 +224,14 @@ class BipRun(RunScaffold):
                 raise ValueError("init_position lies outside the box")
             tiled = np.tile(start, (k, 1))
         self.positions, self.fitness = self._init_population(k, tiled)
+        self._recheck = True  # the spread may have changed since the last check
 
     # -- main loop ------------------------------------------------------
 
     def step(self) -> bool:
         """Advance one population sweep; returns False once the run is over."""
         cfg = self.config
-        k = cfg.k
-        m = self._sweep_size(k)
+        m = self._sweep_size(cfg.k)
         if m == 0:
             return False
 
@@ -239,18 +242,25 @@ class BipRun(RunScaffold):
         cand_f = self.objective.evaluate_many(candidates)
         delta_f = _fitness_gap(cand_f, self.fitness[:m])
         d = candidates - current
-        delta_x = np.sqrt(np.add.reduce(d * d, axis=1))
+        d *= d
+        delta_x = np.sqrt(np.add.reduce(d, axis=1))
         accept, probs = accept_moves(delta_f, delta_x, self.gamma, cfg.amplitude_a, self.rng)
         going = self._book(candidates, cand_f, accept, current, self.fitness[:m],
                            delta_f=delta_f, delta_x=delta_x, probs=probs)
-        np.copyto(current, candidates, where=accept[:, None])
-        np.copyto(self.fitness[:m], cand_f, where=accept)
+        if np.count_nonzero(accept):
+            np.copyto(current, candidates, where=accept[:, None])
+            np.copyto(self.fitness[:m], cand_f, where=accept)
+            self._recheck = True
         self.ac += 1
         self.gamma = anneal_gamma(self.sigma_s, self.ac, cfg.anneal_tau)
         if not going:
             return False
-        if ground_state_reached(self.positions, self.sigma_s):
-            self._transition_scale()
+        # the check's answer changes only with the positions or the scale: it
+        # runs after a sweep that took a move, and after a transition
+        if self._recheck:
+            self._recheck = ground_state_reached(self.positions, self.sigma_s)
+            if self._recheck:
+                self._transition_scale()
         return not self.finished
 
     def _transition_scale(self):

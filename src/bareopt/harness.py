@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from .baselines import BbfwaRun, BbpsoRun, GbdeRun
 from .benchmarks import BudgetedObjective, get_objective
@@ -288,7 +289,9 @@ def read_trials_csv(path) -> list[dict]:
 def software_versions() -> dict:
     """The software that produced a result, as every output file records it."""
     from . import __version__
+    # the last bits of np.exp and friends depend on the SIMD targets numpy runs
     return {"bareopt": __version__, "numpy": np.__version__,
+            "numpy_simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
             "python": platform.python_version()}
 
 

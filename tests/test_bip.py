@@ -1,6 +1,7 @@
 """Tests for the multi-scale tunneling sampler and its building blocks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,15 @@ class TestAcceptSample:
         assert accept.tolist() == [False] and probs is None
         # the generator must not have been consulted
         assert rng.random() == np.random.default_rng(42).random()
+
+    def test_a_denormal_gamma_gives_zero_without_a_warning(self):
+        # dx * sqrt(df) / gamma overflows to inf, and exp(-inf) is exactly 0
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            accept, probs = accept_moves(np.array([1e6, 1e300]), np.array([1e6, 1e10]),
+                                         5e-324, 1.0, rng)
+        assert probs.tolist() == [0.0, 0.0] and accept.tolist() == [False, False]
 
     def test_worse_uses_the_tunneling_law(self):
         n = 20_000
@@ -352,10 +362,12 @@ class TestBipRun:
         assert out.error_trace == []
 
     def test_a_budget_ending_inside_a_sweep_skips_the_collapse_check(self, monkeypatch):
+        # the evaluations spent at each check; a sweep that takes no move
+        # skips its check, so not every full sweep is seen here
         calls = []
 
         def never_collapsed(positions, sigma_s):
-            calls.append(len(positions))
+            calls.append(obj.evals_used)
             return False
 
         monkeypatch.setattr(bip, "ground_state_reached", never_collapsed)
@@ -364,7 +376,9 @@ class TestBipRun:
         obj = self.budget(max_fes=k + 3 * k + 7)
         out = BipRun(obj, BipConfig(seed=0, k=k, success_threshold=0.0)).run()
         assert out.evals_used == k + 3 * k + 7
-        assert calls == [k, k, k]
+        assert calls
+        # every check follows a full sweep, none the partial last one
+        assert all(e in (2 * k, 3 * k, 4 * k) for e in calls)
 
     def test_partial_init_budget(self):
         out = BipRun(self.budget(max_fes=5), BipConfig(seed=0, k=15)).run()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import bareopt
 from bareopt import cli
@@ -19,6 +20,7 @@ from bareopt.harness import read_trials_csv
 VERSIONS = {
     "bareopt": bareopt.__version__,
     "numpy": np.__version__,
+    "numpy_simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
     "python": platform.python_version(),
 }
 

@@ -1,9 +1,9 @@
 """The package runs on numpy alone.
 
 No module imports scipy: the tilted double well's optimum comes from the
-package's own Brent root finder and the ranks from its own average-rank
-count.  The check runs in a fresh interpreter whose ``import scipy`` fails,
-because the test session has long since imported scipy as the oracle of
+cubic formula and the ranks from the package's own average-rank count.  The
+check runs in a fresh interpreter whose ``import scipy`` fails, because the
+test session has long since imported scipy as the oracle of
 ``test_oracles.py``.
 """
 
@@ -61,7 +61,7 @@ def test_the_package_runs_with_scipy_blocked(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["loaded"] == []
-    # the tilted well's optimum, found by Brent's method: 2 * f(x*) with x* ~ -2.0245
+    # the tilted well's optimum, from the cubic formula: 2 * f(x*) with x* ~ -2.0245
     assert result["optimum_value"] == "-0x1.9c20f7611f8ebp-3"
     # a header plus at least one row per evaluation
     assert result["evals_used"] == 2000 and result["csv_rows"] >= 2001

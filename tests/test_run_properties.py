@@ -9,13 +9,16 @@ same invariants, and so is one that is NaN or +inf over half the box, where
 every run must still report a best point and a curve without NaN, and warn
 nothing, and log no NaN gap; the NaN half gives the +inf half's outcome
 exactly.  An outcome taken mid-run is a snapshot the rest of the run leaves
-alone.  Recording events leaves the outcome as it is, every column of a
-recorded log has one row per event, with one evaluated row per evaluation in
-order, and every algorithm's rows follow one kind and probability rule.
+alone.  A bip step that skips the collapse check leaves a population the
+check would not have collapsed.  Recording events leaves the outcome as it
+is, every column of a recorded log has one row per event, with one evaluated
+row per evaluation in order, and every algorithm's rows follow one kind and
+probability rule.
 """
 
 import math
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from bareopt.benchmarks import (
     get_objective,
     registry_names,
 )
+from bareopt import bip
 from bareopt.bip import BOUNDS_POLICIES, BipConfig, BipRun
 from bareopt.diagnostics import record_run
 from bareopt.harness import REGISTRY, run_single
@@ -89,6 +93,47 @@ def test_run_invariants(variant, function, dim, max_fes, seed, success_threshold
                           overrides=MINIMAL[variant])
 
     check_invariants(run(), get_objective(function, dim), max_fes, run)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    variant=st.sampled_from(sorted((v for v in MINIMAL if v[0] == "bip"), key=str)),
+    mean_replace=st.booleans(),
+    amplitude_a=st.sampled_from([0.0, 1.0]),
+    at_optimum=st.booleans(),
+    function=st.sampled_from(registry_names()),
+    dim=st.integers(1, 3),
+    max_fes=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_skipped_collapse_check_would_have_said_no(variant, mean_replace, amplitude_a,
+                                                     at_optimum, function, dim, max_fes,
+                                                     seed):
+    """A step that goes on without running the collapse check leaves a
+    population the check would not collapse.  Both ways a check could be
+    wrongly skipped are drawn here: a transition without mean replacement
+    halves sigma_s and moves no one, and a mean replacement can leave the
+    population bitwise as it was, as it does for a greedy population started
+    on one point at the optimum, which no move improves."""
+    check = bip.ground_state_reached
+    checks = []
+
+    def counted(positions, sigma_s):
+        checks.append(sigma_s)
+        return check(positions, sigma_s)
+
+    config = BipConfig(**MINIMAL[variant], mean_replace=mean_replace,
+                       amplitude_a=amplitude_a, seed=seed, success_threshold=0.0)
+    spec = get_objective(function, dim)
+    run = BipRun(BudgetedObjective(spec, max_fes), config,
+                 init_position=spec.optimum_position if at_optimum else None)
+    with patch.object(bip, "ground_state_reached", counted):
+        while True:
+            before = len(checks)
+            if not run.step():
+                break
+            if len(checks) == before:
+                assert not check(run.positions, run.sigma_s)
 
 
 def constant(dim):
