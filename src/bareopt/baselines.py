@@ -6,7 +6,7 @@ the best point, its error and a bounded error curve), an optional
 ``EventLog`` for its events, and a config that carries the seed and the
 success threshold.  Every evaluated step is booked through ``_book``, which
 logs each algorithm's moves with one Δf, kind and probability rule.
-Sampling positions are clamped to the box.
+Proposals are drawn in one array and clamped to the box in place.
 """
 
 from __future__ import annotations
@@ -110,9 +110,39 @@ def _fitness_gap(new_f, old_f):
     return np.subtract(new_f, old_f, out=np.zeros(len(new_f)), where=new_f != old_f)
 
 
+def _clamp(xs, lower, upper):
+    """``np.clip(xs, lower, upper)`` in place, NaN included.  Where a zero meets a bound
+    of the other sign, np.clip picks by argument shape, this by np.maximum's rule."""
+    return np.minimum(np.maximum(xs, lower, out=xs), upper, out=xs)
+
+
+def _normal(rng, loc, scale, shape):
+    """``rng.normal(loc, scale, shape)`` for a finite ``scale >= 0``, from the same
+    draws: ``loc + scale·N(0,1)`` per element in C order, in one array."""
+    z = rng.standard_normal(shape)
+    z *= scale
+    z += loc
+    return z
+
+
+def _between(rng, a, b, lower, upper):
+    """The bare-bones proposal N((a + b)/2, |a - b|) per coordinate, clamped."""
+    mid = 0.5 * (a + b)
+    return _clamp(_normal(rng, mid, np.abs(a - b), mid.shape), lower, upper)
+
+
+def _sparks(rng, center, amplitude, m):
+    """``center + rng.uniform(-amplitude, amplitude, (m, n))``, in one array."""
+    u = rng.random((m, len(center)))
+    u *= 2.0 * amplitude  # high - low: amplitude - (-amplitude), exactly
+    u -= amplitude  # + low
+    u += center
+    return u
+
+
 def _clamped_cr(rng, m, mean, std):
     """Per-individual crossover rates, clipped into [0, 1]."""
-    return np.clip(rng.normal(mean, std, size=m), 0.0, 1.0)
+    return _clamp(_normal(rng, mean, std, m), 0.0, 1.0)
 
 
 class RunScaffold:
@@ -246,7 +276,7 @@ class BbpsoRun(RunScaffold):
     def __init__(self, objective, config=None, *, events=None):
         super().__init__(objective, config, events=events)
         self.pbest, self.pbest_f = self._init_population(self.config.np_)
-        g = int(np.argmin(self.pbest_f))
+        g = int(self.pbest_f.argmin())
         self.gbest = self.pbest[g].copy()
         self.gbest_f = float(self.pbest_f[g])
 
@@ -254,15 +284,14 @@ class BbpsoRun(RunScaffold):
         m = self._sweep_size(self.config.np_)
         if m == 0:
             return False
-        mid = 0.5 * (self.pbest[:m] + self.gbest)
-        sd = np.abs(self.pbest[:m] - self.gbest)
-        samples = np.clip(self.rng.normal(mid, sd), self.lower, self.upper)
+        pbest, pbest_f = self.pbest[:m], self.pbest_f[:m]
+        samples = _between(self.rng, pbest, self.gbest, self.lower, self.upper)
         fs = self.objective.evaluate_many(samples)
-        improved = fs < self.pbest_f[:m]
-        going = self._book(samples, fs, improved, self.pbest[:m], self.pbest_f[:m])
-        self.pbest[:m][improved] = samples[improved]
-        self.pbest_f[:m][improved] = fs[improved]
-        g = int(np.argmin(self.pbest_f))
+        improved = fs < pbest_f
+        going = self._book(samples, fs, improved, pbest, pbest_f)
+        np.copyto(pbest, samples, where=improved[:, None])
+        np.copyto(pbest_f, fs, where=improved)
+        g = int(self.pbest_f.argmin())
         if self.pbest_f[g] < self.gbest_f:
             self.gbest = self.pbest[g].copy()
             self.gbest_f = float(self.pbest_f[g])
@@ -277,10 +306,9 @@ class BbfwaRun(RunScaffold):
         super().__init__(objective, config, events=events)
         spec = objective.spec
         self.span = spec.span.astype(float)
-        if self.config.amp_init is None:
-            self.amplitude = self.span.copy()
-        else:
-            self.amplitude = np.full(spec.dim, float(self.config.amp_init))
+        amp_init = self.config.amp_init  # the amplitude is updated in place
+        self.amplitude = (self.span.copy() if amp_init is None
+                          else np.full(spec.dim, float(amp_init)))
         positions, fitness = self._init_population(1)
         self.center = positions[0]
         self.center_f = float(fitness[0])
@@ -290,25 +318,21 @@ class BbfwaRun(RunScaffold):
         m = self._sweep_size(cfg.np_)
         if m == 0:
             return False
-        n = self.objective.spec.dim
-        sparks = self.center + self.rng.uniform(-self.amplitude, self.amplitude,
-                                                size=(m, n))
-        sparks = np.clip(sparks, self.lower, self.upper)
+        sparks = _clamp(_sparks(self.rng, self.center, self.amplitude, m), self.lower, self.upper)
         fs = self.objective.evaluate_many(sparks)
-        j = int(np.argmin(fs))
+        j = int(fs.argmin())
         improved = fs[j] < self.center_f
-        taken = np.zeros(m, dtype=bool)
-        taken[j] = improved
+        taken = (np.arange(m) == j) & improved
         going = self._book(sparks, fs, taken, self.center, self.center_f,
                            particle=np.zeros(m, dtype=int))
         if improved:
             self.center = sparks[j].copy()
             self.center_f = float(fs[j])
-            self.amplitude = self.amplitude * cfg.amp_grow
+            self.amplitude *= cfg.amp_grow
         else:
             # a tie counts as no improvement
-            self.amplitude = self.amplitude * cfg.amp_shrink
-        self.amplitude = np.clip(self.amplitude, cfg.amp_floor, self.span)
+            self.amplitude *= cfg.amp_shrink
+        _clamp(self.amplitude, cfg.amp_floor, self.span)
         return going
 
 
@@ -325,22 +349,18 @@ class GbdeRun(RunScaffold):
         m = self._sweep_size(cfg.np_)
         if m == 0:
             return False
-        n = self.objective.spec.dim
-        b = int(np.argmin(self.fitness))
-        best = self.positions[b]
-
-        mid = 0.5 * (best + self.positions[:m])
-        sd = np.abs(best - self.positions[:m])
-        mutants = np.clip(self.rng.normal(mid, sd), self.lower, self.upper)
+        best = self.positions[int(self.fitness.argmin())]
+        positions, fitness = self.positions[:m], self.fitness[:m]
+        mutants = _between(self.rng, best, positions, self.lower, self.upper)
         cr = _clamped_cr(self.rng, m, cfg.cr_mean, cfg.cr_std)
-        jrand = self.rng.integers(0, n, size=m)
-        cross = self.rng.random((m, n)) < cr[:, None]
+        jrand = self.rng.integers(0, positions.shape[1], size=m)
+        cross = self.rng.random(positions.shape) < cr[:, None]
         cross[np.arange(m), jrand] = True
-        trials = np.where(cross, mutants, self.positions[:m])
+        trials = np.where(cross, mutants, positions)
         fs = self.objective.evaluate_many(trials)
-        selected = fs <= self.fitness[:m]
-        going = self._book(trials, fs, selected, self.positions[:m], self.fitness[:m])
-        self.positions[:m][selected] = trials[selected]
-        self.fitness[:m][selected] = fs[selected]
+        selected = fs <= fitness
+        going = self._book(trials, fs, selected, positions, fitness)
+        np.copyto(positions, trials, where=selected[:, None])
+        np.copyto(fitness, fs, where=selected)
         return going
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import RunScaffold, _fitness_gap
+from .baselines import RunScaffold, _clamp, _fitness_gap, _normal
 # bench/tracing.py patches bip.build_outcome, so the name must stay importable
 from .records import MEAN_REPLACE, SCALE_HALVE, EventBatch, build_outcome  # noqa: F401
 
@@ -79,10 +79,7 @@ def _apply_bounds(xs, lower, upper, policy, rng, reference=None, sigma=None):
     if lower is None or upper is None:
         return xs
     if policy == "clamp":
-        # np.clip(xs, lower, upper) bit for bit (signed zeros and NaN
-        # included), in place
-        np.maximum(xs, lower, out=xs)
-        return np.minimum(xs, upper, out=xs)
+        return _clamp(xs, lower, upper)
     if policy == "reflect":
         span = upper - lower
         period = 2.0 * span
@@ -97,9 +94,9 @@ def _apply_bounds(xs, lower, upper, policy, rng, reference=None, sigma=None):
         bad = (out < lower) | (out > upper)
         if not bad.any():
             return out
-        fresh = reference + sigma * rng.standard_normal(out.shape)
+        fresh = _normal(rng, reference, sigma, out.shape)
         out = np.where(bad, fresh, out)
-    return np.clip(out, lower, upper)
+    return _clamp(out, lower, upper)
 
 
 def gaussian_step(x, sigma, rng, lower=None, upper=None, policy="clamp"):
@@ -112,9 +109,7 @@ def gaussian_step(x, sigma, rng, lower=None, upper=None, policy="clamp"):
     if policy not in BOUNDS_POLICIES:
         raise ValueError(f"policy must be one of {BOUNDS_POLICIES}")
     x = np.asarray(x, dtype=float)
-    step = rng.standard_normal(x.shape)  # x + sigma * N(0, I) bit for bit, in place
-    step *= sigma
-    step += x
+    step = _normal(rng, x, sigma, x.shape)
     return _apply_bounds(step, lower, upper, policy, rng, reference=x, sigma=sigma)
 
 

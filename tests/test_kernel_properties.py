@@ -1,4 +1,5 @@
-"""Property tests for the per-sweep kernels of the sampler and the trace."""
+"""Property tests for the per-sweep kernels of the sampler and the baselines,
+and for the trace."""
 
 import copy
 import math
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bareopt.baselines import _row_norms
+from bareopt.baselines import BbfwaConfig, _between, _clamped_cr, _row_norms, _sparks
 from bareopt.bip import (
     BOUNDS_POLICIES,
     accept_moves,
@@ -186,3 +187,90 @@ class TestRowNorms:
         a, b = pair
         expected = [np.linalg.norm(a[i] - b[i]) for i in range(len(a))]
         assert _row_norms(a - b).tolist() == expected
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def twin_generators(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def same_state(rng, reference):
+    """The two generators are at the same point of their stream."""
+    return (rng.bit_generator.state == reference.bit_generator.state
+            and rng.random() == reference.random())
+
+
+# np.clip picks between a zero and a bound that is the other signed zero by
+# the shape of its arguments (it keeps the zero where the bound broadcasts as a
+# scalar, in dim 1 say), so no clamp matches it there.  No objective has a
+# -0.0 bound, and a proposal is -0.0 only when its inputs are, so the draws
+# below keep -0.0 out of bounds and means, as the runs do.
+
+
+@st.composite
+def boxes(draw, max_rows):
+    """(rows, lower, upper, unit): a box of 1-12 dimensions and a (rows, n)
+    array of fractions of its span."""
+    m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, 12))
+    lower = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3))) + 0.0
+    span = draw(arrays(np.float64, n, elements=st.floats(1e-3, 1e3)))
+    unit = draw(arrays(np.float64, (m, n), elements=st.floats(0.0, 1.0)))
+    return m, lower, lower + span, unit
+
+
+class TestProposalDraws:
+    """Each baseline's in-place proposal equals the numpy call it replaces, bit
+    for bit, and leaves the generator where that call leaves it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes(max_rows=20), st.data(), st.integers(0, 2**32 - 1))
+    def test_between_is_a_clipped_rng_normal(self, box, data, seed):
+        m, lower, upper, unit = box
+        a = lower + unit * (upper - lower)
+        b = a[data.draw(st.permutations(range(m)))]
+        # rows with sd = 0, and coordinates with the midpoint on a bound
+        same = data.draw(arrays(bool, m))
+        b[same] = a[same]
+        on_bound = data.draw(arrays(np.int8, a.shape, elements=st.integers(-1, 1)))
+        a = np.where(on_bound < 0, lower, np.where(on_bound > 0, upper, a))
+        b = np.where(on_bound != 0, a, b)
+        ours, numpys = twin_generators(seed)
+        expected = np.clip(numpys.normal(0.5 * (a + b), np.abs(a - b)), lower, upper)
+        assert same_bits(_between(ours, a, b, lower, upper), expected)
+        # one point against the population: bbpso's global best comes second,
+        # gbde's best first
+        assert same_bits(_between(ours, a, b[0], lower, upper),
+                         np.clip(numpys.normal(0.5 * (a + b[0]), np.abs(a - b[0])),
+                                 lower, upper))
+        assert same_bits(_between(ours, b[0], a, lower, upper),
+                         np.clip(numpys.normal(0.5 * (b[0] + a), np.abs(b[0] - a)),
+                                 lower, upper))
+        assert same_state(ours, numpys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes(max_rows=300), st.data(), st.integers(0, 2**32 - 1))
+    def test_sparks_are_a_shifted_rng_uniform(self, box, data, seed):
+        m, lower, upper, unit = box
+        center = lower + unit[0] * (upper - lower)
+        span = upper - lower
+        # the amplitude at its floor, at the span, or in between
+        pick = data.draw(arrays(np.int8, len(span), elements=st.integers(0, 2)))
+        amplitude = np.where(pick == 0, BbfwaConfig.amp_floor,
+                             np.where(pick == 1, span, span * unit[-1]))
+        ours, numpys = twin_generators(seed)
+        expected = center + numpys.uniform(-amplitude, amplitude, size=(m, len(center)))
+        assert same_bits(_sparks(ours, center, amplitude, m), expected)
+        assert same_state(ours, numpys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 150), st.floats(-3.0, 4.0),
+           st.one_of(st.just(0.0), st.floats(0.0, 3.0)), st.integers(0, 2**32 - 1))
+    def test_crossover_rates_are_a_clipped_rng_normal(self, m, mean, std, seed):
+        mean += 0.0
+        ours, numpys = twin_generators(seed)
+        expected = np.clip(numpys.normal(mean, std, m), 0.0, 1.0)
+        assert same_bits(_clamped_cr(ours, m, mean, std), expected)
+        assert same_state(ours, numpys)
