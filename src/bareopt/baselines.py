@@ -95,10 +95,12 @@ class GbdeConfig:
             raise ValueError("cr_std must be nonnegative")
 
 
-def _row_norms(d):
-    """Euclidean norm of each row, bit for bit what ``np.linalg.norm`` gives
-    for that row alone: both take the BLAS dot product of the row with itself."""
-    return np.sqrt(np.vecdot(d, d))
+def _jumps(xs, old_x):
+    """Δx of each move, the length of ``xs - old_x`` per row summed by numpy (a BLAS
+    dot's bits vary with the CPU); a row gives the same bits alone as in a batch."""
+    d = xs - old_x
+    d *= d
+    return np.sqrt(np.add.reduce(d, axis=1))
 
 
 def _fitness_gap(new_f, old_f):
@@ -201,7 +203,7 @@ class RunScaffold:
 
         ``taken`` marks the moves made from ``old_x`` at ``old_f``, both read
         before the step changes them.  Δf is ``_fitness_gap(fs, old_f)`` and
-        Δx the norm of ``xs - old_x`` unless given.  A taken move that does not
+        Δx ``_jumps(xs, old_x)`` unless given.  A taken move that does not
         worsen the fitness is accept-better, a taken worsening one
         accept-tunnel, any other a reject, unless the step names its ``kind``.
         The probability is ``taken``, with the worsening rows set to ``probs``
@@ -212,7 +214,7 @@ class RunScaffold:
             if delta_f is None:
                 delta_f = _fitness_gap(fs, old_f)
             if delta_x is None:
-                delta_x = _row_norms(xs - old_x)
+                delta_x = _jumps(xs, old_x)
             worse = ~(delta_f <= 0)  # a NaN gap ranks as worsening
             probability = taken.astype(float)
             if probs is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import RunScaffold, _clamp, _fitness_gap, _normal
+from .baselines import RunScaffold, _clamp, _fitness_gap, _jumps, _normal
 # bench/tracing.py patches bip.build_outcome, so the name must stay importable
 from .records import MEAN_REPLACE, SCALE_HALVE, EventBatch, build_outcome  # noqa: F401
 
@@ -236,9 +236,7 @@ class BipRun(RunScaffold):
         )
         cand_f = self.objective.evaluate_many(candidates)
         delta_f = _fitness_gap(cand_f, self.fitness[:m])
-        d = candidates - current
-        d *= d
-        delta_x = np.sqrt(np.add.reduce(d, axis=1))
+        delta_x = _jumps(candidates, current)
         accept, probs = accept_moves(delta_f, delta_x, self.gamma, cfg.amplitude_a, self.rng)
         going = self._book(candidates, cand_f, accept, current, self.fitness[:m],
                            delta_f=delta_f, delta_x=delta_x, probs=probs)

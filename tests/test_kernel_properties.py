@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bareopt.baselines import BbfwaConfig, _between, _clamped_cr, _row_norms, _sparks
+from bareopt.baselines import BbfwaConfig, _between, _clamped_cr, _jumps, _sparks
 from bareopt.bip import (
     BOUNDS_POLICIES,
     accept_moves,
@@ -175,18 +175,23 @@ class TestAcceptSample:
         assert rng.random() == np.random.default_rng(seed).random()
 
 
-class TestRowNorms:
+class TestJumps:
     @settings(max_examples=200, deadline=None)
     @given(
         st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
             lambda shape: st.tuples(arrays(np.float64, shape, elements=coords),
                                     arrays(np.float64, shape, elements=coords))),
+        st.booleans(),
     )
-    def test_match_the_norm_of_each_row_bit_for_bit(self, pair):
-        # the baselines' per-event delta_x was np.linalg.norm of one row's difference
-        a, b = pair
-        expected = [np.linalg.norm(a[i] - b[i]) for i in range(len(a))]
-        assert _row_norms(a - b).tolist() == expected
+    def test_a_row_gives_the_same_bits_alone_as_in_a_batch(self, pair, shared):
+        # bip's mean replacement books one row, its sweeps and the baselines a
+        # batch; bbfwa's sparks all measure from one shared centre
+        xs, old = pair
+        old_x = old[0] if shared else old
+        batch = _jumps(xs, old_x)
+        alone = [_jumps(xs[i:i + 1], old_x if shared else old_x[i])[0]
+                 for i in range(len(xs))]
+        assert batch.tolist() == alone
 
 
 def same_bits(a, b):

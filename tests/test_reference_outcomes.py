@@ -7,11 +7,15 @@ left the outcomes alone.  The table is only read; ``bench/make_reference.py``
 re-records it when a change is meant to alter outcomes.
 
 The table pins outcomes only, so the event streams of short recorded runs
-are pinned here by the sha256 of their CSV export.
+are pinned here by the sha256 of their CSV export.  Those bytes must not
+depend on which BLAS kernel numpy's OpenBLAS picks for the CPU it runs on.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,8 @@ import pytest
 from bareopt.diagnostics import export_events_csv, record_run
 from bareopt.harness import run_experiment
 
-REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "bench" / "reference.json"
 SEEDS = (0, 1)
 
 
@@ -64,43 +69,43 @@ def test_event_capture_runs_match_the_reference(reference, function, dim,
 
 EVENT_DIGESTS = {
     ("bip", "F7", 2, 0): "e125b786430701f3607387d9b73945dc8f9ff2a842f5db175c46ad6bd60b3abc",
-    ("bip", "F7", 2, 1): "01d1e98747b1abee8b7e6c774b37870019ca841343f09da2f9bbe351fd806721",
-    ("bbpso", "F7", 2, 0): "c21952d82af4ecd3d71cad221c1a42266185a7e16e03ffc0de6b7f18389323ed",
-    ("bbpso", "F7", 2, 1): "efc9d294669afec0d4a3d320d066b111127f269fe14fba5298f13b9826c06b95",
-    ("bbfwa", "F7", 2, 0): "60979c8fab8a4d77275947fa69bbf409af89a99531fe82de75df674d70414e2b",
-    ("bbfwa", "F7", 2, 1): "2ea0fa8c6ff494ea639b1043ad481ccf0b43902ce65bb417b152a9014073661c",
-    ("gbde", "F7", 2, 0): "464f6a94bba9d339aa3002c8faf92fa45b8cfffa351423ab893f75a744f30321",
-    ("gbde", "F7", 2, 1): "f639054f1d6f121d1bc12f2bf4b8bcf6bce530c28ab1e588f4093614a951b8a2",
+    ("bip", "F7", 2, 1): "6ee09223d78fc3ac49058b0f16c952be9759a072faae2bf4d64c6187f7bf4b95",
+    ("bbpso", "F7", 2, 0): "52cc18b7e2b5bc7c2605def2d42ac257d8d39fc4cd3f159adf697f9c1b6c1c35",
+    ("bbpso", "F7", 2, 1): "a20f0b1dc59063ed10ad4203b9dc72ada17fd8a69a29f8069cd766fb6caf861c",
+    ("bbfwa", "F7", 2, 0): "c7accbedaac0d6e6db378a231ecb264abd56ebca6d081d04c2e1ec3137359554",
+    ("bbfwa", "F7", 2, 1): "7be64f799d49578a08dadd999974806282106b6cf434fdd3e13d0b6742cc1654",
+    ("gbde", "F7", 2, 0): "3a5d600cd1ec9101d46d07ca6a7446ffb02d58e269c1cac73082513f5000ea4c",
+    ("gbde", "F7", 2, 1): "653f3c5441e671c87d5d0e1beb863b1941a7cd2867f9faa85ad77e18685ff9c1",
     ("bip", "double_well", 2, 0):
         "76cded99d0a808be2816586c8ba4b981bbed9f932318fe25972c7323f0c94756",
     ("bip", "double_well", 2, 1):
         "37cae0d61c475e21bbb60e38efabccac4314f69f4fb02877f5b804bb66cf6a14",
     # the diagnose benchmark cells: dim 10, whole sweeps of 15 and 100 points
-    ("bip", "F7", 10, 0): "522d3363369a1d872df50145871873d71aa2b60f602ecaa338d588805f2eb80a",
-    ("bip", "F7", 10, 1): "a96e44a90cc34ffdaacd2bb90d94abdd598c24082742c528f0612a4924574de7",
-    ("gbde", "F2", 10, 0): "66600b783dca38252ffb7b9eaa73e1c67ce48e7031a17bd5607a7ee835149764",
-    ("gbde", "F2", 10, 1): "9867fa772132841de9dcd2df281e0581b71b4fe0a0addbbba1d2675fdc2f34d5",
+    ("bip", "F7", 10, 0): "863aea525b6c0931891ded7b78c4674f3d4617ee3aa54742bbfc91292cdaafef",
+    ("bip", "F7", 10, 1): "3cd7b6fd96b4ababc1847495c3880051fdfceaf6a02a0c1e3973363f4fc4ea6f",
+    ("gbde", "F2", 10, 0): "c298fe5185ab1227214534a951fd459d9ceba30df8c1f0618174aa88f3f64fbf",
+    ("gbde", "F2", 10, 1): "0900d947fedf40fa9fcaa38e7a507c9e4a62c50c8be562c5ca12385bc538e268",
     # bip's mean replacement evaluates one point, which F11 at dim 1 and F12
     # can round differently from a batch: these pin its fitness column (the F11
     # pair fails if the mean is evaluated as a batch of one)
     ("bip", "F11", 1, 0): "c7a405644a6dca2ac1c56fc864c6822b40c94c5dfb78b204057ea4398a7d531a",
     ("bip", "F11", 1, 1): "a3cd4eb193ec87d886054585f14baf14b49de0a9327ccb757149cb255c0f1a76",
-    ("bip", "F12", 2, 0): "126cc4e1ef306d0e863c64088392830445a4501757fc5c2ad720dc2b32c13c17",
-    ("bip", "F12", 2, 1): "86c473841a227adb805f5903c7cf959d50f7196b58b9e32dceca33e76e091991",
+    ("bip", "F12", 2, 0): "b55d40a39018806c2a13039817066c9fd91df7b8fbdc7552bc360fa0eaf75467",
+    ("bip", "F12", 2, 1): "b5b71f88121ec02edc9f9e7f991c5e7d4378848b80d92c49282bf6284421a9ac",
     # a budget of 1013 ends each baseline inside a step, so these pin the
     # partial last sweep too; the budget is part of the key
     ("bbpso", "F2", 10, 1013, 0):
-        "b0e8a519d2425c1d4b90115283ae3d8b1da2ce0998c0109877f93168ed9fe8a0",
+        "7e999d6067c5710e445c7454dc99f49d6a0624c18710955a38658a7dae88f1da",
     ("bbpso", "F2", 10, 1013, 1):
-        "fb88240342daf471f4e558c76f021676584917195dfb7bfabbc9463f236a434b",
+        "f7bd42340dadb9e24dc4b4f2307cb37b4f5e760dac14c8fb51d6b32d257fa5ea",
     ("bbfwa", "F2", 10, 1013, 0):
-        "a9648f7386bccd3ed527fab1dfffcbd5d02cddc7ae9097353a55bfa911e9cef8",
+        "7495cc5a5d6011bd1b0bd0544640e48678ee90f2c48ee843dcf428c43c9c3179",
     ("bbfwa", "F2", 10, 1013, 1):
-        "7b6e6f000b31508ecdb24137374a535f2f8f68dcba07c6e8ac22b5f9d7e986bd",
+        "6422f37f767f63413de5fcd27082a9fca929b17ddc97855a87841f957da5d0ec",
     ("gbde", "F2", 10, 1013, 0):
-        "b08b797fa2a712c22249cc7cd0d1b2944885358e8c18ffd65380721a2ec858f5",
+        "206e53ef346a102e4dbcd28926ee6dac2fd23618e473b8cc76c932ad8216cc07",
     ("gbde", "F2", 10, 1013, 1):
-        "8d6b841b9b94afcc22c6f9a87969c176accc7f7000586a934470913dff9babaa",
+        "144067fc22a998db26baf6ab55a67bd1f451eb026c47875be2478f02ffb964f2",
 }
 PARTIAL_SWEEP_FES = 1013
 
@@ -129,3 +134,44 @@ def test_event_streams_match_their_digests(tmp_path, algorithm, function, dim,
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         budget = (max_fes,) if max_fes == PARTIAL_SWEEP_FES else ()
         assert digest == EVENT_DIGESTS[(algorithm, function, dim, *budget, seed)]
+
+
+STREAM_SCRIPT = """
+import hashlib, sys
+from pathlib import Path
+from bareopt.diagnostics import export_events_csv, record_run
+
+algorithm, function, dim, max_fes, path = sys.argv[1:]
+_, log = record_run(algorithm, function, int(dim), max_fes=int(max_fes), seed=0)
+export_events_csv(log, Path(path))
+print(hashlib.sha256(Path(path).read_bytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+@pytest.mark.parametrize("algorithm, function, dim, max_fes", [
+    pytest.param("bbpso", "F2", 10, PARTIAL_SWEEP_FES, id="bbpso-F2-10d-1013"),
+    # bip's mean replacements are booked with the baselines' Δx
+    pytest.param("bip", "F7", 10, 10_000, id="bip-F7-10d-10000"),
+])
+def test_event_streams_do_not_depend_on_the_blas_kernel(tmp_path, algorithm, function,
+                                                        dim, max_fes, coretype):
+    """A fresh interpreter told to use another of OpenBLAS's CPU kernels
+    (the ones a CPU without AVX-512 gets) writes the same event CSV bytes.
+
+    The variable is read when OpenBLAS loads, hence the fresh interpreter.
+    Where numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS it is ignored, and the
+    test passes trivially.
+    """
+    _, log = record_run(algorithm, function, dim, max_fes=max_fes, seed=0)
+    export_events_csv(log, tmp_path / "here.csv")
+    expected = hashlib.sha256((tmp_path / "here.csv").read_bytes()).hexdigest()
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", STREAM_SCRIPT, algorithm, function, str(dim), str(max_fes),
+         str(tmp_path / "there.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected

@@ -12,8 +12,8 @@ exactly.  An outcome taken mid-run is a snapshot the rest of the run leaves
 alone.  A bip step that skips the collapse check leaves a population the
 check would not have collapsed.  Recording events leaves the outcome as it
 is, every column of a recorded log has one row per event, with one evaluated
-row per evaluation in order, and every algorithm's rows follow one kind and
-probability rule.
+row per evaluation in order, and every algorithm's rows follow one kind,
+probability and Δx rule.
 """
 
 import math
@@ -38,6 +38,7 @@ from bareopt.harness import REGISTRY, run_single
 from bareopt.records import (
     ACCEPT_BETTER,
     ACCEPT_TUNNEL,
+    ACCEPTED_KINDS,
     INIT,
     MEAN_REPLACE,
     REJECT,
@@ -272,3 +273,19 @@ def test_event_log_columns_cover_every_evaluation(variant, function, dim, max_fe
     assert (gap[tunnel] > 0).all()
     assert (prob[(kind == INIT) | (kind == MEAN_REPLACE)] == 1).all()
     assert algorithm == "bip" or (prob[kind == REJECT] == 0).all()
+    # and one Δx rule: the length of the move from the position its particle
+    # held before the step, summed as numpy sums (bbfwa's sparks all move from
+    # particle 0's centre); init rows log 0
+    held = {}
+    for batch in log.events.batches:
+        if batch.position is None:  # a scale-halve marker
+            continue
+        if batch.kind[0] == INIT:
+            assert (batch.delta_x == 0).all()
+        else:
+            before = np.array([held[p] for p in batch.particle.tolist()])
+            jumps = np.sqrt(np.add.reduce((batch.position - before) ** 2, axis=1))
+            assert batch.delta_x.tobytes() == jumps.tobytes()
+        for p, k, x in zip(batch.particle.tolist(), batch.kind.tolist(), batch.position):
+            if k in ACCEPTED_KINDS:
+                held[p] = x
