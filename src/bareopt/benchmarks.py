@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -81,32 +82,31 @@ def _box(dim: int, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # --- standard test functions -------------------------------------------------
+#
+# Each kernel is a formula in x and the axis indices i = 1..n, which
+# make_benchmark binds once per objective.
 
 
-def _griewank(x):
+def _griewank(x, i):
     """Global min: f(0,...,0) = 0."""
-    n = x.shape[-1]
-    i = np.arange(1, n + 1)
     s = np.add.reduce(x * x, axis=-1) / 4000.0
     p = np.multiply.reduce(np.cos(x / np.sqrt(i)), axis=-1)
     return s - p + 1.0
 
 
-def _rastrigin(x):
+def _rastrigin(x, i):
     """Global min: f(0,...,0) = 0."""
-    n = x.shape[-1]
-    return 10.0 * n + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+    return 10.0 * len(i) + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
-def _ackley(x):
+def _ackley(x, i):
     """Global min: f(0,...,0) = 0."""
-    n = x.shape[-1]
-    q = np.sqrt(np.add.reduce(x * x, axis=-1) / n)
-    c = np.add.reduce(np.cos(2.0 * np.pi * x), axis=-1) / n
+    q = np.sqrt(np.add.reduce(x * x, axis=-1) / len(i))
+    c = np.add.reduce(np.cos(2.0 * np.pi * x), axis=-1) / len(i)
     return -20.0 * np.exp(-0.2 * q) - np.exp(c) + 20.0 + np.e
 
 
-def _levy(x):
+def _levy(x, i):
     """Global min: f(1,...,1) = 0."""
     w = 1.0 + (x - 1.0) / 4.0
     head = np.sin(np.pi * w[..., 0]) ** 2
@@ -118,72 +118,63 @@ def _levy(x):
     return head + mid + tail
 
 
-def _alpine(x):
+def _alpine(x, i):
     """Global min: f(0,...,0) = 0."""
     return np.add.reduce(np.abs(x * np.sin(x) + 0.1 * x), axis=-1)
 
 
-def _schwefel(x):
+def _schwefel(x, i):
     """Global min near f(420.9687,...) = 0; tiny positive residual remains."""
-    n = x.shape[-1]
-    return 418.9829 * n - np.add.reduce(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
+    return 418.9829 * len(i) - np.add.reduce(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
-def _sphere(x):
+def _sphere(x, i):
     """Global min: f(0,...,0) = 0."""
     return np.add.reduce(x * x, axis=-1)
 
 
-def _sum_squares(x):
+def _sum_squares(x, i):
     """Global min: f(0,...,0) = 0.  Weighted sphere with weight i per axis."""
-    n = x.shape[-1]
-    i = np.arange(1, n + 1)
     return np.add.reduce(i * x * x, axis=-1)
 
 
-def _rotated_hyper_ellipsoid(x):
+def _rotated_hyper_ellipsoid(x, i):
     """Global min: f(0,...,0) = 0.  Sum of squared prefix sums."""
     c = np.cumsum(x, axis=-1)
     return np.add.reduce(c * c, axis=-1)
 
 
-def _ellipsoidal(x):
+def _ellipsoidal(x, i):
     """Global min: f(1,2,...,n) = 0."""
-    n = x.shape[-1]
-    i = np.arange(1, n + 1)
     return np.add.reduce((x - i) ** 2, axis=-1)
 
 
-def _sum_diff_powers(x):
-    """Global min: f(0,...,0) = 0.  Exponent i+1 on axis i (1-based)."""
-    n = x.shape[-1]
-    i = np.arange(1, n + 1)
+def _sum_diff_powers(x, i):
+    """Global min: f(0,...,0) = 0.  Exponent i+1 on axis i."""
     return np.add.reduce(np.abs(x) ** (i + 1), axis=-1)
 
 
-def _zakharov(x):
+def _zakharov(x, i):
     """Global min: f(0,...,0) = 0."""
-    n = x.shape[-1]
-    i = np.arange(1, n + 1)
     s1 = np.add.reduce(x * x, axis=-1)
     s2 = np.add.reduce(0.5 * i * x, axis=-1)
     return s1 + s2 ** 2 + s2 ** 4
 
 
-# id -> (title, impl, low, high, optimum kind)
+# id -> (kernel, low, high, optimum coordinate; None for x_i = i)
 _TABLE = {
-    1: ("Griewank", _griewank, -100.0, 100.0, "zeros"),
-    2: ("Rastrigin", _rastrigin, -5.12, 5.12, "zeros"),
-    3: ("Ackley", _ackley, -32.77, 32.77, "zeros"),
-    4: ("Levy", _levy, -10.0, 10.0, "ones"),
-    5: ("Alpine", _alpine, 0.0, 10.0, "zeros"),
-    6: ("Schwefel", _schwefel, -500.0, 500.0, "schwefel"),
-    7: ("Sphere", _sphere, -5.12, 5.12, "zeros"),
-    8: ("SumSquares", _sum_squares, -10.0, 10.0, "zeros"),
-    9: ("RotatedHyperEllipsoid", _rotated_hyper_ellipsoid, -65.54, 65.54, "zeros"),
-    10: ("Ellipsoidal", _ellipsoidal, -100.0, 100.0, "arange"),
-    11: ("SumOfDifferentPowers", _sum_diff_powers, -1.0, 1.0, "zeros"),
-    12: ("Zakharov", _zakharov, -5.0, 10.0, "zeros"),
+    1: (_griewank, -100.0, 100.0, 0.0),
+    2: (_rastrigin, -5.12, 5.12, 0.0),
+    3: (_ackley, -32.77, 32.77, 0.0),
+    4: (_levy, -10.0, 10.0, 1.0),
+    5: (_alpine, 0.0, 10.0, 0.0),
+    6: (_schwefel, -500.0, 500.0, SCHWEFEL_OPTIMUM),
+    7: (_sphere, -5.12, 5.12, 0.0),
+    8: (_sum_squares, -10.0, 10.0, 0.0),
+    9: (_rotated_hyper_ellipsoid, -65.54, 65.54, 0.0),
+    10: (_ellipsoidal, -100.0, 100.0, None),
+    11: (_sum_diff_powers, -1.0, 1.0, 0.0),
+    12: (_zakharov, -5.0, 10.0, 0.0),
 }
 
 
@@ -193,24 +184,17 @@ def make_benchmark(function_id: int, dim: int) -> ObjectiveSpec:
         raise ValueError(f"unknown benchmark id {function_id}; known ids are 1..12")
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    _, impl, low, high, opt_kind = _TABLE[function_id]
+    kernel, low, high, opt = _TABLE[function_id]
     lower, upper = _box(dim, low, high)
-    if opt_kind == "zeros":
-        opt = np.zeros(dim)
-    elif opt_kind == "ones":
-        opt = np.ones(dim)
-    elif opt_kind == "arange":
-        opt = np.arange(1, dim + 1, dtype=float)
-    else:
-        opt = np.full(dim, SCHWEFEL_OPTIMUM)
+    i = np.arange(1, dim + 1)
     return ObjectiveSpec(
         name=f"F{function_id}",
         dim=dim,
         lower_bound=lower,
         upper_bound=upper,
-        optimum_position=opt,
+        optimum_position=i.astype(float) if opt is None else np.full(dim, opt),
         optimum_value=0.0,
-        _impl=impl,
+        _impl=partial(kernel, i=i),
     )
 
 

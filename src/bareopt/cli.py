@@ -63,9 +63,9 @@ def _parse_funcs(text: str) -> list[str]:
 
 def _parse_group(text: str, available) -> list[str]:
     key = text.strip().lower()
-    if key in ("multimodal", "f1-f6"):
+    if key == "multimodal":
         return list(MULTIMODAL_FUNCTIONS)
-    if key in ("unimodal", "f7-f12"):
+    if key == "unimodal":
         return list(UNIMODAL_FUNCTIONS)
     if key == "all":
         return list(available)

@@ -5,7 +5,8 @@ thinned error curve)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -26,41 +27,19 @@ INIT, ACCEPT_BETTER, ACCEPT_TUNNEL, REJECT, MEAN_REPLACE, SCALE_HALVE = range(6)
 ACCEPTED_KINDS = (INIT, ACCEPT_BETTER, ACCEPT_TUNNEL, MEAN_REPLACE)
 
 
-@dataclass
-class Event:
-    """One diagnostics record emitted during a run.
-
-    ``eval_index`` is the 1-based index of the evaluation that produced the
-    record; a ``scale-halve`` marker carries no evaluation of its own and
-    repeats the index of the last one.  ``particle`` is -1 for records not
-    tied to a single particle.  ``probability`` is the acceptance chance
-    actually used for the decision (1.0 for unconditional moves, the
-    barrier-crossing probability for tunnel decisions, whether they were
-    accepted or not).
-    """
-
-    eval_index: int
-    particle: int
-    kind: str
-    delta_f: float
-    delta_x: float
-    gamma: float
-    sigma: float
-    probability: float
-    position: np.ndarray | None
-    fitness: float
-
-
 @dataclass(slots=True)
 class EventBatch:
     """The events of one run step as columns, one row per event.
 
     A step is an initial population, a sweep, a mean replacement or a scale
     change.  ``index`` runs over consecutive evaluation indices (a
-    ``scale-halve`` row repeats the last one), ``kind`` holds indices into
-    ``EVENT_KINDS``, and ``gamma`` and ``sigma`` are the step's own, shared
-    by every row.  ``position`` has shape (rows, dim), or is None for a batch
-    of rows that carry no position (``scale-halve``).
+    ``scale-halve`` row repeats the last one), ``particle`` is -1 on a row
+    tied to no single particle, ``kind`` holds indices into ``EVENT_KINDS``,
+    and ``gamma`` and ``sigma`` are the step's own, shared by every row.
+    ``probability`` is the acceptance chance the decision actually used (1.0
+    for unconditional moves, the barrier-crossing probability for tunnel
+    decisions, accepted or not).  ``position`` has shape (rows, dim), or is
+    None for a batch of rows that carry no position (``scale-halve``).
     """
 
     index: np.ndarray
@@ -76,6 +55,10 @@ class EventBatch:
 
     def __len__(self) -> int:
         return len(self.index)
+
+
+# one row of an EventBatch, with ``kind`` as its name in EVENT_KINDS
+Event = namedtuple("Event", [f.name for f in fields(EventBatch)])
 
 
 class EventLog:

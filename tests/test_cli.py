@@ -372,6 +372,24 @@ class TestRank:
         assert sorted(payload["functions"]) == ["F7", "F8"]
         assert payload["average_rank"] == {"a": 1.5, "b": 1.5}
 
+    @pytest.mark.parametrize("named, spelled", [("multimodal", "f1-f6"),
+                                                 ("unimodal", "f7-f12")])
+    def test_a_range_ranks_as_its_named_group(self, tmp_path, capsys, named, spelled):
+        path = tmp_path / "trials.csv"
+        rng = np.random.default_rng(0)
+        path.write_text(
+            "algorithm,function,dim,seed,final_error,evals_used,succeeded\n"
+            + "".join(f"{a},F{f},2,0,{rng.random()!r},10,false\n"
+                      for f in range(1, 13) for a in "abc"))
+        ranks = []
+        for group in (named, spelled):
+            out = tmp_path / group
+            assert main(["rank", "--csv", str(path), "--group", group,
+                         "--out", str(out)]) == 0
+            ranks.append((out / "ranks.json").read_bytes())
+        assert ranks[0] == ranks[1]
+        assert len(json.loads(ranks[0])["functions"]) == 6
+
     def test_a_nan_error_ranks_last_and_the_json_stays_valid(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"
         path.write_text(
