@@ -174,7 +174,7 @@ class RunScaffold:
     def __init__(self, objective: BudgetedObjective, config=None, *, events=None):
         if config is None:
             config = self.config_class()
-        if config.success_threshold < 0:
+        if not config.success_threshold >= 0:  # NaN included
             raise ValueError("success_threshold must be nonnegative")
         self.objective = objective
         self.config = config

@@ -1,9 +1,9 @@
 """Benchmark objectives and budget-metered evaluation.
 
 All objectives are minimization problems on an axis-aligned box with a known
-global optimum.  Implementations are vectorized: they accept a single point
-of shape (dim,) or a batch of shape (m, dim) and reduce over the last axis
-with ``np.add.reduce`` and ``np.multiply.reduce``: np.sum and np.prod, unwrapped.
+global optimum.  Implementations take a batch of shape (m, dim) and reduce
+over the last axis with ``np.add.reduce`` and ``np.multiply.reduce``: np.sum
+and np.prod, unwrapped.  A single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ SCHWEFEL_OPTIMUM = 420.968746
 
 
 class BudgetExhausted(Exception):
-    """Raised when an evaluation is attempted on a spent budget."""
+    """Raised when a batch asks for more evaluations than the budget has left."""
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,6 @@ class ObjectiveSpec:
     @property
     def max_span(self) -> float:
         return float(np.max(self.span))
-
-    def evaluate(self, x) -> float:
-        """Objective value at a single point of shape (dim,)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(
-                f"{self.name} expects shape ({self.dim},), got {x.shape}"
-            )
-        return float(self._impl(x))
 
     def as_batch(self, xs) -> np.ndarray:
         """``xs`` as a float array, checked to have shape (m, dim)."""
@@ -291,13 +282,12 @@ def get_objective(name: str, dim: int) -> ObjectiveSpec:
 
 
 class BudgetedObjective:
-    """Wraps an ObjectiveSpec and counts every evaluation against a cap.
+    """Wraps an ObjectiveSpec and counts every evaluated row against a cap.
 
-    An evaluation attempted at the cap raises BudgetExhausted instead of
-    silently evaluating.  A NaN value is reported as +inf, so every
-    comparison a run makes ranks it as worst.  Batch callers are expected to
-    slice their batch to ``remaining`` first; an oversized or misshapen batch
-    raises without consuming budget, and the shape is checked first.
+    Callers slice their batch to ``remaining`` first: a batch larger than
+    that raises BudgetExhausted, and a misshapen one ValueError, without
+    consuming budget; the shape is checked first.  A NaN value is reported
+    as +inf, so every comparison a run makes ranks it as worst.
     """
 
     def __init__(self, spec: ObjectiveSpec, max_fes: int):
@@ -314,13 +304,6 @@ class BudgetedObjective:
     @property
     def remaining(self) -> int:
         return self.max_fes - self._used
-
-    def evaluate(self, x) -> float:
-        if self._used >= self.max_fes:
-            raise BudgetExhausted(f"budget of {self.max_fes} evaluations is spent")
-        value = self.spec.evaluate(x)
-        self._used += 1
-        return math.inf if math.isnan(value) else value
 
     def evaluate_many(self, xs) -> np.ndarray:
         xs = self.spec.as_batch(xs)

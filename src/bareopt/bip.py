@@ -260,17 +260,17 @@ class BipRun(RunScaffold):
         """Collapse step and scale division at the end of a scale."""
         cfg = self.config
         if cfg.mean_replace:
-            # one metered evaluation (remaining >= 1 is guaranteed by step()):
+            # a metered batch of one (remaining >= 1 is guaranteed by step()):
             # the mean of the whole population, worst included, before anything
             # is replaced; ties for worst go to the lowest index
             mean_x = self.positions.mean(axis=0)
-            mean_f = self.objective.evaluate(mean_x)
+            mean_f = self.objective.evaluate_many(mean_x[None, :])
             worst = int(np.argmax(self.fitness))
-            self._book(mean_x[None, :], np.array([mean_f]), np.ones(1, dtype=bool),
+            self._book(mean_x[None, :], mean_f, np.ones(1, dtype=bool),
                        self.positions[worst], self.fitness[worst], kind=MEAN_REPLACE,
                        particle=np.array([worst]))
             self.positions[worst] = mean_x
-            self.fitness[worst] = mean_f
+            self.fitness[worst] = mean_f[0]
 
         self.scale_index += 1
         try:

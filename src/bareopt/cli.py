@@ -195,7 +195,7 @@ def cmd_experiment(args) -> int:
         raise ValueError("--max-fes must be positive")
     if trials < 1:
         raise ValueError("--trials must be positive")
-    if args.success_threshold < 0:
+    if not args.success_threshold >= 0:  # NaN included
         raise ValueError("--success-threshold must be nonnegative")
     if args.base_seed < 0:
         raise ValueError("--base-seed must be nonnegative")

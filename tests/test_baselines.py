@@ -33,7 +33,7 @@ def constant_spec(dim, value=5.0, low=-1.0, high=1.0):
         upper_bound=np.full(dim, high),
         optimum_position=np.zeros(dim),
         optimum_value=0.0,
-        _impl=lambda x: np.full(x.shape[:-1], value) if x.ndim > 1 else value,
+        _impl=lambda x: np.full(len(x), value),
     )
 
 
@@ -161,7 +161,7 @@ class TestGbde:
         obj = BudgetedObjective(make_benchmark(7, 3), max_fes=10_000)
         run = GbdeRun(obj, GbdeConfig(np_=5, seed=0))
         run.positions[:] = 0.25
-        run.fitness[:] = obj.spec.evaluate([0.25, 0.25, 0.25])
+        run.fitness[:] = obj.spec.evaluate_many(np.full((1, 3), 0.25))
         run.step()
         # best == parent everywhere: mutation has zero spread, crossover
         # recombines identical vectors, selection keeps the tie

@@ -2,9 +2,10 @@
 
 Batched trial lanes would evaluate many sweeps as one block, so each
 objective value and each tunnelling probability must come out the same
-whether it is computed in a large block or in the sweep-sized pieces a run
-uses today.  numpy's SIMD kernels handle a block's tail apart from its body,
-so these checks run again at the SIMD level a CPU without AVX-512 gets.
+whether it is computed in a large block or in the pieces a run uses today:
+sweeps, and bip's mean replacement, a batch of one.  numpy's SIMD kernels
+handle a block's tail apart from its body, so these checks run again at the
+SIMD level a CPU without AVX-512 gets.
 """
 
 import os
@@ -30,8 +31,11 @@ def test_a_block_evaluates_as_its_sweeps(name, dim):
     spec = get_objective(name, dim)
     xs = np.random.default_rng(dim).uniform(spec.lower_bound, spec.upper_bound,
                                             size=(960, dim))
-    sweeps = [spec.evaluate_many(xs[j:j + 15]) for j in range(0, len(xs), 15)]
-    assert spec.evaluate_many(xs).tobytes() == np.concatenate(sweeps).tobytes()
+    block = spec.evaluate_many(xs).tobytes()
+    # slices of a 15-particle sweep, and of bip's mean replacement: a batch of one
+    for rows in (15, 1):
+        pieces = [spec.evaluate_many(xs[j:j + rows]) for j in range(0, len(xs), rows)]
+        assert np.concatenate(pieces).tobytes() == block, f"slices of {rows}"
 
 
 def test_tunneling_on_a_block_matches_each_sweep():

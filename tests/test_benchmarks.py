@@ -67,11 +67,11 @@ def naive_value(function_id, x):
 
 class TestBenchmarkValues:
     def test_known_point_values(self):
-        assert make_benchmark(7, 3).evaluate([1.0, 2.0, 3.0]) == 14.0
-        assert make_benchmark(8, 2).evaluate([1.0, 1.0]) == 3.0
-        assert make_benchmark(2, 1).evaluate([0.5]) == pytest.approx(20.25, abs=1e-12)
-        assert make_benchmark(9, 3).evaluate([1.0, 1.0, 1.0]) == pytest.approx(14.0)
-        assert make_benchmark(10, 3).evaluate([1.0, 2.0, 3.0]) == 0.0
+        assert make_benchmark(7, 3).evaluate_many([[1.0, 2.0, 3.0]])[0] == 14.0
+        assert make_benchmark(8, 2).evaluate_many([[1.0, 1.0]])[0] == 3.0
+        assert make_benchmark(2, 1).evaluate_many([[0.5]])[0] == pytest.approx(20.25, abs=1e-12)
+        assert make_benchmark(9, 3).evaluate_many([[1.0, 1.0, 1.0]])[0] == pytest.approx(14.0)
+        assert make_benchmark(10, 3).evaluate_many([[1.0, 2.0, 3.0]])[0] == 0.0
 
     def test_matches_naive_loops_on_random_points(self):
         rng = np.random.default_rng(7)
@@ -79,29 +79,18 @@ class TestBenchmarkValues:
             for dim in (2, 5, 11):
                 spec = make_benchmark(fid, dim)
                 xs = rng.uniform(spec.lower_bound, spec.upper_bound, size=(8, dim))
-                for x in xs:
+                for x, got in zip(xs, spec.evaluate_many(xs)):
                     expected = naive_value(fid, x)
-                    got = spec.evaluate(x)
                     assert got == pytest.approx(expected, rel=1e-10, abs=1e-10), (
                         f"F{fid} dim={dim} disagrees with the naive loop"
                     )
-
-    def test_evaluate_many_matches_evaluate(self):
-        rng = np.random.default_rng(11)
-        for fid in (1, 4, 9, 12):
-            spec = make_benchmark(fid, 6)
-            xs = rng.uniform(spec.lower_bound, spec.upper_bound, size=(20, 6))
-            batch = spec.evaluate_many(xs)
-            singles = np.array([spec.evaluate(x) for x in xs])
-            # numpy's power can round x ** 4 for one point (F12's s2 ** 4)
-            # differently than for a batch
-            assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
 
     def test_optimum_residuals(self):
         for fid in range(1, 13):
             for dim in (2, 10, 30):
                 spec = make_benchmark(fid, dim)
-                residual = abs(spec.evaluate(spec.optimum_position) - spec.optimum_value)
+                value = spec.evaluate_many(spec.optimum_position[None, :])[0]
+                residual = abs(value - spec.optimum_value)
                 limit = 1e-3 if fid == 6 else 1e-9
                 assert residual <= limit, f"F{fid} dim={dim} residual {residual}"
 
@@ -120,11 +109,8 @@ class TestBenchmarkValues:
             assert np.all(spec.lower_bound == lo) and np.all(spec.upper_bound == hi)
 
     def test_shape_validation(self):
-        spec = make_benchmark(7, 3)
         with pytest.raises(ValueError):
-            spec.evaluate([1.0, 2.0])
-        with pytest.raises(ValueError):
-            spec.evaluate_many(np.zeros((4, 2)))
+            make_benchmark(7, 3).evaluate_many(np.zeros((4, 2)))
 
     def test_unknown_function_id(self):
         with pytest.raises(ValueError):
@@ -143,8 +129,9 @@ class TestDoubleWell:
 
     def test_tilt_breaks_the_symmetry(self):
         spec = double_well(DoubleWellParams(dim=1))
-        assert spec.evaluate([-2.0]) == pytest.approx(-0.1, abs=1e-12)
-        assert spec.evaluate([2.0]) == pytest.approx(0.1, abs=1e-12)
+        left, right = spec.evaluate_many([[-2.0], [2.0]])
+        assert left == pytest.approx(-0.1, abs=1e-12)
+        assert right == pytest.approx(0.1, abs=1e-12)
         assert spec.optimum_position[0] == pytest.approx(-2.0245462620, abs=1e-8)
 
     def test_value_scales_with_dimension(self):
@@ -167,7 +154,8 @@ class TestDoubleWell:
         spec = double_well(p)
         x = spec.optimum_position[0]
         h = 1e-6
-        slope = (spec.evaluate([x + h]) - spec.evaluate([x - h])) / (2 * h)
+        above, below = spec.evaluate_many([[x + h], [x - h]])
+        slope = (above - below) / (2 * h)
         assert abs(slope) < 1e-6
 
 
@@ -181,7 +169,9 @@ class TestRegistry:
     def test_lookup_is_case_insensitive(self):
         a = get_objective("f3", 4)
         b = get_objective("F3", 4)
-        assert a.name == b.name and a.evaluate([1, 1, 1, 1]) == b.evaluate([1, 1, 1, 1])
+        ones = np.ones((1, 4))
+        assert a.name == b.name
+        assert np.array_equal(a.evaluate_many(ones), b.evaluate_many(ones))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -191,15 +181,15 @@ class TestRegistry:
 class TestBudgetedObjective:
     def test_meter_counts_and_stops(self):
         budget = BudgetedObjective(make_benchmark(7, 2), max_fes=3)
-        budget.evaluate([1.0, 1.0])
+        budget.evaluate_many([[1.0, 1.0]])
         budget.evaluate_many([[0.0, 0.0], [2.0, 0.0]])
         assert budget.evals_used == 3 and budget.remaining == 0
         with pytest.raises(BudgetExhausted):
-            budget.evaluate([1.0, 1.0])
+            budget.evaluate_many([[1.0, 1.0]])
 
     def test_oversized_batch_consumes_nothing(self):
         budget = BudgetedObjective(make_benchmark(7, 2), max_fes=5)
-        budget.evaluate([1.0, 1.0])
+        budget.evaluate_many([[1.0, 1.0]])
         with pytest.raises(BudgetExhausted):
             budget.evaluate_many(np.zeros((5, 2)))
         assert budget.evals_used == 1 and budget.remaining == 4
@@ -222,7 +212,7 @@ class TestBudgetedObjective:
         budget = BudgetedObjective(make_benchmark(7, 2), max_fes=0)
         assert budget.remaining == 0
         with pytest.raises(BudgetExhausted):
-            budget.evaluate([0.0, 0.0])
+            budget.evaluate_many([[0.0, 0.0]])
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):

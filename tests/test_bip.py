@@ -23,12 +23,14 @@ from bareopt.bip import (
     ground_state_reached,
     tunneling_probability,
 )
+from bareopt.diagnostics import record_run
 from bareopt.harness import run_single
 from bareopt.records import (
     ACCEPT_BETTER,
     ACCEPT_TUNNEL,
     INIT,
     MEAN_REPLACE,
+    REJECT,
     SCALE_HALVE,
     EventLog,
 )
@@ -161,6 +163,29 @@ class TestAcceptSample:
         taken = np.count_nonzero(accept)
         sd = math.sqrt(expected * (1 - expected) / n)
         assert abs(taken / n - expected) < 4 * sd
+
+
+class TestAcceptanceLawOnRealSweeps:
+    @pytest.mark.parametrize("function, dim, max_fes, overrides", [
+        ("F7", 10, 20_000, None),
+        ("double_well", 2, 2_000, {"k": 5}),
+    ])
+    def test_tunnels_taken_match_their_probabilities(self, function, dim, max_fes,
+                                                     overrides):
+        # each tunnel decision (accept-tunnel or reject row) is one draw against
+        # its logged probability p, so over seeds 0-19 the accepted count is
+        # about normal with mean sum(p) and variance sum(p(1 - p))
+        accepted = expected = variance = 0.0
+        for seed in range(20):
+            _, log = record_run("bip", function, dim, max_fes=max_fes, seed=seed,
+                                overrides=overrides)
+            kind = log.events.column("kind")
+            p = log.events.column("probability")[(kind == ACCEPT_TUNNEL) | (kind == REJECT)]
+            accepted += np.count_nonzero(kind == ACCEPT_TUNNEL)
+            expected += p.sum()
+            variance += (p * (1.0 - p)).sum()
+        z = (accepted - expected) / math.sqrt(variance)
+        assert abs(z) < 3, f"z = {z:.2f}"
 
 
 class TestGroundState:

@@ -60,6 +60,13 @@ class TestRun:
         assert code == 2
         assert "unknown benchmark id 99" in capsys.readouterr().err
 
+    def test_a_nan_success_threshold_is_refused(self, capsys):
+        # a NaN threshold is passed by no error, so every run would fail
+        code = main(["run", "--algo", "gbde", "--func", "F7", "--dim", "2",
+                     "--max-fes", "200", "--success-threshold", "nan"])
+        assert code == 2
+        assert "success_threshold must be nonnegative" in capsys.readouterr().err
+
     def test_bip_only_flags_are_rejected_for_baselines(self, capsys):
         code = main(["run", "--algo", "gbde", "--func", "F7", "--dim", "2",
                      "--max-fes", "100", "--seed", "0", "--k", "9"])
@@ -231,6 +238,7 @@ class TestExperiment:
         ("--max-fes", "-5", "--max-fes must be positive"),
         ("--trials", "0", "--trials must be positive"),
         ("--success-threshold", "-1", "--success-threshold must be nonnegative"),
+        ("--success-threshold", "nan", "--success-threshold must be nonnegative"),
         ("--base-seed", "-1", "--base-seed must be nonnegative"),
         ("--funcs", "F3-F1,F7", "bad function range 'F3-F1'"),
         ("--funcs", "F7,F-F3", "bad function range 'F-F3'"),

@@ -6,9 +6,11 @@ import threading
 import numpy as np
 import pytest
 
+from bareopt.benchmarks import BudgetedObjective, make_benchmark
 from bareopt.harness import (
     ALGORITHMS,
     MULTIMODAL_FUNCTIONS,
+    REGISTRY,
     SUMMARY_SCHEMA_VERSION,
     UNIMODAL_FUNCTIONS,
     AggregateStats,
@@ -116,6 +118,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="success_threshold"):
             run_single(algorithm, "F7", 2, max_fes=100, seed=0,
                        success_threshold=-1e-3)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_nan_success_threshold_is_rejected(self, algorithm):
+        # RunScaffold refuses it for every run class: no error would ever reach it
+        run_class = REGISTRY[algorithm]
+        objective = BudgetedObjective(make_benchmark(7, 2), max_fes=100)
+        with pytest.raises(ValueError, match="success_threshold"):
+            run_class(objective, run_class.config_class(success_threshold=math.nan))
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_the_success_threshold_stops_every_algorithm(self, algorithm):
