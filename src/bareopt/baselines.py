@@ -215,7 +215,7 @@ class RunScaffold:
                 delta_f = _fitness_gap(fs, old_f)
             if delta_x is None:
                 delta_x = _jumps(xs, old_x)
-            worse = ~(delta_f <= 0)  # a NaN gap ranks as worsening
+            worse = delta_f > 0
             probability = taken.astype(float)
             if probs is not None:
                 probability[worse] = probs

@@ -1,9 +1,11 @@
-"""Benchmark objectives and budget-metered evaluation.
+"""Benchmark objectives and the budget meter that evaluates them.
 
 All objectives are minimization problems on an axis-aligned box with a known
-global optimum.  Implementations take a batch of shape (m, dim) and reduce
-over the last axis with ``np.add.reduce`` and ``np.multiply.reduce``: np.sum
-and np.prod, unwrapped.  A single point is a batch of one.
+global optimum.  An ``ObjectiveSpec`` holds an objective's data and kernel;
+a ``BudgetedObjective`` is the one way to evaluate it.  Kernels take a batch
+of shape (m, dim) and reduce over the last axis with ``np.add.reduce`` and
+``np.multiply.reduce``: np.sum and np.prod, unwrapped.  A single point is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class BudgetExhausted(Exception):
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """A boxed minimization objective with a known global optimum."""
+    """A boxed minimization objective with a known global optimum: its data
+    and its batch kernel ``_impl``.  Evaluate it through a BudgetedObjective."""
 
     name: str
     dim: int
@@ -55,17 +58,6 @@ class ObjectiveSpec:
     @property
     def max_span(self) -> float:
         return float(np.max(self.span))
-
-    def as_batch(self, xs) -> np.ndarray:
-        """``xs`` as a float array, checked to have shape (m, dim)."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(f"{self.name} expects shape (m, {self.dim}), got {xs.shape}")
-        return xs
-
-    def evaluate_many(self, xs) -> np.ndarray:
-        """Objective values for a batch of shape (m, dim)."""
-        return np.asarray(self._impl(self.as_batch(xs)), dtype=float)
 
 
 def _box(dim: int, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
@@ -282,12 +274,15 @@ def get_objective(name: str, dim: int) -> ObjectiveSpec:
 
 
 class BudgetedObjective:
-    """Wraps an ObjectiveSpec and counts every evaluated row against a cap.
+    """The one evaluator of an ObjectiveSpec: it counts every evaluated row
+    against a cap, and is the one place a NaN value is handled.
 
     Callers slice their batch to ``remaining`` first: a batch larger than
     that raises BudgetExhausted, and a misshapen one ValueError, without
     consuming budget; the shape is checked first.  A NaN value is reported
-    as +inf, so every comparison a run makes ranks it as worst.
+    as +inf, so every comparison a run makes ranks it as worst.  To evaluate
+    a spec outside a run, meter it with a budget of one batch:
+    ``BudgetedObjective(spec, len(xs)).evaluate_many(xs)``.
     """
 
     def __init__(self, spec: ObjectiveSpec, max_fes: int):
@@ -306,14 +301,14 @@ class BudgetedObjective:
         return self.max_fes - self._used
 
     def evaluate_many(self, xs) -> np.ndarray:
-        xs = self.spec.as_batch(xs)
+        """Objective values for a batch of shape (m, dim), NaN reported as +inf."""
+        spec, xs = self.spec, np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != spec.dim:
+            raise ValueError(f"{spec.name} expects shape (m, {spec.dim}), got {xs.shape}")
         m = len(xs)
-        if m == 0:
-            return np.empty(0)
         if m > self.remaining:
             raise BudgetExhausted(f"batch of {m} exceeds remaining budget {self.remaining}")
-        # the shape is checked, so skip spec.evaluate_many's second check
-        values = np.asarray(self.spec._impl(xs), dtype=float)
+        values = spec._impl(xs)
         self._used += m
         # fmin(NaN, inf) is inf, and fmin(v, inf) is v bit for bit
         return np.fmin(values, math.inf)

@@ -39,15 +39,17 @@ _PRESETS = {
     "full": {"dims": [30, 60, 100], "trials": 51, "max_fes": None},
 }
 
+def _entries(text: str) -> list[str]:
+    """The non-blank entries of a comma list, stripped."""
+    return [e for e in (part.strip() for part in text.split(",")) if e]
+
+
 def _parse_funcs(text: str) -> list[str]:
     """Expand a comma list with F-ranges, e.g. 'F1-F3,f7' -> F1 F2 F3 F7, in
     the registry's spelling, so F7 and f7 are one name; each name is kept
     once, where it first appears."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _entries(text):
         lo, sep, hi = part.partition("-")
         if sep and lo.upper().startswith("F") and hi.upper().startswith("F"):
             a, b = lo[1:], hi[1:]
@@ -182,12 +184,16 @@ def cmd_experiment(args) -> int:
         if args.max_fes is None:
             args.max_fes = preset["max_fes"]
     # a repeated grid entry would run its cells again: keep the first of each
-    algos = list(dict.fromkeys(a.strip() for a in args.algos.split(",") if a.strip()))
+    algos = list(dict.fromkeys(_entries(args.algos)))
+    if not algos:
+        raise ValueError("no algorithms given")
     for a in algos:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}; known: {ALGORITHMS}")
     funcs = _parse_funcs(args.funcs)
-    dims = list(dict.fromkeys(int(d) for d in (args.dims or "10").split(",")))
+    dims = list(dict.fromkeys(map(int, _entries("10" if args.dims is None else args.dims))))
+    if not dims:
+        raise ValueError("no dims given")
     if min(dims) < 1:
         raise ValueError("--dims must be positive")
     trials = args.trials if args.trials is not None else 20

@@ -129,8 +129,8 @@ class ErrorTrace:
     Evaluations arrive in contiguous batches numbered from 1.  The curve holds
     the best fitness at every multiple of ``stride`` up to the last one; the
     stride is the smallest power of two that keeps those multiples within the
-    cap, so the kept indices depend on the evaluation count alone.  A NaN
-    fitness ranks as worst: it never becomes the best or enters the curve.
+    cap, so the kept indices depend on the evaluation count alone.  The
+    fitnesses come from the meter, which reports NaN as +inf.
     """
 
     def __init__(self, optimum_value: float, cap: int = 2000):
@@ -160,16 +160,11 @@ class ErrorTrace:
             self.stride *= 2
             self._size //= 2
             self._curve[:self._size] = self._curve[1:2 * self._size:2]
-        # fmin skips NaN, so a NaN never enters the curve
         running = np.fmin.accumulate(fs)[-first_index % self.stride::self.stride]
         end = self._size + len(running)
         np.fmin(running, self.best_fitness, out=self._curve[self._size:end])
         self._size = end
-        # argmin stops at the first NaN: rank NaN as worst, and an all-NaN
-        # batch leaves the best as it was
         j = int(fs.argmin())
-        if math.isnan(fs[j]) and not np.isnan(fs).all():
-            j = int(np.nanargmin(fs))
         if fs[j] < self.best_fitness:
             self.best_fitness = float(fs[j])
             self.best_position = np.array(xs[j], dtype=float)

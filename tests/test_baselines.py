@@ -161,7 +161,7 @@ class TestGbde:
         obj = BudgetedObjective(make_benchmark(7, 3), max_fes=10_000)
         run = GbdeRun(obj, GbdeConfig(np_=5, seed=0))
         run.positions[:] = 0.25
-        run.fitness[:] = obj.spec.evaluate_many(np.full((1, 3), 0.25))
+        run.fitness[:] = BudgetedObjective(obj.spec, 1).evaluate_many(np.full((1, 3), 0.25))
         run.step()
         # best == parent everywhere: mutation has zero spread, crossover
         # recombines identical vectors, selection keeps the tie

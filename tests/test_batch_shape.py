@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-from bareopt.benchmarks import get_objective, registry_names
+from bareopt.benchmarks import BudgetedObjective, get_objective, registry_names
 from bareopt.bip import _tunneling
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,10 +31,11 @@ def test_a_block_evaluates_as_its_sweeps(name, dim):
     spec = get_objective(name, dim)
     xs = np.random.default_rng(dim).uniform(spec.lower_bound, spec.upper_bound,
                                             size=(960, dim))
-    block = spec.evaluate_many(xs).tobytes()
+    block = BudgetedObjective(spec, len(xs)).evaluate_many(xs).tobytes()
     # slices of a 15-particle sweep, and of bip's mean replacement: a batch of one
     for rows in (15, 1):
-        pieces = [spec.evaluate_many(xs[j:j + rows]) for j in range(0, len(xs), rows)]
+        meter = BudgetedObjective(spec, len(xs))
+        pieces = [meter.evaluate_many(xs[j:j + rows]) for j in range(0, len(xs), rows)]
         assert np.concatenate(pieces).tobytes() == block, f"slices of {rows}"
 
 

@@ -17,6 +17,12 @@ from bareopt.benchmarks import (
 )
 
 
+def evaluate(spec, xs):
+    """Values of the batch ``xs``, through a meter holding exactly its budget."""
+    xs = np.asarray(xs, dtype=float)
+    return BudgetedObjective(spec, len(xs)).evaluate_many(xs)
+
+
 def naive_value(function_id, x):
     """Straightforward per-definition loops, kept separate from the library
     implementations on purpose so the two can disagree."""
@@ -67,11 +73,11 @@ def naive_value(function_id, x):
 
 class TestBenchmarkValues:
     def test_known_point_values(self):
-        assert make_benchmark(7, 3).evaluate_many([[1.0, 2.0, 3.0]])[0] == 14.0
-        assert make_benchmark(8, 2).evaluate_many([[1.0, 1.0]])[0] == 3.0
-        assert make_benchmark(2, 1).evaluate_many([[0.5]])[0] == pytest.approx(20.25, abs=1e-12)
-        assert make_benchmark(9, 3).evaluate_many([[1.0, 1.0, 1.0]])[0] == pytest.approx(14.0)
-        assert make_benchmark(10, 3).evaluate_many([[1.0, 2.0, 3.0]])[0] == 0.0
+        assert evaluate(make_benchmark(7, 3), [[1.0, 2.0, 3.0]])[0] == 14.0
+        assert evaluate(make_benchmark(8, 2), [[1.0, 1.0]])[0] == 3.0
+        assert evaluate(make_benchmark(2, 1), [[0.5]])[0] == pytest.approx(20.25, abs=1e-12)
+        assert evaluate(make_benchmark(9, 3), [[1.0, 1.0, 1.0]])[0] == pytest.approx(14.0)
+        assert evaluate(make_benchmark(10, 3), [[1.0, 2.0, 3.0]])[0] == 0.0
 
     def test_matches_naive_loops_on_random_points(self):
         rng = np.random.default_rng(7)
@@ -79,7 +85,7 @@ class TestBenchmarkValues:
             for dim in (2, 5, 11):
                 spec = make_benchmark(fid, dim)
                 xs = rng.uniform(spec.lower_bound, spec.upper_bound, size=(8, dim))
-                for x, got in zip(xs, spec.evaluate_many(xs)):
+                for x, got in zip(xs, evaluate(spec, xs)):
                     expected = naive_value(fid, x)
                     assert got == pytest.approx(expected, rel=1e-10, abs=1e-10), (
                         f"F{fid} dim={dim} disagrees with the naive loop"
@@ -89,7 +95,7 @@ class TestBenchmarkValues:
         for fid in range(1, 13):
             for dim in (2, 10, 30):
                 spec = make_benchmark(fid, dim)
-                value = spec.evaluate_many(spec.optimum_position[None, :])[0]
+                value = evaluate(spec, spec.optimum_position[None, :])[0]
                 residual = abs(value - spec.optimum_value)
                 limit = 1e-3 if fid == 6 else 1e-9
                 assert residual <= limit, f"F{fid} dim={dim} residual {residual}"
@@ -110,7 +116,7 @@ class TestBenchmarkValues:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            make_benchmark(7, 3).evaluate_many(np.zeros((4, 2)))
+            evaluate(make_benchmark(7, 3), np.zeros((4, 2)))
 
     def test_unknown_function_id(self):
         with pytest.raises(ValueError):
@@ -123,13 +129,13 @@ class TestDoubleWell:
     def test_minimum_beats_a_grid_scan(self):
         spec = double_well(DoubleWellParams(dim=1))
         grid = np.linspace(spec.lower_bound[0], spec.upper_bound[0], 200001)
-        values = spec.evaluate_many(grid[:, None])
+        values = evaluate(spec, grid[:, None])
         assert spec.optimum_value <= values.min() + 1e-12
         assert abs(grid[np.argmin(values)] - spec.optimum_position[0]) < 1e-3
 
     def test_tilt_breaks_the_symmetry(self):
         spec = double_well(DoubleWellParams(dim=1))
-        left, right = spec.evaluate_many([[-2.0], [2.0]])
+        left, right = evaluate(spec, [[-2.0], [2.0]])
         assert left == pytest.approx(-0.1, abs=1e-12)
         assert right == pytest.approx(0.1, abs=1e-12)
         assert spec.optimum_position[0] == pytest.approx(-2.0245462620, abs=1e-8)
@@ -154,7 +160,7 @@ class TestDoubleWell:
         spec = double_well(p)
         x = spec.optimum_position[0]
         h = 1e-6
-        above, below = spec.evaluate_many([[x + h], [x - h]])
+        above, below = evaluate(spec, [[x + h], [x - h]])
         slope = (above - below) / (2 * h)
         assert abs(slope) < 1e-6
 
@@ -171,7 +177,7 @@ class TestRegistry:
         b = get_objective("F3", 4)
         ones = np.ones((1, 4))
         assert a.name == b.name
-        assert np.array_equal(a.evaluate_many(ones), b.evaluate_many(ones))
+        assert np.array_equal(evaluate(a, ones), evaluate(b, ones))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -207,6 +213,15 @@ class TestBudgetedObjective:
         budget = BudgetedObjective(make_benchmark(7, 2), max_fes=1)
         out = budget.evaluate_many(np.zeros((0, 2)))
         assert out.shape == (0,) and budget.evals_used == 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 10])
+    @pytest.mark.parametrize("name", registry_names())
+    def test_every_kernel_runs_an_empty_batch_for_free(self, name, dim):
+        # the kernel runs on zero rows; even a spent budget allows it
+        budget = BudgetedObjective(get_objective(name, dim), max_fes=0)
+        out = budget.evaluate_many(np.zeros((0, dim)))
+        assert out.shape == (0,) and out.dtype == np.float64
+        assert budget.evals_used == 0 and budget.remaining == 0
 
     def test_zero_budget_is_allowed(self):
         budget = BudgetedObjective(make_benchmark(7, 2), max_fes=0)

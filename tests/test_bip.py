@@ -204,6 +204,18 @@ class TestGroundState:
         with pytest.raises(ValueError):
             ground_state_reached([np.zeros(3)], 1.0)
 
+    @pytest.mark.parametrize("dim", [1, 2, 10])
+    def test_fires_as_often_as_the_chi2_model_says(self, dim):
+        # one axis of k = 15 draws from N(0, 1) has a sample std below 1 with
+        # probability P(chi2_14 < 14) = scipy.stats.chi2.cdf(14, 14); the max
+        # rule needs every axis below at once, so it fires with that to the dim
+        p = 0.5502889 ** dim
+        rng, n = np.random.default_rng(dim), 20_000
+        fired = sum(ground_state_reached(rng.standard_normal((15, dim)), 1.0)
+                    for _ in range(n))
+        z = (fired - n * p) / math.sqrt(n * p * (1 - p))
+        assert abs(z) < 4, f"z = {z:.2f}"
+
 
 def collapse(xs, fs, max_fes=10):
     """A bip run on the 1-D sphere whose population is set to ``xs``/``fs``

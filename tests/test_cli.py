@@ -243,14 +243,18 @@ class TestExperiment:
         ("--funcs", "F3-F1,F7", "bad function range 'F3-F1'"),
         ("--funcs", "F7,F-F3", "bad function range 'F-F3'"),
         ("--funcs", "f1-f2x", "bad function range 'f1-f2x'"),
+        ("--algos", ",", "no algorithms given"),
+        ("--algos", "", "no algorithms given"),
+        ("--dims", "", "no dims given"),
+        ("--dims", ",", "no dims given"),
     ])
     def test_an_empty_grid_is_refused_before_any_output(self, tmp_path, capsys,
                                                         flag, value, message):
         out = tmp_path / "results"
-        args = {"--funcs": "F7", "--dims": "2", "--max-fes": "100", "--trials": "1",
-                flag: value}
-        code = main(["experiment", "--algos", "gbde",
-                     *(x for kv in args.items() for x in kv), "--out", str(out)])
+        args = {"--algos": "gbde", "--funcs": "F7", "--dims": "2", "--max-fes": "100",
+                "--trials": "1", flag: value}
+        code = main(["experiment", *(x for kv in args.items() for x in kv),
+                     "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bareopt.benchmarks import get_objective
+from bareopt.benchmarks import BudgetedObjective, get_objective
 from bareopt.bip import tunneling_probability
 from bareopt.diagnostics import (
     TrajectoryLog,
@@ -227,8 +227,9 @@ class TestSummaries:
 
     def test_expected_solution_value_against_objective(self):
         _, log = record_run("bip", "F7", 2, max_fes=600, seed=5)
-        spec = get_objective("F7", 2)
-        esv_fresh = spec.evaluate_many(log.final_population()[1]).mean()
+        positions = log.final_population()[1]
+        meter = BudgetedObjective(get_objective("F7", 2), len(positions))
+        esv_fresh = meter.evaluate_many(positions).mean()
         assert esv_fresh == pytest.approx(expected_solution_value(log), rel=1e-9)
 
     def test_converged_run_has_a_small_population_mean(self):
