@@ -17,7 +17,6 @@ from .baselines import (
 from .benchmarks import (
     BudgetExhausted,
     BudgetedObjective,
-    DoubleWellParams,
     ObjectiveSpec,
     double_well,
     get_objective,

@@ -37,6 +37,9 @@ __all__ = [
     "GbdeRun",
 ]
 
+# the least bbfwa amplitude, so repeated failures cannot shrink it to 0
+AMP_FLOOR = float(np.finfo(float).eps)
+
 
 @dataclass
 class BbpsoConfig:
@@ -61,7 +64,6 @@ class BbfwaConfig:
     amp_init: float | None = None
     amp_grow: float = 1.2
     amp_shrink: float = 0.9
-    amp_floor: float = float(np.finfo(float).eps)
     seed: int = 0
     success_threshold: float = 1e-8
 
@@ -70,8 +72,6 @@ class BbfwaConfig:
             raise ValueError("np_ must be at least 1")
         if not (0 < self.amp_shrink < 1 < self.amp_grow):
             raise ValueError("need 0 < amp_shrink < 1 < amp_grow")
-        if self.amp_floor <= 0:
-            raise ValueError("amp_floor must be positive")
         if self.amp_init is not None and self.amp_init <= 0:
             raise ValueError("amp_init must be positive")
 
@@ -334,7 +334,7 @@ class BbfwaRun(RunScaffold):
         else:
             # a tie counts as no improvement
             self.amplitude *= cfg.amp_shrink
-        _clamp(self.amplitude, cfg.amp_floor, self.span)
+        _clamp(self.amplitude, AMP_FLOOR, self.span)
         return going
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "BudgetExhausted",
     "ObjectiveSpec",
     "BudgetedObjective",
-    "DoubleWellParams",
     "make_benchmark",
     "double_well",
     "get_objective",
@@ -184,33 +183,25 @@ def make_benchmark(function_id: int, dim: int) -> ObjectiveSpec:
 # --- double-well landscape ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleWellParams:
-    """Quartic double-well parameters: barrier height v0, well position a, tilt delta."""
-
-    dim: int
-    v0: float = 1.0
-    a: float = 2.0
-    delta: float = 0.05
-
-
-def double_well(params: DoubleWellParams) -> ObjectiveSpec:
-    """Separable quartic double well, per dimension v0*(x^2-a^2)^2/a^4 + delta*x.
+def double_well(dim: int, *, v0: float = 1.0, a: float = 2.0,
+                delta: float = 0.05) -> ObjectiveSpec:
+    """Separable quartic double well, per dimension v0*(x^2-a^2)^2/a^4 + delta*x:
+    barrier height v0, wells near x = -a and x = +a, tilt delta.
 
     With delta = 0 the wells at x = -a and x = +a are degenerate with value 0.
     A positive delta tilts the landscape so the negative well becomes the
     unique global minimum; the stored optimum is the lowest root of the
     slope, in closed form.
     """
-    if params.dim < 1:
+    if dim < 1:
         raise ValueError("dim must be at least 1")
-    if params.a == 0:
+    if a == 0:
         raise ValueError("well position a must be nonzero")
-    if params.v0 <= 0:
+    if v0 <= 0:
         raise ValueError("barrier height v0 must be positive")
-    if params.delta < 0:
+    if delta < 0:
         raise ValueError("tilt delta must be nonnegative")
-    v0, a, delta = params.v0, abs(params.a), params.delta
+    a = abs(a)
 
     def impl(x, v0=v0, a=a, delta=delta):
         return np.add.reduce(v0 * (x * x - a * a) ** 2 / a ** 4 + delta * x, axis=-1)
@@ -238,14 +229,14 @@ def double_well(params: DoubleWellParams) -> ObjectiveSpec:
         x_star = min(x_star, -a)  # the root lies below -a; a tiny tilt rounds it above
         per_dim = v0 * (x_star * x_star - a * a) ** 2 / a ** 4 + delta * x_star
 
-    lower, upper = _box(params.dim, -2.0 * a, 2.0 * a)
+    lower, upper = _box(dim, -2.0 * a, 2.0 * a)
     return ObjectiveSpec(
         name="double_well",
-        dim=params.dim,
+        dim=dim,
         lower_bound=lower,
         upper_bound=upper,
-        optimum_position=np.full(params.dim, x_star),
-        optimum_value=params.dim * per_dim,
+        optimum_position=np.full(dim, x_star),
+        optimum_value=dim * per_dim,
         _impl=impl,
     )
 
@@ -264,7 +255,7 @@ def get_objective(name: str, dim: int) -> ObjectiveSpec:
     if key.startswith("f") and key[1:].isdigit():
         return make_benchmark(int(key[1:]), dim)
     if key == "double_well":
-        return double_well(DoubleWellParams(dim=dim))
+        return double_well(dim)
     raise ValueError(
         f"unknown objective {name!r}; known names: {', '.join(registry_names())}"
     )

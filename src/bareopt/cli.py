@@ -44,6 +44,14 @@ def _entries(text: str) -> list[str]:
     return [e for e in (part.strip() for part in text.split(",")) if e]
 
 
+def _number(entry: str, convert, flag: str):
+    """One entry of a comma list converted, a bad one refused by its flag."""
+    try:
+        return convert(entry)
+    except ValueError:
+        raise ValueError(f"bad {flag} entry {entry!r}") from None
+
+
 def _parse_funcs(text: str) -> list[str]:
     """Expand a comma list with F-ranges, e.g. 'F1-F3,f7' -> F1 F2 F3 F7, in
     the registry's spelling, so F7 and f7 are one name; each name is kept
@@ -127,7 +135,8 @@ def _trial_kwargs(args) -> dict:
     if max_fes < 1:
         raise ValueError("--max-fes must be positive")
     overrides = _collect_overrides(args)
-    init = None if args.init is None else [float(v) for v in args.init.split(",")]
+    init = (None if args.init is None
+            else [_number(v, float, "--init") for v in args.init.split(",")])
     return {"max_fes": max_fes, "seed": args.seed,
             "success_threshold": args.success_threshold,
             "overrides": overrides, "init_position": init}
@@ -191,7 +200,8 @@ def cmd_experiment(args) -> int:
         if a not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {a!r}; known: {ALGORITHMS}")
     funcs = _parse_funcs(args.funcs)
-    dims = list(dict.fromkeys(map(int, _entries("10" if args.dims is None else args.dims))))
+    dims = [_number(d, int, "--dims") for d in _entries("10" if args.dims is None else args.dims)]
+    dims = list(dict.fromkeys(dims))
     if not dims:
         raise ValueError("no dims given")
     if min(dims) < 1:
@@ -312,11 +322,7 @@ def cmd_rank(args) -> int:
             raise ValueError(f"no rows with dim {args.dim}")
     elif len(dims) > 1:
         raise ValueError(f"CSV holds several dims {dims}; pick one with --dim")
-    funcs_present = []
-    for r in rows:
-        if r["function"] not in funcs_present:
-            funcs_present.append(r["function"])
-    group = _parse_group(args.group, funcs_present)
+    group = _parse_group(args.group, list(dict.fromkeys(r["function"] for r in rows)))
     sums: dict = {}
     counts: dict = {}
     for r in rows:

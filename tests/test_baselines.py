@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bareopt.baselines import (
+    AMP_FLOOR,
     BbfwaConfig,
     BbfwaRun,
     BbpsoConfig,
@@ -111,7 +112,7 @@ class TestBbfwa:
         expected = np.full(2, 1.0)
         for _ in range(6):
             run.step()
-            expected = np.clip(expected * cfg.amp_shrink, cfg.amp_floor, run.span)
+            expected = np.clip(expected * cfg.amp_shrink, AMP_FLOOR, run.span)
             assert np.allclose(run.amplitude, expected, rtol=1e-12)
 
     def test_tie_counts_as_no_improvement(self):
@@ -138,7 +139,7 @@ class TestBbfwa:
         run = BbfwaRun(obj, cfg)
         for _ in range(200):
             run.step()
-        assert np.all(run.amplitude >= cfg.amp_floor)
+        assert np.all(run.amplitude >= AMP_FLOOR)
 
     def test_sphere_at_double_budget(self):
         obj = BudgetedObjective(make_benchmark(7, 10), max_fes=100_000)

@@ -9,7 +9,6 @@ from bareopt.benchmarks import (
     SCHWEFEL_OPTIMUM,
     BudgetExhausted,
     BudgetedObjective,
-    DoubleWellParams,
     double_well,
     get_objective,
     make_benchmark,
@@ -127,37 +126,36 @@ class TestBenchmarkValues:
 
 class TestDoubleWell:
     def test_minimum_beats_a_grid_scan(self):
-        spec = double_well(DoubleWellParams(dim=1))
+        spec = double_well(1)
         grid = np.linspace(spec.lower_bound[0], spec.upper_bound[0], 200001)
         values = evaluate(spec, grid[:, None])
         assert spec.optimum_value <= values.min() + 1e-12
         assert abs(grid[np.argmin(values)] - spec.optimum_position[0]) < 1e-3
 
     def test_tilt_breaks_the_symmetry(self):
-        spec = double_well(DoubleWellParams(dim=1))
+        spec = double_well(1)
         left, right = evaluate(spec, [[-2.0], [2.0]])
         assert left == pytest.approx(-0.1, abs=1e-12)
         assert right == pytest.approx(0.1, abs=1e-12)
         assert spec.optimum_position[0] == pytest.approx(-2.0245462620, abs=1e-8)
 
     def test_value_scales_with_dimension(self):
-        one = double_well(DoubleWellParams(dim=1))
-        three = double_well(DoubleWellParams(dim=3))
+        one = double_well(1)
+        three = double_well(3)
         assert three.optimum_value == pytest.approx(3 * one.optimum_value, rel=1e-12)
         assert np.all(three.optimum_position == one.optimum_position[0])
 
     def test_box_spans_twice_the_well_separation(self):
-        spec = double_well(DoubleWellParams(dim=2, a=2.0))
+        spec = double_well(2, a=2.0)
         assert np.all(spec.lower_bound == -4.0) and np.all(spec.upper_bound == 4.0)
 
     def test_rejects_a_tilt_that_removes_the_left_well(self):
         # for v0=1, a=2 the outer slope at -2a turns nonnegative at delta=12
         with pytest.raises(ValueError):
-            double_well(DoubleWellParams(dim=1, delta=13.0))
+            double_well(1, delta=13.0)
 
     def test_stationary_point_has_zero_slope(self):
-        p = DoubleWellParams(dim=1, v0=2.0, a=1.5, delta=0.03)
-        spec = double_well(p)
+        spec = double_well(1, v0=2.0, a=1.5, delta=0.03)
         x = spec.optimum_position[0]
         h = 1e-6
         above, below = evaluate(spec, [[x + h], [x - h]])

@@ -168,6 +168,7 @@ class TestAcceptSample:
 class TestAcceptanceLawOnRealSweeps:
     @pytest.mark.parametrize("function, dim, max_fes, overrides", [
         ("F7", 10, 20_000, None),
+        ("F1", 10, 20_000, None),
         ("double_well", 2, 2_000, {"k": 5}),
     ])
     def test_tunnels_taken_match_their_probabilities(self, function, dim, max_fes,

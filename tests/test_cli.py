@@ -67,6 +67,12 @@ class TestRun:
         assert code == 2
         assert "success_threshold must be nonnegative" in capsys.readouterr().err
 
+    def test_a_bad_start_point_entry_is_named(self, capsys):
+        code = main(["run", "--algo", "bip", "--func", "F7", "--dim", "2",
+                     "--max-fes", "50", "--init", "a,b"])
+        assert code == 2
+        assert "bad --init entry 'a'" in capsys.readouterr().err
+
     def test_bip_only_flags_are_rejected_for_baselines(self, capsys):
         code = main(["run", "--algo", "gbde", "--func", "F7", "--dim", "2",
                      "--max-fes", "100", "--seed", "0", "--k", "9"])
@@ -247,6 +253,7 @@ class TestExperiment:
         ("--algos", "", "no algorithms given"),
         ("--dims", "", "no dims given"),
         ("--dims", ",", "no dims given"),
+        ("--dims", "2,a", "bad --dims entry 'a'"),
     ])
     def test_an_empty_grid_is_refused_before_any_output(self, tmp_path, capsys,
                                                         flag, value, message):
@@ -333,6 +340,13 @@ class TestDiagnose:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "--bins must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_bad_start_point_entry_is_refused_before_the_trial(self, tmp_path, capsys):
+        code = main(["diagnose", "--algo", "bip", "--func", "F7", "--dim", "2",
+                     "--max-fes", "300", "--init", "1,b", "--out", str(tmp_path)])
+        assert code == 2
+        assert "bad --init entry 'b'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bareopt.baselines import BbfwaConfig, _between, _clamped_cr, _jumps, _sparks
+from bareopt.baselines import AMP_FLOOR, _between, _clamped_cr, _jumps, _sparks
 from bareopt.bip import (
     BOUNDS_POLICIES,
     accept_moves,
@@ -264,7 +264,7 @@ class TestProposalDraws:
         span = upper - lower
         # the amplitude at its floor, at the span, or in between
         pick = data.draw(arrays(np.int8, len(span), elements=st.integers(0, 2)))
-        amplitude = np.where(pick == 0, BbfwaConfig.amp_floor,
+        amplitude = np.where(pick == 0, AMP_FLOOR,
                              np.where(pick == 1, span, span * unit[-1]))
         ours, numpys = twin_generators(seed)
         expected = center + numpys.uniform(-amplitude, amplitude, size=(m, len(center)))

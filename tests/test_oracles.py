@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bareopt.benchmarks import BudgetedObjective, DoubleWellParams, double_well, get_objective
+from bareopt.benchmarks import BudgetedObjective, double_well, get_objective
 from bareopt.harness import _average_ranks
 
 
@@ -65,7 +65,7 @@ def tilted_wells(draw):
 def test_the_tilted_well_optimum_is_within_2_ulp_of_the_exact_root(well):
     v0, a, delta = well
     try:
-        spec = double_well(DoubleWellParams(dim=1, v0=v0, a=a, delta=delta))
+        spec = double_well(1, v0=v0, a=a, delta=delta)
     except ValueError as exc:
         # at the top of the range the rounded slope at -2a can already be >= 0
         assert "lower well vanishes" in str(exc) and delta > 23.9 * v0 / a
@@ -86,7 +86,7 @@ def well_hamiltonian(hbar, points=1601):
     """H = -(hbar²/2)·d²/dx² + V for the 1-D criterion-6 well, by finite
     differences on its box [-2a, 2a] with psi = 0 at both edges: (the
     interior grid, H as a dense matrix)."""
-    spec = double_well(DoubleWellParams(dim=1))
+    spec = double_well(1)
     x, h = np.linspace(spec.lower_bound[0], spec.upper_bound[0], points, retstep=True)
     x = x[1:-1]
     v = BudgetedObjective(spec, len(x)).evaluate_many(x[:, None])
@@ -97,7 +97,7 @@ def well_hamiltonian(hbar, points=1601):
 def test_the_double_well_ground_state_oracle():
     # small hbar: the harmonic limit of the global well, V(x*) + hbar·omega/2
     # with omega = sqrt(V''(x*)) = sqrt((12 x*² - 4 a²) / a⁴) for v0 = 1, a = 2
-    spec = double_well(DoubleWellParams(dim=1))
+    spec = double_well(1)
     x_star = spec.optimum_position[0]
     omega = math.sqrt((12.0 * x_star * x_star - 16.0) / 16.0)
     assert (x_star, omega) == (pytest.approx(-2.0245, abs=1e-4), pytest.approx(1.440, abs=1e-3))
