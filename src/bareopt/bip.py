@@ -44,6 +44,7 @@ class BipConfig:
     stops the run once sigma_s is divided below it; zero disables that stop.
     ``mean_replace`` switches the population-collapse step at each scale
     transition, kept as a flag so its effect can be measured.
+    ``init_position``, if set, is the one point every particle starts at.
     """
 
     k: int = 15
@@ -55,6 +56,7 @@ class BipConfig:
     success_threshold: float = 1e-8
     seed: int = 0
     mean_replace: bool = True
+    init_position: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -202,7 +204,7 @@ class BipRun(RunScaffold):
     algorithm = "bip"
     config_class = BipConfig
 
-    def __init__(self, objective, config=None, *, events=None, init_position=None):
+    def __init__(self, objective, config=None, *, events=None):
         super().__init__(objective, config, events=events)
         self.span = objective.spec.max_span
         self.scale_index = 0
@@ -211,8 +213,8 @@ class BipRun(RunScaffold):
         self.gamma = self.sigma_s
         k, n = self.config.k, objective.spec.dim
         tiled = None
-        if init_position is not None:
-            start = np.asarray(init_position, dtype=float)
+        if self.config.init_position is not None:
+            start = np.asarray(self.config.init_position, dtype=float)
             if start.shape != (n,):
                 raise ValueError(f"init_position must have shape ({n},)")
             if not np.all((start >= self.lower) & (start <= self.upper)):

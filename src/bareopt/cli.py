@@ -90,10 +90,10 @@ def _add_run_flags(p: argparse.ArgumentParser, threshold_default: float):
                    help="evaluation budget (default 10000*dim)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--success-threshold", type=float, default=threshold_default)
-    p.add_argument("--init", type=str, default=None,
-                   help="comma-separated start point, every particle begins there (bip only)")
     # every flag below sets the config field named by its dest
     overrides = [
+        p.add_argument("--init", dest="init_position",
+                       help="comma-separated start point, every particle begins there (bip only)"),
         p.add_argument("--k", type=int, help="bip population size"),
         p.add_argument("--amplitude-a", type=float),
         p.add_argument("--anneal-tau", type=float),
@@ -129,30 +129,25 @@ def _collect_overrides(args) -> dict:
 
 def _trial_kwargs(args) -> dict:
     """The keyword arguments of the one trial of ``run`` and ``diagnose``,
-    with the objective name, budget, overrides and start point checked."""
+    with the objective name, budget, seed, overrides and start point checked."""
     get_objective(args.func, args.dim)  # validate the name early
     max_fes = args.max_fes if args.max_fes is not None else 10000 * args.dim
     if max_fes < 1:
         raise ValueError("--max-fes must be positive")
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
     overrides = _collect_overrides(args)
-    init = (None if args.init is None
-            else [_number(v, float, "--init") for v in args.init.split(",")])
+    if "init_position" in overrides:
+        start = [_number(v, float, "--init") for v in overrides["init_position"].split(",")]
+        if len(start) != args.dim:
+            raise ValueError(f"--init needs {args.dim} entries, got {len(start)}")
+        overrides["init_position"] = start
     return {"max_fes": max_fes, "seed": args.seed,
-            "success_threshold": args.success_threshold,
-            "overrides": overrides, "init_position": init}
+            "success_threshold": args.success_threshold, "overrides": overrides}
 
 
 def _effective_config(args, trial) -> dict:
-    return {
-        "algorithm": args.algo,
-        "function": args.func,
-        "dim": args.dim,
-        "max_fes": trial["max_fes"],
-        "seed": args.seed,
-        "success_threshold": args.success_threshold,
-        "init": trial["init_position"],
-        "overrides": trial["overrides"],
-    }
+    return {"algorithm": args.algo, "function": args.func, "dim": args.dim, **trial}
 
 
 def cmd_run(args) -> int:
@@ -239,7 +234,7 @@ def cmd_experiment(args) -> int:
                     print(f"FAILED {algo} {func} {dim}d: {exc}", file=sys.stderr)
                     continue
                 outcomes.extend(cell)
-                stats = aggregate(cell, args.success_threshold)
+                stats = aggregate(cell)
                 cell_stats[(algo, func, dim)] = stats
                 cell_max_fes[(algo, func, dim)] = max_fes
                 print(f"{algo:6s} {func:12s} {dim:4d}d  best={stats.best:.3e} "

@@ -94,7 +94,6 @@ def record_run(
     seed: int,
     success_threshold: float = 0.0,
     overrides: dict | None = None,
-    init_position=None,
 ) -> tuple[TrialOutcome, TrajectoryLog]:
     """Run one trial with an event collector attached.
 
@@ -116,8 +115,7 @@ def record_run(
     outcome = run_single(
         algorithm, function, dim,
         max_fes=max_fes, seed=seed, success_threshold=success_threshold,
-        overrides=overrides, init_position=init_position,
-        events=log.events,
+        overrides=overrides, events=log.events,
     )
     return outcome, log
 

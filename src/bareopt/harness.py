@@ -56,17 +56,19 @@ SUMMARY_SCHEMA_VERSION = 1
 
 def build_config(algorithm: str, seed: int, success_threshold: float,
                  overrides: dict | None):
-    """The config of one trial: defaults, then ``overrides``, the seed and
-    (unless overridden) the success threshold."""
+    """The config of one trial: defaults, then ``overrides``, then the seed
+    and the success threshold, which have their own arguments."""
     if algorithm not in REGISTRY:
         raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
     cls = REGISTRY[algorithm].config_class
     kwargs = dict(overrides or {})
+    if {"seed", "success_threshold"} & kwargs.keys():
+        raise ValueError("pass seed and success_threshold as arguments, not in overrides")
     bad = set(kwargs) - {f for f in cls.__dataclass_fields__}
     if bad:
         raise ValueError(f"unknown {algorithm} options: {sorted(bad)}")
     kwargs["seed"] = seed
-    kwargs.setdefault("success_threshold", success_threshold)
+    kwargs["success_threshold"] = success_threshold
     return cls(**kwargs)
 
 
@@ -79,25 +81,16 @@ def run_single(
     seed: int,
     success_threshold: float = 1e-8,
     overrides: dict | None = None,
-    init_position=None,
     events=None,
 ) -> TrialOutcome:
     """Run one seeded trial and return its outcome.
 
     ``overrides`` maps config field names of the chosen algorithm to values.
-    ``init_position`` starts every particle at a fixed point and is only
-    meaningful for the multi-scale sampler.  ``events`` is None or an
-    ``EventLog`` that the run hands its events to.
+    ``events`` is None or an ``EventLog`` that the run hands its events to.
     """
     config = build_config(algorithm, seed, success_threshold, overrides)
-    kwargs = {}
-    if init_position is not None:
-        if algorithm != "bip":
-            raise ValueError("init_position is only supported by bip")
-        kwargs["init_position"] = init_position
-    spec = get_objective(function, dim)
-    objective = BudgetedObjective(spec, max_fes)
-    return REGISTRY[algorithm](objective, config, events=events, **kwargs).run()
+    objective = BudgetedObjective(get_objective(function, dim), max_fes)
+    return REGISTRY[algorithm](objective, config, events=events).run()
 
 
 def run_experiment(
@@ -136,13 +129,12 @@ class AggregateStats:
     n_trials: int
 
 
-def aggregate(outcomes: list[TrialOutcome],
-              success_threshold: float = 1e-8) -> AggregateStats:
+def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:
     """Summarize one cell of trials.
 
     Requires a non-empty, homogeneous cell (same algorithm, function, dim).
     ``std`` uses n-1 normalization and is 0 for a single trial.  ``sr`` is
-    the fraction of trials with final_error at or below the threshold.
+    the fraction of trials that succeeded, each at its own run's threshold.
     """
     if not outcomes:
         raise ValueError("cannot aggregate zero trials")
@@ -152,12 +144,11 @@ def aggregate(outcomes: list[TrialOutcome],
     errors = np.array([o.final_error for o in outcomes], dtype=float)
     n = errors.size
     std = float(errors.std(ddof=1)) if n > 1 else 0.0
-    sr = float(np.mean(errors <= success_threshold))
     return AggregateStats(
         best=float(errors.min()),
         mean=float(errors.mean()),
         std=std,
-        sr=sr,
+        sr=float(np.mean([o.succeeded for o in outcomes])),
         n_trials=n,
     )
 
@@ -272,6 +263,9 @@ def read_trials_csv(path) -> list[dict]:
                     f"{len(TRIAL_CSV_COLUMNS)} fields, got {len(row)}"
                 )
             try:
+                flag = row[6].strip().lower()
+                if flag not in ("true", "false"):
+                    raise ValueError(f"succeeded must be true or false, got {row[6]!r}")
                 rows.append({
                     "algorithm": row[0],
                     "function": row[1],
@@ -279,7 +273,7 @@ def read_trials_csv(path) -> list[dict]:
                     "seed": int(row[3]),
                     "final_error": float(row[4]),
                     "evals_used": int(row[5]),
-                    "succeeded": row[6].strip().lower() == "true",
+                    "succeeded": flag == "true",
                 })
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None

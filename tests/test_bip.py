@@ -425,8 +425,8 @@ class TestBipRun:
     def test_init_position_tiles_the_population(self):
         events = EventLog()
         obj = BudgetedObjective(get_objective("double_well", 2), max_fes=50)
-        run = BipRun(obj, BipConfig(seed=1, k=5, success_threshold=0.0),
-                     events=events, init_position=(2.0, 2.0))
+        run = BipRun(obj, BipConfig(seed=1, k=5, success_threshold=0.0,
+                                    init_position=(2.0, 2.0)), events=events)
         run.run()
         inits = np.concatenate([b.position[b.kind == INIT] for b in events.batches
                                 if b.position is not None])
@@ -437,13 +437,13 @@ class TestBipRun:
     def test_init_position_outside_box_rejected(self):
         obj = self.budget(dim=2)
         with pytest.raises(ValueError):
-            BipRun(obj, BipConfig(seed=0), init_position=(1e9, 0.0))
+            BipRun(obj, BipConfig(seed=0, init_position=(1e9, 0.0)))
         with pytest.raises(ValueError):
-            BipRun(obj, BipConfig(seed=0), init_position=(0.0,))
+            BipRun(obj, BipConfig(seed=0, init_position=(0.0,)))
         # NaN compares false both ways, so only a check that asks for the
         # box (not for leaving it) rejects it
         with pytest.raises(ValueError, match="outside the box"):
-            BipRun(obj, BipConfig(seed=0), init_position=(math.nan, 0.0))
+            BipRun(obj, BipConfig(seed=0, init_position=(math.nan, 0.0)))
 
     def test_min_scale_stops_the_run(self):
         obj = self.budget(max_fes=100_000)

@@ -73,6 +73,20 @@ class TestRun:
         assert code == 2
         assert "bad --init entry 'a'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--init", "1"], "--init needs 2 entries, got 1"),
+        (["--init", "1,2,3"], "--init needs 2 entries, got 3"),
+        (["--seed", "-1"], "--seed must be nonnegative"),
+    ])
+    def test_a_bad_start_point_or_seed_is_refused_by_its_flag(self, tmp_path, capsys,
+                                                              command, flags, message):
+        code = main([command, "--algo", "bip", "--func", "F7", "--dim", "2",
+                     "--max-fes", "200", *flags, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bip_only_flags_are_rejected_for_baselines(self, capsys):
         code = main(["run", "--algo", "gbde", "--func", "F7", "--dim", "2",
                      "--max-fes", "100", "--seed", "0", "--k", "9"])
@@ -109,6 +123,7 @@ class TestOverrides:
         ("bbfwa", ["--amp-init", "1.5"], {"amp_init": 1.5}),
         ("bbfwa", ["--amp-grow", "1.3"], {"amp_grow": 1.3}),
         ("bbfwa", ["--amp-shrink", "0.8"], {"amp_shrink": 0.8}),
+        ("bip", ["--init", "0.5,-1"], {"init_position": [0.5, -1.0]}),
     ])
     def test_each_flag_reaches_its_config_field(self, tmp_path, algo, flags, expected):
         assert self.overrides_of(tmp_path, algo, flags) == expected
@@ -121,6 +136,8 @@ class TestOverrides:
         ("gbde", ["--k", "9"], "--k does not apply to gbde"),
         ("gbde", ["--no-mean-replace"], "--no-mean-replace does not apply to gbde"),
         ("bbfwa", ["--cr-mean", "0.6"], "--cr-mean does not apply to bbfwa"),
+        ("gbde", ["--init", "1,1"], "--init does not apply to gbde"),
+        ("bbpso", ["--init", "a"], "--init does not apply to bbpso"),
     ])
     def test_a_flag_for_another_algorithm_is_rejected(self, capsys, algo, flags,
                                                        message):
@@ -145,6 +162,22 @@ class TestExperiment:
         assert "rankings" in summary
         out = capsys.readouterr().out
         assert "average rank" in out
+
+    def test_each_success_rate_is_the_share_of_its_succeeded_rows(self, tmp_path):
+        code = main(["experiment", "--algos", "bbpso,gbde", "--funcs", "F1,F7",
+                     "--dims", "2", "--trials", "4", "--max-fes", "2000",
+                     "--success-threshold", "1e-3", "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_trials_csv(tmp_path / "trials.csv")
+        cells = json.loads((tmp_path / "summary.json").read_text())["cells"]
+        assert len(cells) == 4
+        for cell in cells:
+            flags = [r["succeeded"] for r in rows
+                     if (r["algorithm"], r["function"]) == (cell["algorithm"], cell["function"])]
+            assert len(flags) == cell["n_trials"] == 4
+            assert cell["sr"] == sum(flags) / len(flags)
+        # the threshold splits the grid: some trials reach it, others miss it
+        assert any(0 < cell["sr"] < 1 for cell in cells)
 
     def test_summary_names_the_software_versions(self, tmp_path):
         code = main(["experiment", "--algos", "bip,gbde", "--funcs", "F7", "--dims", "2",
@@ -320,7 +353,7 @@ class TestDiagnose:
             assert payload["effective_config"] == {
                 "algorithm": "bip", "function": "double_well", "dim": 2,
                 "max_fes": 200, "seed": 0, "success_threshold": 0.0,
-                "init": [2.0, 2.0], "overrides": {"k": 5},
+                "overrides": {"init_position": [2.0, 2.0], "k": 5},
             }
             assert payload["versions"] == VERSIONS
 

@@ -76,7 +76,7 @@ class TestRecordRun:
     def test_figure_protocol_replays_its_setup(self):
         out, log = record_run(
             "bip", "double_well", 2, max_fes=200, seed=0,
-            overrides={"k": 5}, init_position=(2.0, 2.0),
+            overrides={"k": 5, "init_position": (2.0, 2.0)},
         )
         assert log.algorithm == "bip" and log.function == "double_well"
         assert log.dim == 2 and log.seed == 0 and log.amplitude == 1.0
@@ -91,7 +91,7 @@ class TestRecordRun:
     def test_disabled_tunneling_never_tunnels(self):
         _, log = record_run(
             "bip", "double_well", 2, max_fes=200, seed=0,
-            overrides={"k": 5, "amplitude_a": 0.0}, init_position=(2.0, 2.0),
+            overrides={"k": 5, "amplitude_a": 0.0, "init_position": (2.0, 2.0)},
         )
         assert log.amplitude == 0.0
         assert np.all(log.events.column("kind") != ACCEPT_TUNNEL)

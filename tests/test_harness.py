@@ -66,9 +66,17 @@ class TestAggregate:
         assert stats.std == 0.0 and stats.mean == 3.0 and stats.sr == 0.0
 
     def test_success_rate_follows_the_threshold(self):
-        outs = [outcome(1e-7), outcome(1e-9)]
-        assert aggregate(outs, success_threshold=1e-8).sr == 0.5
-        assert aggregate(outs, success_threshold=1e-6).sr == 1.0
+        # sr counts what each run decided at its own threshold
+        def cell(threshold):
+            return [run_single("gbde", "F7", 2, max_fes=400, seed=s,
+                               success_threshold=threshold) for s in range(4)]
+
+        errors = sorted(o.final_error for o in cell(0.0))
+        middle = (errors[1] + errors[2]) / 2
+        assert errors[1] < middle < errors[2]  # so it splits the cell in two
+        assert aggregate(cell(0.0)).sr == 0.0
+        assert aggregate(cell(middle)).sr == 0.5
+        assert aggregate(cell(errors[-1])).sr == 1.0
 
     def test_rejects_mixed_cells(self):
         with pytest.raises(ValueError):
@@ -109,9 +117,16 @@ class TestRunExperiment:
                        overrides={"velocity": 2.0})
 
     def test_init_position_is_for_the_sampler_only(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown gbde options"):
             run_single("gbde", "F7", 2, max_fes=100, seed=0,
-                       init_position=(0.0, 0.0))
+                       overrides={"init_position": (0.0, 0.0)})
+
+    @pytest.mark.parametrize("key, value", [("seed", 5), ("success_threshold", 1e-2)])
+    def test_overrides_may_not_set_what_has_its_own_argument(self, key, value):
+        # each has one way in, so an override cannot disagree with its argument
+        with pytest.raises(ValueError, match="pass seed and success_threshold"):
+            run_single("gbde", "F7", 2, max_fes=2000, seed=0, success_threshold=0.0,
+                       overrides={key: value})
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_a_negative_success_threshold_is_rejected(self, algorithm):
@@ -222,6 +237,16 @@ class TestTrialsCsv:
         write_trials_csv(path, [outcome(math.nan, succeeded=False)])
         row = read_trials_csv(path)[0]
         assert math.isnan(row["final_error"]) and row["succeeded"] is False
+
+    def test_a_succeeded_field_other_than_true_or_false_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trials_csv(path, [outcome(1.0), outcome(1e-9)])
+        text = path.read_text().replace("false", "FALSE").replace("true", "maybe")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="line 3: succeeded must be true or false"):
+            read_trials_csv(path)
+        path.write_text(text.replace("maybe", " True"))
+        assert [r["succeeded"] for r in read_trials_csv(path)] == [False, True]
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -123,11 +123,11 @@ def test_a_skipped_collapse_check_would_have_said_no(variant, mean_replace, ampl
         checks.append(sigma_s)
         return check(positions, sigma_s)
 
-    config = BipConfig(**MINIMAL[variant], mean_replace=mean_replace,
-                       amplitude_a=amplitude_a, seed=seed, success_threshold=0.0)
     spec = get_objective(function, dim)
-    run = BipRun(BudgetedObjective(spec, max_fes), config,
-                 init_position=spec.optimum_position if at_optimum else None)
+    config = BipConfig(**MINIMAL[variant], mean_replace=mean_replace,
+                       amplitude_a=amplitude_a, seed=seed, success_threshold=0.0,
+                       init_position=spec.optimum_position if at_optimum else None)
+    run = BipRun(BudgetedObjective(spec, max_fes), config)
     with patch.object(bip, "ground_state_reached", counted):
         while True:
             before = len(checks)
