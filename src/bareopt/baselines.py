@@ -3,7 +3,7 @@
 All three, and the multi-scale sampler, run on ``RunScaffold``: a metered
 objective, a seeded generator, one best-so-far record (an ``ErrorTrace``:
 the best point, its error and a bounded error curve), an optional
-``EventLog`` for its events, and a config that carries the seed and the
+``EventLog`` for its events, a config that carries the seed, and the run's
 success threshold.  Every evaluated step is booked through ``_book``, which
 logs each algorithm's moves with one Δf, kind and probability rule.
 Proposals are drawn in one array and clamped to the box in place.
@@ -48,7 +48,6 @@ class BbpsoConfig:
 
     np_: int = 20
     seed: int = 0
-    success_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.np_ < 2:
@@ -65,15 +64,14 @@ class BbfwaConfig:
     amp_grow: float = 1.2
     amp_shrink: float = 0.9
     seed: int = 0
-    success_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.np_ < 1:
             raise ValueError("np_ must be at least 1")
-        if not (0 < self.amp_shrink < 1 < self.amp_grow):
-            raise ValueError("need 0 < amp_shrink < 1 < amp_grow")
-        if self.amp_init is not None and self.amp_init <= 0:
-            raise ValueError("amp_init must be positive")
+        if not 0 < self.amp_shrink < 1 < self.amp_grow < math.inf:
+            raise ValueError("need 0 < amp_shrink < 1 < amp_grow < inf")
+        if self.amp_init is not None and not 0 < self.amp_init < math.inf:
+            raise ValueError("amp_init must be finite and positive")
 
 
 @dataclass
@@ -86,13 +84,14 @@ class GbdeConfig:
     cr_mean: float = 0.5
     cr_std: float = 0.1
     seed: int = 0
-    success_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.np_ < 4:
             raise ValueError("np_ must be at least 4")
-        if self.cr_std < 0:
-            raise ValueError("cr_std must be nonnegative")
+        if not -math.inf < self.cr_mean < math.inf:
+            raise ValueError("cr_mean must be finite")
+        if not 0 <= self.cr_std < math.inf:
+            raise ValueError("cr_std must be finite and nonnegative")
 
 
 def _jumps(xs, old_x):
@@ -152,11 +151,11 @@ class RunScaffold:
     record, events, stopping and the outcome record.
 
     ``trace`` (an ``ErrorTrace``) holds the run's best point, its error and
-    the best-so-far curve.  ``config`` carries ``seed`` and
-    ``success_threshold``; a run stops once the trace's error reaches the
-    threshold (zero runs the budget out).  Runs without a scale or a
-    tunneling width emit NaN for both in their events; the multi-scale
-    sampler sets ``gamma`` and ``sigma_s`` on itself.
+    the best-so-far curve.  ``config`` carries ``seed``; the run stops once
+    the trace's error reaches ``success_threshold``, a keyword of the run
+    that it refuses when negative or NaN (zero runs the budget out).  Runs
+    without a scale or a tunneling width emit NaN for both in their events;
+    the multi-scale sampler sets ``gamma`` and ``sigma_s`` on itself.
 
     Every evaluated step, the initial population included, is booked by one
     ``_book`` call, which also hands ``events`` (None or an ``EventLog``)
@@ -171,13 +170,15 @@ class RunScaffold:
     gamma = math.nan
     sigma_s = math.nan
 
-    def __init__(self, objective: BudgetedObjective, config=None, *, events=None):
+    def __init__(self, objective: BudgetedObjective, config=None, *,
+                 success_threshold: float = 1e-8, events=None):
         if config is None:
             config = self.config_class()
-        if not config.success_threshold >= 0:  # NaN included
+        if not success_threshold >= 0:  # NaN included
             raise ValueError("success_threshold must be nonnegative")
         self.objective = objective
         self.config = config
+        self.success_threshold = success_threshold
         self.events = events
         self.rng = np.random.default_rng(config.seed)
         spec = objective.spec
@@ -227,7 +228,7 @@ class RunScaffold:
                 delta_x, float(self.gamma), float(self.sigma_s), probability, xs, fs))
         self.trace.extend(first, xs, fs)
         # a NaN error (no best point yet) compares False
-        if self.trace.error <= self.config.success_threshold or self.objective.remaining == 0:
+        if self.trace.error <= self.success_threshold or self.objective.remaining == 0:
             self.finished = True
         return not self.finished
 
@@ -267,7 +268,7 @@ class RunScaffold:
             self.config.seed,
             evals_used=self.objective.evals_used,
             trace=self.trace,
-            success_threshold=self.config.success_threshold,
+            success_threshold=self.success_threshold,
         )
 
 
@@ -275,8 +276,8 @@ class BbpsoRun(RunScaffold):
     algorithm = "bbpso"
     config_class = BbpsoConfig
 
-    def __init__(self, objective, config=None, *, events=None):
-        super().__init__(objective, config, events=events)
+    def __init__(self, objective, config=None, **kwargs):
+        super().__init__(objective, config, **kwargs)
         self.pbest, self.pbest_f = self._init_population(self.config.np_)
         g = int(self.pbest_f.argmin())
         self.gbest = self.pbest[g].copy()
@@ -304,8 +305,8 @@ class BbfwaRun(RunScaffold):
     algorithm = "bbfwa"
     config_class = BbfwaConfig
 
-    def __init__(self, objective, config=None, *, events=None):
-        super().__init__(objective, config, events=events)
+    def __init__(self, objective, config=None, **kwargs):
+        super().__init__(objective, config, **kwargs)
         spec = objective.spec
         self.span = spec.span.astype(float)
         amp_init = self.config.amp_init  # the amplitude is updated in place
@@ -342,8 +343,8 @@ class GbdeRun(RunScaffold):
     algorithm = "gbde"
     config_class = GbdeConfig
 
-    def __init__(self, objective, config=None, *, events=None):
-        super().__init__(objective, config, events=events)
+    def __init__(self, objective, config=None, **kwargs):
+        super().__init__(objective, config, **kwargs)
         self.positions, self.fitness = self._init_population(self.config.np_)
 
     def step(self) -> bool:

@@ -39,9 +39,8 @@ class BipConfig:
 
     ``amplitude_a`` scales the acceptance probability for worsening moves;
     zero disables them entirely and the sampler degenerates to greedy
-    parallel descent.  ``success_threshold`` stops the run early once the
-    best error reaches it; zero means run out the budget.  ``min_scale``
-    stops the run once sigma_s is divided below it; zero disables that stop.
+    parallel descent.  ``min_scale`` stops the run once sigma_s is divided
+    below it; zero disables that stop.  Every float setting must be finite.
     ``mean_replace`` switches the population-collapse step at each scale
     transition, kept as a flag so its effect can be measured.
     ``init_position``, if set, is the one point every particle starts at.
@@ -53,7 +52,6 @@ class BipConfig:
     scale_divisor: float = 2.0
     min_scale: float = 0.0
     bounds_policy: str = "clamp"
-    success_threshold: float = 1e-8
     seed: int = 0
     mean_replace: bool = True
     init_position: tuple[float, ...] | None = None
@@ -61,14 +59,14 @@ class BipConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        if self.amplitude_a < 0:
-            raise ValueError("amplitude_a must be nonnegative")
-        if self.anneal_tau <= 0:
-            raise ValueError("anneal_tau must be positive")
-        if self.scale_divisor <= 1:
-            raise ValueError("scale_divisor must exceed 1")
-        if self.min_scale < 0:
-            raise ValueError("min_scale must be nonnegative")
+        if not 0 <= self.amplitude_a < math.inf:
+            raise ValueError("amplitude_a must be finite and nonnegative")
+        if not 0 < self.anneal_tau < math.inf:
+            raise ValueError("anneal_tau must be finite and positive")
+        if not 1 < self.scale_divisor < math.inf:
+            raise ValueError("scale_divisor must be finite and exceed 1")
+        if not 0 <= self.min_scale < math.inf:
+            raise ValueError("min_scale must be finite and nonnegative")
         if self.bounds_policy not in BOUNDS_POLICIES:
             raise ValueError(f"bounds_policy must be one of {BOUNDS_POLICIES}")
 
@@ -204,8 +202,8 @@ class BipRun(RunScaffold):
     algorithm = "bip"
     config_class = BipConfig
 
-    def __init__(self, objective, config=None, *, events=None):
-        super().__init__(objective, config, events=events)
+    def __init__(self, objective, config=None, **kwargs):
+        super().__init__(objective, config, **kwargs)
         self.span = objective.spec.max_span
         self.scale_index = 0
         self.sigma_s = self.span

@@ -206,8 +206,6 @@ def cmd_experiment(args) -> int:
         raise ValueError("--max-fes must be positive")
     if trials < 1:
         raise ValueError("--trials must be positive")
-    if not args.success_threshold >= 0:  # NaN included
-        raise ValueError("--success-threshold must be nonnegative")
     if args.base_seed < 0:
         raise ValueError("--base-seed must be nonnegative")
     out_dir = Path(args.out)
@@ -383,6 +381,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not getattr(args, "success_threshold", 0.0) >= 0:  # NaN included; rank has none
+            raise ValueError("--success-threshold must be nonnegative")
         return args.func_cmd(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,7 +101,7 @@ def record_run(
     usually what a diagnostic run wants.
     """
     spec = get_objective(function, dim)
-    config = build_config(algorithm, seed, success_threshold, overrides)
+    config = build_config(algorithm, seed, overrides)
     log = TrajectoryLog(
         algorithm=algorithm,
         function=function,

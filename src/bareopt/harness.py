@@ -54,22 +54,19 @@ TRIAL_CSV_COLUMNS = (
 SUMMARY_SCHEMA_VERSION = 1
 
 
-def build_config(algorithm: str, seed: int, success_threshold: float,
-                 overrides: dict | None):
-    """The config of one trial: defaults, then ``overrides``, then the seed
-    and the success threshold, which have their own arguments."""
+def build_config(algorithm: str, seed: int, overrides: dict | None):
+    """The config of one trial: defaults, then ``overrides``, then the seed.
+    The seed and the run's success threshold may not be overridden."""
     if algorithm not in REGISTRY:
         raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
     cls = REGISTRY[algorithm].config_class
-    kwargs = dict(overrides or {})
+    kwargs = overrides or {}
     if {"seed", "success_threshold"} & kwargs.keys():
         raise ValueError("pass seed and success_threshold as arguments, not in overrides")
     bad = set(kwargs) - {f for f in cls.__dataclass_fields__}
     if bad:
         raise ValueError(f"unknown {algorithm} options: {sorted(bad)}")
-    kwargs["seed"] = seed
-    kwargs["success_threshold"] = success_threshold
-    return cls(**kwargs)
+    return cls(**kwargs, seed=seed)
 
 
 def run_single(
@@ -88,9 +85,10 @@ def run_single(
     ``overrides`` maps config field names of the chosen algorithm to values.
     ``events`` is None or an ``EventLog`` that the run hands its events to.
     """
-    config = build_config(algorithm, seed, success_threshold, overrides)
+    config = build_config(algorithm, seed, overrides)
     objective = BudgetedObjective(get_objective(function, dim), max_fes)
-    return REGISTRY[algorithm](objective, config, events=events).run()
+    return REGISTRY[algorithm](objective, config, success_threshold=success_threshold,
+                               events=events).run()
 
 
 def run_experiment(

@@ -297,7 +297,7 @@ class TestCriterion8PropertyBattery:
         # sampling-scale schedule is exact and the population never resizes
         events = EventLog()
         obj = BudgetedObjective(make_benchmark(7, 4), 4000)
-        BipRun(obj, BipConfig(seed=2, success_threshold=0.0),
+        BipRun(obj, BipConfig(seed=2), success_threshold=0.0,
                events=events).run()
         halves = [b.sigma for b in events.batches if b.kind[0] == SCALE_HALVE]
         span = obj.spec.max_span

@@ -143,7 +143,7 @@ class TestBbfwa:
 
     def test_sphere_at_double_budget(self):
         obj = BudgetedObjective(make_benchmark(7, 10), max_fes=100_000)
-        out = BbfwaRun(obj, BbfwaConfig(seed=0, success_threshold=1e-8)).run()
+        out = BbfwaRun(obj, BbfwaConfig(seed=0), success_threshold=1e-8).run()
         assert out.final_error < 1e-6
 
     def test_sparks_respect_the_box(self):
@@ -205,12 +205,12 @@ class TestSharedProtocol:
 
     def test_budget_is_never_exceeded(self):
         for runner, cfg in (
-            (BbpsoRun, BbpsoConfig(np_=7, seed=1, success_threshold=0.0)),
-            (BbfwaRun, BbfwaConfig(np_=7, seed=1, success_threshold=0.0)),
-            (GbdeRun, GbdeConfig(np_=7, seed=1, success_threshold=0.0)),
+            (BbpsoRun, BbpsoConfig(np_=7, seed=1)),
+            (BbfwaRun, BbfwaConfig(np_=7, seed=1)),
+            (GbdeRun, GbdeConfig(np_=7, seed=1)),
         ):
             obj = BudgetedObjective(make_benchmark(7, 2), max_fes=103)
-            out = runner(obj, cfg).run()
+            out = runner(obj, cfg, success_threshold=0.0).run()
             assert out.evals_used == 103
 
     def test_zero_budget_outcome(self):

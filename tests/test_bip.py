@@ -276,19 +276,19 @@ class TestBipRun:
         return BudgetedObjective(make_benchmark(fid, dim), max_fes)
 
     def test_same_seed_gives_bitwise_identical_traces(self):
-        a = BipRun(self.budget(), BipConfig(seed=12, success_threshold=0.0)).run()
-        b = BipRun(self.budget(), BipConfig(seed=12, success_threshold=0.0)).run()
+        a = BipRun(self.budget(), BipConfig(seed=12), success_threshold=0.0).run()
+        b = BipRun(self.budget(), BipConfig(seed=12), success_threshold=0.0).run()
         assert a.error_trace == b.error_trace
         assert a.final_error == b.final_error
         assert np.array_equal(a.best_position, b.best_position)
 
     def test_different_seeds_differ(self):
-        a = BipRun(self.budget(), BipConfig(seed=1, success_threshold=0.0)).run()
-        b = BipRun(self.budget(), BipConfig(seed=2, success_threshold=0.0)).run()
+        a = BipRun(self.budget(), BipConfig(seed=1), success_threshold=0.0).run()
+        b = BipRun(self.budget(), BipConfig(seed=2), success_threshold=0.0).run()
         assert a.error_trace != b.error_trace
 
     def test_best_so_far_is_monotone(self):
-        out = BipRun(self.budget(), BipConfig(seed=3, success_threshold=0.0)).run()
+        out = BipRun(self.budget(), BipConfig(seed=3), success_threshold=0.0).run()
         errors = [e for _, e in out.error_trace]
         assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
         assert out.error_trace[-1][1] == out.final_error
@@ -311,14 +311,14 @@ class TestBipRun:
         assert np.all(events.column("delta_f")[moves] == 0.0)
 
     def test_population_size_is_constant(self):
-        run = BipRun(self.budget(max_fes=2000), BipConfig(seed=4, success_threshold=0.0))
+        run = BipRun(self.budget(max_fes=2000), BipConfig(seed=4), success_threshold=0.0)
         while run.step():
             assert len(run.positions) == run.config.k
 
     def test_sigma_schedule_is_exact(self):
         events = EventLog()
         obj = self.budget(max_fes=5000)
-        run = BipRun(obj, BipConfig(seed=5, success_threshold=0.0),
+        run = BipRun(obj, BipConfig(seed=5), success_threshold=0.0,
                      events=events)
         run.run()
         halves = [b.sigma for b in events.batches if b.kind[0] == SCALE_HALVE]
@@ -330,7 +330,7 @@ class TestBipRun:
     def test_gamma_decays_within_a_scale_and_resets_upward(self):
         events = EventLog()
         run = BipRun(self.budget(max_fes=5000),
-                     BipConfig(seed=6, success_threshold=0.0),
+                     BipConfig(seed=6), success_threshold=0.0,
                      events=events)
         run.run()
         # walk sweeps (one batch each, sharing one gamma): gamma decays sweep
@@ -357,7 +357,7 @@ class TestBipRun:
     def test_zero_amplitude_is_pure_descent(self):
         events = EventLog()
         run = BipRun(self.budget(max_fes=2000),
-                     BipConfig(seed=7, amplitude_a=0.0, success_threshold=0.0),
+                     BipConfig(seed=7, amplitude_a=0.0), success_threshold=0.0,
                      events=events)
         run.run()
         kind = events.column("kind")
@@ -368,7 +368,7 @@ class TestBipRun:
     def test_accepted_worse_probability_is_recomputable(self):
         events = EventLog()
         run = BipRun(self.budget(max_fes=2000),
-                     BipConfig(seed=8, success_threshold=0.0),
+                     BipConfig(seed=8), success_threshold=0.0,
                      events=events)
         run.run()
         tunnels = events.column("kind") == ACCEPT_TUNNEL
@@ -384,8 +384,7 @@ class TestBipRun:
         for policy in ("clamp", "reflect", "resample"):
             events = EventLog()
             obj = self.budget(fid=2, dim=3, max_fes=1500)
-            run = BipRun(obj, BipConfig(seed=9, bounds_policy=policy,
-                                        success_threshold=0.0),
+            run = BipRun(obj, BipConfig(seed=9, bounds_policy=policy), success_threshold=0.0,
                          events=events)
             run.run()
             held = np.concatenate([b.position for b in events.batches
@@ -412,7 +411,7 @@ class TestBipRun:
         k = 15
         # the initial population, three full sweeps, then 7 of the next 15
         obj = self.budget(max_fes=k + 3 * k + 7)
-        out = BipRun(obj, BipConfig(seed=0, k=k, success_threshold=0.0)).run()
+        out = BipRun(obj, BipConfig(seed=0, k=k), success_threshold=0.0).run()
         assert out.evals_used == k + 3 * k + 7
         assert calls
         # every check follows a full sweep, none the partial last one
@@ -425,8 +424,8 @@ class TestBipRun:
     def test_init_position_tiles_the_population(self):
         events = EventLog()
         obj = BudgetedObjective(get_objective("double_well", 2), max_fes=50)
-        run = BipRun(obj, BipConfig(seed=1, k=5, success_threshold=0.0,
-                                    init_position=(2.0, 2.0)), events=events)
+        run = BipRun(obj, BipConfig(seed=1, k=5, init_position=(2.0, 2.0)),
+                     success_threshold=0.0, events=events)
         run.run()
         inits = np.concatenate([b.position[b.kind == INIT] for b in events.batches
                                 if b.position is not None])
@@ -447,8 +446,8 @@ class TestBipRun:
 
     def test_min_scale_stops_the_run(self):
         obj = self.budget(max_fes=100_000)
-        cfg = BipConfig(seed=0, min_scale=1.0, success_threshold=0.0)
-        out = BipRun(obj, cfg).run()
+        cfg = BipConfig(seed=0, min_scale=1.0)
+        out = BipRun(obj, cfg, success_threshold=0.0).run()
         assert out.evals_used < 100_000
 
     @pytest.mark.parametrize("function, seed, overrides", [
@@ -468,19 +467,19 @@ class TestBipRun:
 
     def test_success_threshold_stops_early(self):
         obj = self.budget(dim=10, max_fes=50_000)
-        out = BipRun(obj, BipConfig(seed=0, success_threshold=1e-8)).run()
+        out = BipRun(obj, BipConfig(seed=0), success_threshold=1e-8).run()
         assert out.succeeded and out.final_error <= 1e-8
         assert out.evals_used < 50_000
 
     def test_sphere_reaches_deep_accuracy(self):
         # desk-scale headline: full budget drives the error below 1e-10
         obj = BudgetedObjective(make_benchmark(7, 10), max_fes=50_000)
-        out = BipRun(obj, BipConfig(seed=0, success_threshold=0.0)).run()
+        out = BipRun(obj, BipConfig(seed=0), success_threshold=0.0).run()
         assert out.final_error < 1e-10
 
     def test_mean_replace_toggle_changes_the_run(self):
         a = BipRun(self.budget(max_fes=4000),
-                   BipConfig(seed=11, success_threshold=0.0)).run()
+                   BipConfig(seed=11), success_threshold=0.0).run()
         b = BipRun(self.budget(max_fes=4000),
-                   BipConfig(seed=11, mean_replace=False, success_threshold=0.0)).run()
+                   BipConfig(seed=11, mean_replace=False), success_threshold=0.0).run()
         assert a.error_trace != b.error_trace

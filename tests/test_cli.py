@@ -65,7 +65,32 @@ class TestRun:
         code = main(["run", "--algo", "gbde", "--func", "F7", "--dim", "2",
                      "--max-fes", "200", "--success-threshold", "nan"])
         assert code == 2
-        assert "success_threshold must be nonnegative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --success-threshold must be nonnegative\n"
+
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_a_bad_success_threshold_is_refused_by_its_flag(self, tmp_path, capsys,
+                                                            command, value):
+        code = main([command, "--algo", "gbde", "--func", "F7", "--dim", "2",
+                     "--max-fes", "200", "--success-threshold", value,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --success-threshold must be nonnegative\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("algo, flag, value, message", [
+        ("bip", "--scale-divisor", "nan", "scale_divisor must be finite and exceed 1"),
+        ("bbfwa", "--amp-init", "inf", "amp_init must be finite and positive"),
+    ], ids=["scale-divisor-nan", "amp-init-inf"])
+    def test_a_nonfinite_setting_is_refused_before_the_trial(self, tmp_path, capsys, command,
+                                                             algo, flag, value, message):
+        code = main([command, "--algo", algo, "--func", "F7", "--dim", "2",
+                     "--max-fes", "2000", "--seed", "1", flag, value, "--out", str(tmp_path)])
+        assert code == 2
+        # nothing printed or written: no trial ran
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_bad_start_point_entry_is_named(self, capsys):
         code = main(["run", "--algo", "bip", "--func", "F7", "--dim", "2",

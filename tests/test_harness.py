@@ -140,7 +140,7 @@ class TestRunExperiment:
         run_class = REGISTRY[algorithm]
         objective = BudgetedObjective(make_benchmark(7, 2), max_fes=100)
         with pytest.raises(ValueError, match="success_threshold"):
-            run_class(objective, run_class.config_class(success_threshold=math.nan))
+            run_class(objective, success_threshold=math.nan)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_the_success_threshold_stops_every_algorithm(self, algorithm):
@@ -148,6 +148,34 @@ class TestRunExperiment:
         loose = run_single(algorithm, "F7", 1, max_fes=5000, seed=0,
                            success_threshold=1e3)
         assert loose.succeeded and loose.evals_used < 5000
+
+
+# every float setting of the four configs, by the algorithm whose config has it
+FLOAT_SETTINGS = [
+    ("bip", "amplitude_a"), ("bip", "anneal_tau"), ("bip", "scale_divisor"),
+    ("bip", "min_scale"), ("bbfwa", "amp_init"), ("bbfwa", "amp_grow"),
+    ("bbfwa", "amp_shrink"), ("gbde", "cr_mean"), ("gbde", "cr_std"),
+]
+
+
+class TestConfigSettings:
+    def test_the_float_settings_are_all_listed(self):
+        listed = {(algorithm, f.name) for algorithm in ALGORITHMS
+                  for f in REGISTRY[algorithm].config_class.__dataclass_fields__.values()
+                  if f.type.startswith("float")}
+        assert listed == set(FLOAT_SETTINGS)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("algorithm, field", FLOAT_SETTINGS)
+    def test_a_nonfinite_float_setting_is_refused_by_name(self, algorithm, field, value):
+        with pytest.raises(ValueError, match=field):
+            REGISTRY[algorithm].config_class(**{field: value})
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_configs_hold_no_success_threshold(self, algorithm):
+        # the threshold is the run's, a keyword of the run class
+        assert "success_threshold" not in REGISTRY[algorithm].config_class.__dataclass_fields__
 
 
 class TestRanking:

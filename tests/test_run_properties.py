@@ -125,9 +125,9 @@ def test_a_skipped_collapse_check_would_have_said_no(variant, mean_replace, ampl
 
     spec = get_objective(function, dim)
     config = BipConfig(**MINIMAL[variant], mean_replace=mean_replace,
-                       amplitude_a=amplitude_a, seed=seed, success_threshold=0.0,
+                       amplitude_a=amplitude_a, seed=seed,
                        init_position=spec.optimum_position if at_optimum else None)
-    run = BipRun(BudgetedObjective(spec, max_fes), config)
+    run = BipRun(BudgetedObjective(spec, max_fes), config, success_threshold=0.0)
     with patch.object(bip, "ground_state_reached", counted):
         while True:
             before = len(checks)
@@ -226,8 +226,7 @@ def test_an_outcome_taken_mid_run_is_a_snapshot():
     """An outcome taken between steps neither changes as the run goes on nor
     leaves a point of its own in the finished trace."""
     def start():
-        return BipRun(BudgetedObjective(get_objective("F2", 2), 3000),
-                      BipConfig(success_threshold=0.0))
+        return BipRun(BudgetedObjective(get_objective("F2", 2), 3000), success_threshold=0.0)
 
     run = start()
     # past the cap of 2000 points, at an odd count, so the stride is 2 and
