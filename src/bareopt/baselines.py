@@ -269,6 +269,7 @@ class RunScaffold:
             evals_used=self.objective.evals_used,
             trace=self.trace,
             success_threshold=self.success_threshold,
+            config=self.config,
         )
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .benchmarks import get_objective
@@ -260,6 +262,9 @@ def cmd_experiment(args) -> int:
         max_fes=args.max_fes, n_trials=trials, base_seed=args.base_seed,
         cell_max_fes=cell_max_fes,
     )
+    # each cell ran `trials` trials, in the order of the summary's cells
+    for entry, first in zip(summary["cells"], outcomes[::trials]):
+        entry["config"] = {k: v for k, v in asdict(first.config).items() if k != "seed"}
     if failures:
         summary["failures"] = failures
     summary_path = out_dir / "summary.json"
@@ -324,7 +329,8 @@ def cmd_rank(args) -> int:
         counts[key] = counts.get(key, 0) + 1
     means = {key: sums[key] / counts[key] for key in sums}
     table = rank_algorithms(means, group)
-    payload = table.as_dict()
+    payload = {**table.as_dict(), "dim": rows[0]["dim"], "versions": software_versions(),
+               "csv_sha256": hashlib.sha256(Path(args.csv).read_bytes()).hexdigest()}
     text = json.dumps(payload, indent=2)
     if args.out is not None:
         out_dir = Path(args.out)

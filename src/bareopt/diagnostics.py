@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import get_objective
-from .harness import build_config, run_single
+from .harness import run_single
 from .records import (
     ACCEPT_TUNNEL,
     ACCEPTED_KINDS,
@@ -45,7 +45,7 @@ __all__ = [
 
 @dataclass
 class TrajectoryLog:
-    """Complete event stream of one run plus enough metadata to interpret it.
+    """Complete event stream of one run plus the box it ran in.
 
     ``amplitude`` is the worsening-move amplitude the run used (0 for
     algorithms without tunneling), needed to tell a tunneling-disabled run
@@ -54,15 +54,14 @@ class TrajectoryLog:
     here read.
     """
 
-    algorithm: str
-    function: str
-    dim: int
-    seed: int
     lower_bound: np.ndarray
     upper_bound: np.ndarray
-    optimum_value: float
     amplitude: float
     events: EventLog = field(default_factory=EventLog)
+
+    @property
+    def dim(self) -> int:
+        return len(self.lower_bound)
 
     def positions(self) -> np.ndarray:
         """Stacked positions the particles held (the ``ACCEPTED_KINDS`` rows),
@@ -101,23 +100,14 @@ def record_run(
     usually what a diagnostic run wants.
     """
     spec = get_objective(function, dim)
-    config = build_config(algorithm, seed, overrides)
-    log = TrajectoryLog(
-        algorithm=algorithm,
-        function=function,
-        dim=dim,
-        seed=seed,
-        lower_bound=spec.lower_bound,
-        upper_bound=spec.upper_bound,
-        optimum_value=spec.optimum_value,
-        amplitude=float(getattr(config, "amplitude_a", 0.0)),
-    )
+    events = EventLog()
     outcome = run_single(
         algorithm, function, dim,
         max_fes=max_fes, seed=seed, success_threshold=success_threshold,
-        overrides=overrides, events=log.events,
+        overrides=overrides, events=events,
     )
-    return outcome, log
+    amplitude = float(getattr(outcome.config, "amplitude_a", 0.0))
+    return outcome, TrajectoryLog(spec.lower_bound, spec.upper_bound, amplitude, events)
 
 
 @dataclass

@@ -108,6 +108,7 @@ class TrialOutcome:
     below +inf).  ``error_trace``
     holds (evaluation_index, best_error_so_far) pairs, down-sampled to a
     bounded number of points with the final point always present.
+    ``config`` is the run's own config object, shared, not copied.
     """
 
     algorithm: str
@@ -120,6 +121,7 @@ class TrialOutcome:
     succeeded: bool = False
     best_position: np.ndarray | None = None
     best_fitness: float = math.nan
+    config: object = None
 
 
 class ErrorTrace:
@@ -194,6 +196,7 @@ def build_outcome(
     evals_used: int,
     trace: ErrorTrace,
     success_threshold: float,
+    config,
 ) -> TrialOutcome:
     """Assemble a TrialOutcome from a run's evaluation count and its trace."""
     error, position = trace.error, trace.best_position
@@ -208,4 +211,5 @@ def build_outcome(
         succeeded=error <= success_threshold,  # a NaN error compares False
         best_position=None if position is None else position.copy(),
         best_fitness=trace.best_fitness,
+        config=config,
     )

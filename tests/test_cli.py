@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 import platform
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 import bareopt
 from bareopt import cli
 from bareopt.cli import main
-from bareopt.harness import read_trials_csv
+from bareopt.harness import REGISTRY, read_trials_csv
 
 
 # what every output file records as the software that produced it
@@ -213,6 +215,17 @@ class TestExperiment:
         # the keys every summary carried before the versions
         assert {"schema_version", "success_threshold", "max_fes", "n_trials",
                 "base_seed", "cells", "rankings"} <= set(summary)
+
+    def test_each_cell_records_its_config(self, tmp_path):
+        code = main(["experiment", "--algos", "gbde,bip", "--funcs", "F7", "--dims", "2",
+                     "--trials", "2", "--max-fes", "200", "--out", str(tmp_path)])
+        assert code == 0
+        cells = json.loads((tmp_path / "summary.json").read_text())["cells"]
+        assert [c["algorithm"] for c in cells] == ["gbde", "bip"]
+        for cell in cells:
+            defaults = asdict(REGISTRY[cell["algorithm"]].config_class())
+            del defaults["seed"]  # the seed is each trial's, in trials.csv
+            assert cell["config"] == defaults
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["experiment", "--algos", "gbde", "--funcs", "F2", "--dims", "2",
@@ -421,6 +434,20 @@ class TestRank:
         assert set(payload["average_rank"]) == {"bip", "gbde"}
         ranks = payload["ranks"]
         assert set(ranks) == {"F7", "F8"}
+
+    def test_ranks_json_records_its_versions_and_inputs(self, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "algorithm,function,dim,seed,final_error,evals_used,succeeded\n"
+            "a,F7,3,0,1.0,10,false\n"
+            "b,F7,3,0,2.0,10,false\n"
+        )
+        assert main(["rank", "--csv", str(path), "--group", "F7",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "ranks.json").read_text())
+        assert payload["versions"] == VERSIONS
+        assert payload["dim"] == 3
+        assert payload["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_reproduces_known_averages_from_a_fixture(self, tmp_path, capsys):
         # two algorithms, two functions, one trial each: a wins F7, b wins F8

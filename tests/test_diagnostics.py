@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bareopt.diagnostics import (
     transmission_trace,
     wave_modulus,
 )
+from bareopt.harness import ALGORITHMS, REGISTRY
 from bareopt.records import (
     ACCEPT_BETTER,
     ACCEPT_TUNNEL,
@@ -53,9 +55,8 @@ def replay_best(log):
 def synthetic_log(points, dim=2, low=-4.0, high=4.0, amplitude=1.0):
     """A log whose accepted positions are exactly ``points``."""
     log = TrajectoryLog(
-        algorithm="bip", function="synthetic", dim=dim, seed=0,
         lower_bound=np.full(dim, low), upper_bound=np.full(dim, high),
-        optimum_value=0.0, amplitude=amplitude,
+        amplitude=amplitude,
     )
     m = len(points)
     log.events.add(EventBatch(
@@ -78,8 +79,8 @@ class TestRecordRun:
             "bip", "double_well", 2, max_fes=200, seed=0,
             overrides={"k": 5, "init_position": (2.0, 2.0)},
         )
-        assert log.algorithm == "bip" and log.function == "double_well"
-        assert log.dim == 2 and log.seed == 0 and log.amplitude == 1.0
+        assert out.algorithm == "bip" and out.function == "double_well"
+        assert log.dim == 2 and out.seed == 0 and log.amplitude == 1.0
         assert np.all(log.lower_bound == -4.0) and np.all(log.upper_bound == 4.0)
         inits = np.concatenate([b.position[b.kind == INIT] for b in log.events.batches
                                 if b.position is not None])
@@ -96,6 +97,33 @@ class TestRecordRun:
         assert log.amplitude == 0.0
         assert np.all(log.events.column("kind") != ACCEPT_TUNNEL)
         assert transmission_trace(log) == []
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_recorded_run_validates_its_config_once(self, algorithm, monkeypatch):
+        calls = []
+        for run_class in REGISTRY.values():
+            cls = run_class.config_class
+
+            def counted(self, check=cls.__post_init__):
+                calls.append(type(self))
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        record_run(algorithm, "F7", 2, max_fes=100, seed=0)
+        assert calls == [REGISTRY[algorithm].config_class]
+
+    @pytest.mark.parametrize("algorithm, overrides, amplitude", [
+        ("bip", None, 1.0), ("bip", {"amplitude_a": 0.0}, 0.0), ("gbde", None, 0.0),
+    ])
+    def test_the_amplitude_is_read_from_the_outcome_s_config(self, algorithm, overrides,
+                                                             amplitude):
+        out, log = record_run(algorithm, "F7", 2, max_fes=100, seed=0, overrides=overrides)
+        assert log.amplitude == getattr(out.config, "amplitude_a", 0.0) == amplitude
+
+    def test_a_log_keeps_only_what_the_run_cannot_give_it(self):
+        assert [f.name for f in fields(TrajectoryLog)] == [
+            "lower_bound", "upper_bound", "amplitude", "events"]
+        assert synthetic_log([[0.0, 0.0, 0.0]], dim=3).dim == 3
 
     def test_baseline_runs_are_recordable(self):
         out, log = record_run("gbde", "F7", 2, max_fes=300, seed=1)
@@ -242,7 +270,7 @@ class TestSummaries:
         replay = replay_best(log)
         assert len(replay) == out.evals_used
         best_by_index = dict(replay)
-        optimum = log.optimum_value
+        optimum = get_objective("F2", 3).optimum_value
         for idx, err in out.error_trace:
             assert max(best_by_index[idx] - optimum, 0.0) == pytest.approx(err, abs=1e-12)
         fits = [f for _, f in replay]

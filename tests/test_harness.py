@@ -15,6 +15,7 @@ from bareopt.harness import (
     UNIMODAL_FUNCTIONS,
     AggregateStats,
     aggregate,
+    build_config,
     rank_algorithms,
     read_trials_csv,
     run_experiment,
@@ -148,6 +149,20 @@ class TestRunExperiment:
         loose = run_single(algorithm, "F7", 1, max_fes=5000, seed=0,
                            success_threshold=1e3)
         assert loose.succeeded and loose.evals_used < 5000
+
+    @pytest.mark.parametrize("algorithm, overrides", [
+        ("bip", {"k": 4, "init_position": (0.5, -0.5)}), ("bbpso", {"np_": 5}),
+        ("bbfwa", {"amp_grow": 1.5}), ("gbde", {"cr_mean": 0.4}),
+    ])
+    def test_the_outcome_names_the_config_it_ran_with(self, algorithm, overrides):
+        out = run_single(algorithm, "F7", 2, max_fes=200, seed=3, overrides=overrides)
+        assert out.config == build_config(algorithm, 3, overrides)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_the_outcome_shares_the_run_s_config_object(self, algorithm):
+        config = build_config(algorithm, 3, None)
+        objective = BudgetedObjective(make_benchmark(7, 2), max_fes=200)
+        assert REGISTRY[algorithm](objective, config).run().config is config
 
 
 # every float setting of the four configs, by the algorithm whose config has it
