@@ -146,6 +146,10 @@ def _clamped_cr(rng, m, mean, std):
     return _clamp(_normal(rng, mean, std, m), 0.0, 1.0)
 
 
+# a trial's success threshold unless its caller names one
+DEFAULT_SUCCESS_THRESHOLD = 1e-8
+
+
 class RunScaffold:
     """Shared run scaffolding of all four algorithms: budget, best-so-far
     record, events, stopping and the outcome record.
@@ -171,7 +175,7 @@ class RunScaffold:
     sigma_s = math.nan
 
     def __init__(self, objective: BudgetedObjective, config=None, *,
-                 success_threshold: float = 1e-8, events=None):
+                 success_threshold: float = DEFAULT_SUCCESS_THRESHOLD, events=None):
         if config is None:
             config = self.config_class()
         if not success_threshold >= 0:  # NaN included

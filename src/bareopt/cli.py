@@ -6,9 +6,9 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
+from .baselines import DEFAULT_SUCCESS_THRESHOLD
 from .benchmarks import get_objective
 from .bip import BOUNDS_POLICIES
 from .diagnostics import (
@@ -33,8 +33,10 @@ from .harness import (
     software_versions,
     summary_dict,
     read_trials_csv,
+    trial_budget,
     write_trials_csv,
 )
+from .records import TrialOutcome
 
 _PRESETS = {
     "desk": {"dims": [10], "trials": 20, "max_fes": 50000},
@@ -133,7 +135,7 @@ def _trial_kwargs(args) -> dict:
     """The keyword arguments of the one trial of ``run`` and ``diagnose``,
     with the objective name, budget, seed, overrides and start point checked."""
     get_objective(args.func, args.dim)  # validate the name early
-    max_fes = args.max_fes if args.max_fes is not None else 10000 * args.dim
+    max_fes = trial_budget(args.max_fes, args.dim)
     if max_fes < 1:
         raise ValueError("--max-fes must be positive")
     if args.seed < 0:
@@ -213,18 +215,15 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outcomes = []
-    cell_stats = {}
-    cell_max_fes = {}
+    cells = {}
     failures = []
     for algo in algos:
         for func in funcs:
             for dim in dims:
-                max_fes = args.max_fes if args.max_fes is not None else 10000 * dim
                 try:
                     cell = run_experiment(
                         algo, func, dim,
-                        n_trials=trials, max_fes=max_fes,
+                        n_trials=trials, max_fes=trial_budget(args.max_fes, dim),
                         base_seed=args.base_seed,
                         success_threshold=args.success_threshold,
                     )
@@ -233,16 +232,14 @@ def cmd_experiment(args) -> int:
                                      "dim": dim, "error": f"{type(exc).__name__}: {exc}"})
                     print(f"FAILED {algo} {func} {dim}d: {exc}", file=sys.stderr)
                     continue
-                outcomes.extend(cell)
+                cells[(algo, func, dim)] = cell
                 stats = aggregate(cell)
-                cell_stats[(algo, func, dim)] = stats
-                cell_max_fes[(algo, func, dim)] = max_fes
                 print(f"{algo:6s} {func:12s} {dim:4d}d  best={stats.best:.3e} "
                       f"mean={stats.mean:.3e} std={stats.std:.3e} sr={stats.sr:.2f}")
 
     rankings = {}
     for dim in dims:
-        per_dim = {(a, f): s for (a, f, d), s in cell_stats.items() if d == dim}
+        per_dim = {(a, f): aggregate(c) for (a, f, d), c in cells.items() if d == dim}
         done_funcs = [f for f in funcs
                       if all((a, f) in per_dim for a in algos)]
         groups = {
@@ -255,16 +252,12 @@ def cmd_experiment(args) -> int:
                 rankings[label] = rank_algorithms(per_dim, group)
 
     trials_path = out_dir / "trials.csv"
-    write_trials_csv(trials_path, outcomes)
+    write_trials_csv(trials_path, [o for cell in cells.values() for o in cell])
     summary = summary_dict(
-        cell_stats, rankings,
+        cells, rankings,
         success_threshold=args.success_threshold,
         max_fes=args.max_fes, n_trials=trials, base_seed=args.base_seed,
-        cell_max_fes=cell_max_fes,
     )
-    # each cell ran `trials` trials, in the order of the summary's cells
-    for entry, first in zip(summary["cells"], outcomes[::trials]):
-        entry["config"] = {k: v for k, v in asdict(first.config).items() if k != "seed"}
     if failures:
         summary["failures"] = failures
     summary_path = out_dir / "summary.json"
@@ -321,14 +314,10 @@ def cmd_rank(args) -> int:
     elif len(dims) > 1:
         raise ValueError(f"CSV holds several dims {dims}; pick one with --dim")
     group = _parse_group(args.group, list(dict.fromkeys(r["function"] for r in rows)))
-    sums: dict = {}
-    counts: dict = {}
+    cells: dict = {}
     for r in rows:
-        key = (r["algorithm"], r["function"])
-        sums[key] = sums.get(key, 0.0) + r["final_error"]
-        counts[key] = counts.get(key, 0) + 1
-    means = {key: sums[key] / counts[key] for key in sums}
-    table = rank_algorithms(means, group)
+        cells.setdefault((r["algorithm"], r["function"]), []).append(TrialOutcome(**r))
+    table = rank_algorithms({key: aggregate(c) for key, c in cells.items()}, group)
     payload = {**table.as_dict(), "dim": rows[0]["dim"], "versions": software_versions(),
                "csv_sha256": hashlib.sha256(Path(args.csv).read_bytes()).hexdigest()}
     text = json.dumps(payload, indent=2)
@@ -362,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--max-fes", type=int, default=None,
                        help="budget per trial (default 10000*dim)")
     p_exp.add_argument("--base-seed", type=int, default=1)
-    p_exp.add_argument("--success-threshold", type=float, default=1e-8)
+    p_exp.add_argument("--success-threshold", type=float, default=DEFAULT_SUCCESS_THRESHOLD)
     p_exp.add_argument("--preset", choices=sorted(_PRESETS), default=None)
     p_exp.add_argument("--out", type=str, default="results")
     p_exp.set_defaults(func_cmd=cmd_experiment)

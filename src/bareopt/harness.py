@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import math
 import platform
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-from .baselines import BbfwaRun, BbpsoRun, GbdeRun
+from .baselines import DEFAULT_SUCCESS_THRESHOLD, BbfwaRun, BbpsoRun, GbdeRun
 from .benchmarks import BudgetedObjective, get_objective
 from .bip import BipRun
 from .records import TrialOutcome
@@ -25,6 +25,7 @@ __all__ = [
     "ALGORITHMS",
     "REGISTRY",
     "build_config",
+    "trial_budget",
     "MULTIMODAL_FUNCTIONS",
     "UNIMODAL_FUNCTIONS",
     "AggregateStats",
@@ -69,6 +70,12 @@ def build_config(algorithm: str, seed: int, overrides: dict | None):
     return cls(**kwargs, seed=seed)
 
 
+def trial_budget(max_fes: int | None, dim: int) -> int:
+    """The evaluation budget of a trial: ``max_fes`` as requested, or else
+    the default of 10000 evaluations per dimension."""
+    return 10000 * dim if max_fes is None else max_fes
+
+
 def run_single(
     algorithm: str,
     function: str,
@@ -76,7 +83,7 @@ def run_single(
     *,
     max_fes: int,
     seed: int,
-    success_threshold: float = 1e-8,
+    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
     overrides: dict | None = None,
     events=None,
 ) -> TrialOutcome:
@@ -99,7 +106,7 @@ def run_experiment(
     n_trials: int,
     max_fes: int,
     base_seed: int = 1,
-    success_threshold: float = 1e-8,
+    success_threshold: float = DEFAULT_SUCCESS_THRESHOLD,
     overrides: dict | None = None,
     workers: int = 1,
 ) -> list[TrialOutcome]:
@@ -141,10 +148,13 @@ def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:
         raise ValueError(f"mixed cells in aggregate: {sorted(cells)}")
     errors = np.array([o.final_error for o in outcomes], dtype=float)
     n = errors.size
-    std = float(errors.std(ddof=1)) if n > 1 else 0.0
+    # an inf error, or a sum past the float range, gives inf or NaN, not a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = float(errors.mean())
+        std = float(errors.std(ddof=1)) if n > 1 else 0.0
     return AggregateStats(
         best=float(errors.min()),
-        mean=float(errors.mean()),
+        mean=mean,
         std=std,
         sr=float(np.mean([o.succeeded for o in outcomes])),
         n_trials=n,
@@ -287,30 +297,25 @@ def software_versions() -> dict:
             "python": platform.python_version()}
 
 
-def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
-                 success_threshold: float, max_fes, n_trials, base_seed,
-                 cell_max_fes: dict) -> dict:
+def summary_dict(cells: dict, rankings: dict | None = None, *,
+                 success_threshold: float, max_fes, n_trials, base_seed) -> dict:
     """Versioned JSON-ready summary of an experiment.
 
-    ``cell_stats`` maps (algorithm, function, dim) to AggregateStats;
+    ``cells`` maps (algorithm, function, dim) to that cell's TrialOutcome
+    list; each summary cell holds its ``aggregate`` statistics and the
+    ``config`` its trials ran with, without the seed (each trial's own).
     ``rankings`` maps a label to a RankingTable.  ``max_fes`` is the budget
-    as requested (None when it defaulted per dim); ``cell_max_fes`` maps
-    each cell to the budget it actually ran with.
+    as requested, None when each cell ran with ``trial_budget``'s default.
     ``versions`` names the software that produced the numbers.
     """
-    cells = []
-    for (algo, fn, dim), stats in cell_stats.items():
-        cells.append({
-            "algorithm": algo,
-            "function": fn,
-            "dim": dim,
-            "max_fes": cell_max_fes[(algo, fn, dim)],
-            "best": stats.best,
-            "mean": stats.mean,
-            "std": stats.std,
-            "sr": stats.sr,
-            "n_trials": stats.n_trials,
-        })
+    summary_cells = []
+    for (algo, fn, dim), outcomes in cells.items():
+        config = asdict(outcomes[0].config)
+        del config["seed"]
+        # AggregateStats's fields give best, mean, std, sr and n_trials
+        summary_cells.append({"algorithm": algo, "function": fn, "dim": dim,
+                              "max_fes": trial_budget(max_fes, dim),
+                              **asdict(aggregate(outcomes)), "config": config})
     out = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "success_threshold": success_threshold,
@@ -318,7 +323,7 @@ def summary_dict(cell_stats: dict, rankings: dict | None = None, *,
         "n_trials": n_trials,
         "base_seed": base_seed,
         "versions": software_versions(),
-        "cells": cells,
+        "cells": summary_cells,
     }
     if rankings:
         out["rankings"] = {label: t.as_dict() for label, t in rankings.items()}

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import platform
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 import bareopt
 from bareopt import cli
 from bareopt.cli import main
-from bareopt.harness import REGISTRY, read_trials_csv
+from bareopt.harness import REGISTRY, aggregate, rank_algorithms, read_trials_csv
+from bareopt.records import TrialOutcome
 
 
 # what every output file records as the software that produced it
@@ -226,6 +228,18 @@ class TestExperiment:
             defaults = asdict(REGISTRY[cell["algorithm"]].config_class())
             del defaults["seed"]  # the seed is each trial's, in trials.csv
             assert cell["config"] == defaults
+
+    def test_rank_reproduces_the_experiments_own_ranks(self, tmp_path, capsys):
+        assert main(["experiment", "--algos", "gbde,bbpso,bip", "--funcs", "F1-F6",
+                     "--dims", "2", "--trials", "3", "--max-fes", "300",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["rank", "--csv", str(tmp_path / "trials.csv"), "--group", "multimodal",
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        expected = summary["rankings"]["multimodal_2d"]
+        ranks = json.loads((tmp_path / "ranks.json").read_text())
+        assert ranks["ranks"] == expected["ranks"]
+        assert ranks["average_rank"] == expected["average_rank"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["experiment", "--algos", "gbde", "--funcs", "F2", "--dims", "2",
@@ -507,13 +521,16 @@ class TestRank:
             "algorithm,function,dim,seed,final_error,evals_used,succeeded\n"
             "a,F7,2,0,nan,10,false\n"
             "b,F7,2,0,inf,10,false\n"
+            "b,F7,2,1,1.0,10,false\n"
             "c,F7,2,0,1.0,10,false\n"
             "a,F8,2,0,1.0,10,false\n"
             "b,F8,2,0,2.0,10,false\n"
             "c,F8,2,0,3.0,10,false\n"
         )
-        code = main(["rank", "--csv", str(path), "--group", "F7,F8",
-                     "--out", str(tmp_path)])
+        with warnings.catch_warnings():  # b's F7 cell has no finite std, and says nothing
+            warnings.simplefilter("error")
+            code = main(["rank", "--csv", str(path), "--group", "F7,F8",
+                         "--out", str(tmp_path)])
         assert code == 0
 
         def refuse(constant):
@@ -523,6 +540,22 @@ class TestRank:
                              parse_constant=refuse)
         assert payload["ranks"]["F7"] == {"a": 3.0, "b": 2.0, "c": 1.0}
         assert payload["average_rank"] == {"a": 2.0, "b": 2.0, "c": 2.0}
+
+    def test_ranks_by_the_same_mean_as_aggregate(self, tmp_path, capsys):
+        # summed one by one, a's errors tie b's mean; aggregate's numpy mean
+        # puts a above it
+        errors = {"a": [1e16] + [1.0] * 7, "b": [1.25e15] * 8}
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "algorithm,function,dim,seed,final_error,evals_used,succeeded\n"
+            + "".join(f"{a},F1,2,{seed},{e!r},10,false\n"
+                      for a, cell in errors.items() for seed, e in enumerate(cell)))
+        assert main(["rank", "--csv", str(path), "--group", "F1",
+                     "--out", str(tmp_path)]) == 0
+        ranks = json.loads((tmp_path / "ranks.json").read_text())["ranks"]["F1"]
+        cells = {(a, "F1"): aggregate([TrialOutcome(**r) for r in read_trials_csv(path)
+                                       if r["algorithm"] == a]) for a in errors}
+        assert ranks == rank_algorithms(cells, ["F1"]).ranks["F1"] == {"a": 2.0, "b": 1.0}
 
     def test_malformed_csv_names_the_line(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"

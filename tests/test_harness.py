@@ -2,10 +2,13 @@
 
 import math
 import threading
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from bareopt.baselines import GbdeConfig
 from bareopt.benchmarks import BudgetedObjective, make_benchmark
 from bareopt.harness import (
     ALGORITHMS,
@@ -78,6 +81,19 @@ class TestAggregate:
         assert aggregate(cell(0.0)).sr == 0.0
         assert aggregate(cell(middle)).sr == 0.5
         assert aggregate(cell(errors[-1])).sr == 1.0
+
+    @pytest.mark.parametrize("errors, mean, std", [
+        ([math.inf, 1.0], math.inf, math.nan),
+        ([math.inf, math.inf], math.inf, math.nan),
+        ([1e308, 1e308], math.inf, math.inf),  # the sum overflows
+        ([1e200, 1.0], 5e199, math.inf),  # the squared deviation overflows
+    ])
+    def test_a_nonfinite_statistic_comes_without_a_warning(self, errors, mean, std):
+        # the values numpy gives, without its RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = aggregate([outcome(e, seed=i) for i, e in enumerate(errors)])
+        assert (stats.mean, stats.std) == pytest.approx((mean, std), nan_ok=True)
 
     def test_rejects_mixed_cells(self):
         with pytest.raises(ValueError):
@@ -311,13 +327,16 @@ class TestTrialsCsv:
 class TestSummaryDict:
     def test_schema_and_cells(self):
         outs = run_experiment("gbde", "F7", 2, n_trials=2, max_fes=200, base_seed=0)
-        stats = {("gbde", "F7", 2): aggregate(outs)}
-        summary = summary_dict(stats, success_threshold=1e-8, max_fes=200,
-                               n_trials=2, base_seed=0,
-                               cell_max_fes={("gbde", "F7", 2): 200})
+        summary = summary_dict({("gbde", "F7", 2): outs}, success_threshold=1e-8,
+                               max_fes=200, n_trials=2, base_seed=0)
         assert summary["schema_version"] == SUMMARY_SCHEMA_VERSION == 1
         assert summary["n_trials"] == 2 and summary["max_fes"] == 200
         (cell,) = summary["cells"]
         assert cell["algorithm"] == "gbde" and cell["function"] == "F7"
         assert cell["max_fes"] == 200
-        assert {"best", "mean", "std", "sr", "n_trials"} <= set(cell)
+        stats = asdict(aggregate(outs))
+        assert {k: cell[k] for k in stats} == stats
+        defaults = asdict(GbdeConfig())
+        del defaults["seed"]  # each trial's own
+        assert cell["config"] == defaults
+        assert list(cell) == ["algorithm", "function", "dim", "max_fes", *stats, "config"]
