@@ -30,8 +30,6 @@ __all__ = [
     "anneal_gamma",
 ]
 
-BOUNDS_POLICIES = ("clamp", "reflect", "resample")
-
 
 @dataclass
 class BipConfig:
@@ -44,6 +42,8 @@ class BipConfig:
     ``mean_replace`` switches the population-collapse step at each scale
     transition, kept as a flag so its effect can be measured.
     ``init_position``, if set, is the one point every particle starts at.
+    Every proposal is clamped into the box (``gaussian_step``), as the
+    baselines' proposals are.
     """
 
     k: int = 15
@@ -51,7 +51,6 @@ class BipConfig:
     anneal_tau: float = 1.0
     scale_divisor: float = 2.0
     min_scale: float = 0.0
-    bounds_policy: str = "clamp"
     seed: int = 0
     mean_replace: bool = True
     init_position: tuple[float, ...] | None = None
@@ -67,50 +66,20 @@ class BipConfig:
             raise ValueError("scale_divisor must be finite and exceed 1")
         if not 0 <= self.min_scale < math.inf:
             raise ValueError("min_scale must be finite and nonnegative")
-        if self.bounds_policy not in BOUNDS_POLICIES:
-            raise ValueError(f"bounds_policy must be one of {BOUNDS_POLICIES}")
 
 
-def _apply_bounds(xs, lower, upper, policy, rng, reference=None, sigma=None):
-    """Fold candidate positions back into the box.
-
-    ``xs`` must be a fresh float array: clamp overwrites it.
-    """
-    if lower is None or upper is None:
-        return xs
-    if policy == "clamp":
-        return _clamp(xs, lower, upper)
-    if policy == "reflect":
-        span = upper - lower
-        period = 2.0 * span
-        with np.errstate(invalid="ignore"):
-            y = np.where(period > 0, np.mod(xs - lower, period), 0.0)
-            y = np.where(y > span, period - y, y)
-        return lower + y
-    # resample: redraw out-of-box coordinates around the reference point,
-    # falling back to clamp after a bounded number of tries
-    out = xs
-    for _ in range(100):
-        bad = (out < lower) | (out > upper)
-        if not bad.any():
-            return out
-        fresh = _normal(rng, reference, sigma, out.shape)
-        out = np.where(bad, fresh, out)
-    return _clamp(out, lower, upper)
-
-
-def gaussian_step(x, sigma, rng, lower=None, upper=None, policy="clamp"):
-    """Propose x + sigma * N(0, I) and fold the result back into the box.
+def gaussian_step(x, sigma, rng, lower=None, upper=None):
+    """Propose x + sigma * N(0, I), clamped into the box in place.
 
     ``x`` may be one point of shape (n,) or a batch of shape (m, n); the
-    proposal has the same shape.  With no bounds given the raw step is
+    proposal has the same shape.  With either bound missing the raw step is
     returned as-is.
     """
-    if policy not in BOUNDS_POLICIES:
-        raise ValueError(f"policy must be one of {BOUNDS_POLICIES}")
     x = np.asarray(x, dtype=float)
     step = _normal(rng, x, sigma, x.shape)
-    return _apply_bounds(step, lower, upper, policy, rng, reference=x, sigma=sigma)
+    if lower is None or upper is None:
+        return step
+    return _clamp(step, lower, upper)
 
 
 def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
@@ -120,10 +89,10 @@ def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
     Broadcasts over array arguments.  Extreme gaps underflow to exactly 0.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if np.count_nonzero(gamma <= 0):
+    if np.count_nonzero(~(gamma > 0)):
         raise ValueError("gamma must be positive")
     delta_f = np.asarray(delta_f, dtype=float)
-    if np.count_nonzero(delta_f < 0):
+    if np.count_nonzero(~(delta_f >= 0)):
         raise ValueError("delta_f must be nonnegative for a tunneling decision")
     prob = _tunneling(delta_f, np.asarray(delta_x, dtype=float), gamma, amplitude_a)
     return float(prob) if prob.ndim == 0 else prob
@@ -182,7 +151,7 @@ def ground_state_reached(positions, sigma_s) -> bool:
 
 def anneal_gamma(gamma0: float, ac: int, tau: float = 1.0) -> float:
     """Exponentially attenuated control parameter gamma0 * exp(-ac / tau)."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     if ac < 0:
         raise ValueError("ac must be nonnegative")
@@ -231,9 +200,7 @@ class BipRun(RunScaffold):
             return False
 
         current = self.positions[:m]
-        candidates = gaussian_step(
-            current, self.sigma_s, self.rng, self.lower, self.upper, cfg.bounds_policy
-        )
+        candidates = gaussian_step(current, self.sigma_s, self.rng, self.lower, self.upper)
         cand_f = self.objective.evaluate_many(candidates)
         delta_f = _fitness_gap(cand_f, self.fitness[:m])
         delta_x = _jumps(candidates, current)

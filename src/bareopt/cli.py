@@ -10,7 +10,6 @@ from pathlib import Path
 
 from .baselines import DEFAULT_SUCCESS_THRESHOLD
 from .benchmarks import get_objective
-from .bip import BOUNDS_POLICIES
 from .diagnostics import (
     diagnostics_basename,
     expected_solution_value,
@@ -103,7 +102,6 @@ def _add_run_flags(p: argparse.ArgumentParser, threshold_default: float):
         p.add_argument("--anneal-tau", type=float),
         p.add_argument("--scale-divisor", type=float),
         p.add_argument("--min-scale", type=float),
-        p.add_argument("--bounds-policy", choices=BOUNDS_POLICIES),
         p.add_argument("--no-mean-replace", dest="mean_replace",
                        action="store_const", const=False,
                        help="disable the population-mean collapse step (bip only)"),

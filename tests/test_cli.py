@@ -142,7 +142,6 @@ class TestOverrides:
         ("bip", ["--anneal-tau", "2"], {"anneal_tau": 2.0}),
         ("bip", ["--scale-divisor", "3"], {"scale_divisor": 3.0}),
         ("bip", ["--min-scale", "0.01"], {"min_scale": 0.01}),
-        ("bip", ["--bounds-policy", "reflect"], {"bounds_policy": "reflect"}),
         ("bip", ["--no-mean-replace"], {"mean_replace": False}),
         ("bbpso", ["--pop", "5"], {"np_": 5}),
         ("bbfwa", ["--pop", "5"], {"np_": 5}),

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from bareopt.baselines import AMP_FLOOR, _between, _clamped_cr, _jumps, _sparks
 from bareopt.bip import (
-    BOUNDS_POLICIES,
     accept_moves,
     gaussian_step,
     ground_state_reached,
@@ -121,13 +120,12 @@ class TestGaussianStep:
         arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
                elements=st.floats(-20.0, 20.0)),
         st.floats(0.0, 50.0),
-        st.sampled_from(BOUNDS_POLICIES),
         st.integers(0, 2**32 - 1),
     )
-    def test_never_mutates_its_input(self, x, sigma, policy, seed):
+    def test_never_mutates_its_input(self, x, sigma, seed):
         lower, upper = np.full(x.shape[1], -5.0), np.full(x.shape[1], 5.0)
         before = x.copy()
-        out = gaussian_step(x, sigma, np.random.default_rng(seed), lower, upper, policy)
+        out = gaussian_step(x, sigma, np.random.default_rng(seed), lower, upper)
         assert np.array_equal(x, before)
         assert out is not x and out.shape == x.shape
         assert ((out >= lower) & (out <= upper)).all()
@@ -228,8 +226,22 @@ def boxes(draw, max_rows):
 
 
 class TestProposalDraws:
-    """Each baseline's in-place proposal equals the numpy call it replaces, bit
-    for bit, and leaves the generator where that call leaves it."""
+    """Each in-place proposal, bip's and the baselines', equals the numpy call
+    it replaces, bit for bit, and leaves the generator where that call leaves
+    it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes(max_rows=20), st.floats(0.0, 1e4), st.integers(0, 2**32 - 1))
+    def test_gaussian_step_is_a_clipped_rng_normal(self, box, sigma, seed):
+        _, lower, upper, unit = box
+        # the sweep's points, then one point alone; sigma up to ten times the
+        # widest span, so some moves land outside the box
+        x = lower + unit * (upper - lower)
+        ours, numpys = twin_generators(seed)
+        for point in (x, x[0]):
+            expected = np.clip(numpys.normal(point, sigma), lower, upper)
+            assert same_bits(gaussian_step(point, sigma, ours, lower, upper), expected)
+        assert same_state(ours, numpys)
 
     @settings(max_examples=200, deadline=None)
     @given(boxes(max_rows=20), st.data(), st.integers(0, 2**32 - 1))

@@ -1,6 +1,6 @@
 """Run-level invariants of all four algorithms, checked through run_single.
 
-Every run, whatever the algorithm, bounds policy, dimension or budget
+Every run, whatever the algorithm, dimension or budget
 (budgets below the population size included), keeps to its budget, keeps
 its best position in the box, repeats itself exactly for the same seed, and
 reports a best-so-far curve that never rises and ends at the last
@@ -32,7 +32,7 @@ from bareopt.benchmarks import (
     registry_names,
 )
 from bareopt import bip
-from bareopt.bip import BOUNDS_POLICIES, BipConfig, BipRun
+from bareopt.bip import BipConfig, BipRun
 from bareopt.diagnostics import record_run
 from bareopt.harness import REGISTRY, run_single
 from bareopt.records import (
@@ -48,10 +48,10 @@ from bareopt.records import (
 
 # the smallest population each algorithm accepts
 MINIMAL = {
-    **{("bip", p): {"k": 2, "bounds_policy": p} for p in BOUNDS_POLICIES},
-    ("bbpso", None): {"np_": 2},
-    ("bbfwa", None): {"np_": 1},
-    ("gbde", None): {"np_": 4},
+    "bip": {"k": 2},
+    "bbpso": {"np_": 2},
+    "bbfwa": {"np_": 1},
+    "gbde": {"np_": 4},
 }
 
 
@@ -78,27 +78,24 @@ def check_invariants(out, spec, max_fes, rerun):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    variant=st.sampled_from(sorted(MINIMAL, key=str)),
+    algorithm=st.sampled_from(sorted(MINIMAL)),
     function=st.sampled_from(registry_names()),
     dim=st.integers(1, 3),
     max_fes=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
     success_threshold=st.sampled_from([0.0, 1e-8]),
 )
-def test_run_invariants(variant, function, dim, max_fes, seed, success_threshold):
-    algorithm, _ = variant
-
+def test_run_invariants(algorithm, function, dim, max_fes, seed, success_threshold):
     def run():
         return run_single(algorithm, function, dim, max_fes=max_fes, seed=seed,
                           success_threshold=success_threshold,
-                          overrides=MINIMAL[variant])
+                          overrides=MINIMAL[algorithm])
 
     check_invariants(run(), get_objective(function, dim), max_fes, run)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    variant=st.sampled_from(sorted((v for v in MINIMAL if v[0] == "bip"), key=str)),
     mean_replace=st.booleans(),
     amplitude_a=st.sampled_from([0.0, 1.0]),
     at_optimum=st.booleans(),
@@ -107,9 +104,8 @@ def test_run_invariants(variant, function, dim, max_fes, seed, success_threshold
     max_fes=st.integers(1, 600),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_a_skipped_collapse_check_would_have_said_no(variant, mean_replace, amplitude_a,
-                                                     at_optimum, function, dim, max_fes,
-                                                     seed):
+def test_a_skipped_collapse_check_would_have_said_no(mean_replace, amplitude_a, at_optimum,
+                                                     function, dim, max_fes, seed):
     """A step that goes on without running the collapse check leaves a
     population the check would not collapse.  Both ways a check could be
     wrongly skipped are drawn here: a transition without mean replacement
@@ -124,7 +120,7 @@ def test_a_skipped_collapse_check_would_have_said_no(variant, mean_replace, ampl
         return check(positions, sigma_s)
 
     spec = get_objective(function, dim)
-    config = BipConfig(**MINIMAL[variant], mean_replace=mean_replace,
+    config = BipConfig(**MINIMAL["bip"], mean_replace=mean_replace,
                        amplitude_a=amplitude_a, seed=seed,
                        init_position=spec.optimum_position if at_optimum else None)
     run = BipRun(BudgetedObjective(spec, max_fes), config, success_threshold=0.0)
@@ -148,19 +144,13 @@ def constant(dim):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("max_fes", [1, 7, 300])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("variant", [
-    *((name, None) for name in REGISTRY if name != "bip"),
-    *(("bip", p) for p in BOUNDS_POLICIES),
-], ids=lambda v: "-".join(filter(None, v)))
-def test_a_constant_objective_runs_out_the_budget(variant, dim, max_fes):
-    algorithm, policy = variant
+@pytest.mark.parametrize("algorithm", list(REGISTRY))
+def test_a_constant_objective_runs_out_the_budget(algorithm, dim, max_fes):
     spec = constant(dim)
 
     def start():
         run_cls = REGISTRY[algorithm]
-        config = (BipConfig(bounds_policy=policy, seed=3) if run_cls is BipRun
-                  else run_cls.config_class(seed=3))
-        return run_cls(BudgetedObjective(spec, max_fes), config)
+        return run_cls(BudgetedObjective(spec, max_fes), run_cls.config_class(seed=3))
 
     started = start()
     out = started.run()
@@ -184,26 +174,21 @@ def half_sphere(fill):
     )
 
 
-@pytest.mark.parametrize("variant", [
-    *((name, None) for name in REGISTRY if name != "bip"),
-    *(("bip", p) for p in BOUNDS_POLICIES),
-], ids=lambda v: "-".join(filter(None, v)))
-def test_nan_evaluations_leave_a_best_point_and_a_curve(variant):
+@pytest.mark.parametrize("algorithm", list(REGISTRY))
+def test_nan_evaluations_leave_a_best_point_and_a_curve(algorithm):
     """NaN and +inf alike: a best point, a finite error, no NaN in the curve,
     and no runtime warning (inf - inf in a fitness gap would raise one).  The
     metered objective reports NaN as +inf, so every decision ranks a NaN as
     worst and both runs give the same outcome.  A recorded run gives that
     outcome too, and logs no NaN gap: a move from +inf to +inf has gap 0."""
-    algorithm, policy = variant
     outcomes = []
     for fill in (np.nan, np.inf):
         spec = half_sphere(fill)
 
         def run(events=None):
             run_cls = REGISTRY[algorithm]
-            config = (BipConfig(bounds_policy=policy) if run_cls is BipRun
-                      else run_cls.config_class())
-            return run_cls(BudgetedObjective(spec, 500), config, events=events).run()
+            return run_cls(BudgetedObjective(spec, 500), run_cls.config_class(),
+                           events=events).run()
 
         log = EventLog()
         with warnings.catch_warnings():
@@ -244,18 +229,17 @@ def test_an_outcome_taken_mid_run_is_a_snapshot():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    variant=st.sampled_from(sorted(MINIMAL, key=str)),
+    algorithm=st.sampled_from(sorted(MINIMAL)),
     function=st.sampled_from(registry_names()),
     dim=st.integers(1, 3),
     max_fes=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_event_log_columns_cover_every_evaluation(variant, function, dim, max_fes, seed):
-    algorithm, _ = variant
+def test_event_log_columns_cover_every_evaluation(algorithm, function, dim, max_fes, seed):
     out = run_single(algorithm, function, dim, max_fes=max_fes, seed=seed,
-                     success_threshold=0.0, overrides=MINIMAL[variant])
+                     success_threshold=0.0, overrides=MINIMAL[algorithm])
     recorded, log = record_run(algorithm, function, dim, max_fes=max_fes, seed=seed,
-                               overrides=MINIMAL[variant])
+                               overrides=MINIMAL[algorithm])
     assert same_outcome(recorded, out)
     for name in ("index", "particle", "kind", "delta_f", "delta_x", "probability",
                  "fitness"):
