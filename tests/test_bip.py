@@ -113,6 +113,14 @@ class TestGaussianStep:
         out = gaussian_step(np.zeros((7, 3)), 1.0, rng)
         assert out.shape == (7, 3)
 
+    @pytest.mark.parametrize("missing", ["lower", "upper"])
+    def test_a_missing_bound_leaves_the_step_as_drawn(self, missing):
+        bounds = {"lower": np.full(2, -1.0), "upper": np.full(2, 1.0), missing: None}
+        x = np.zeros((200, 2))
+        xs = gaussian_step(x, 50.0, np.random.default_rng(1), **bounds)
+        assert np.array_equal(xs, np.random.default_rng(1).normal(x, 50.0))
+        assert np.any(np.abs(xs) > 1.0)
+
     def test_clamp_lands_on_the_boundary(self):
         rng = np.random.default_rng(1)
         xs = gaussian_step(np.zeros((200, 2)), 50.0, rng, np.full(2, -1.0), np.full(2, 1.0))

@@ -5,7 +5,8 @@ Every run, whatever the algorithm, dimension or budget
 its best position in the box, repeats itself exactly for the same seed, and
 reports a best-so-far curve that never rises and ends at the last
 evaluation.  A constant objective, where every move ties, is held to the
-same invariants, and so is one that is NaN or +inf over half the box, where
+same invariants, by bip under settings that take other branches of its step
+too, and so is one that is NaN or +inf over half the box, where
 every run must still report a best point and a curve without NaN, and warn
 nothing, and log no NaN gap; the NaN half gives the +inf half's outcome
 exactly.  An outcome taken mid-run is a snapshot the rest of the run leaves
@@ -141,16 +142,32 @@ def constant(dim):
     )
 
 
+# each algorithm at its defaults, and bip with overrides that take other
+# branches of its step: ``k`` 2 collapses nearly every sweep, no mean
+# replacement makes a transition that spends no evaluation, and greedy bip
+# rejects worsening moves without drawing
+def variants(*bip_variants):
+    return {**{name: (name, {}) for name in REGISTRY},
+            **{f"bip-{name}": ("bip", overrides) for name, overrides in bip_variants}}
+
+
+ON_A_PLATEAU = variants(("k2", MINIMAL["bip"]), ("no-mean-replace", {"mean_replace": False}))
+ON_A_CLIFF = variants(("greedy", {"amplitude_a": 0.0}),
+                      ("no-mean-replace", {"mean_replace": False}))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("max_fes", [1, 7, 300])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("algorithm", list(REGISTRY))
-def test_a_constant_objective_runs_out_the_budget(algorithm, dim, max_fes):
+@pytest.mark.parametrize("variant", list(ON_A_PLATEAU))
+def test_a_constant_objective_runs_out_the_budget(variant, dim, max_fes):
+    algorithm, overrides = ON_A_PLATEAU[variant]
     spec = constant(dim)
 
     def start():
         run_cls = REGISTRY[algorithm]
-        return run_cls(BudgetedObjective(spec, max_fes), run_cls.config_class(seed=3))
+        return run_cls(BudgetedObjective(spec, max_fes),
+                       run_cls.config_class(seed=3, **overrides))
 
     started = start()
     out = started.run()
@@ -174,20 +191,21 @@ def half_sphere(fill):
     )
 
 
-@pytest.mark.parametrize("algorithm", list(REGISTRY))
-def test_nan_evaluations_leave_a_best_point_and_a_curve(algorithm):
+@pytest.mark.parametrize("variant", list(ON_A_CLIFF))
+def test_nan_evaluations_leave_a_best_point_and_a_curve(variant):
     """NaN and +inf alike: a best point, a finite error, no NaN in the curve,
     and no runtime warning (inf - inf in a fitness gap would raise one).  The
     metered objective reports NaN as +inf, so every decision ranks a NaN as
     worst and both runs give the same outcome.  A recorded run gives that
     outcome too, and logs no NaN gap: a move from +inf to +inf has gap 0."""
+    algorithm, overrides = ON_A_CLIFF[variant]
     outcomes = []
     for fill in (np.nan, np.inf):
         spec = half_sphere(fill)
 
         def run(events=None):
             run_cls = REGISTRY[algorithm]
-            return run_cls(BudgetedObjective(spec, 500), run_cls.config_class(),
+            return run_cls(BudgetedObjective(spec, 500), run_cls.config_class(**overrides),
                            events=events).run()
 
         log = EventLog()
