@@ -37,8 +37,14 @@ __all__ = [
     "GbdeRun",
 ]
 
-# the least bbfwa amplitude, so repeated failures cannot shrink it to 0
+# bbfwa's amplitude factor after an improving step and after any other, and its
+# least value, so repeated failures cannot shrink it to 0
+AMP_GROW = 1.2
+AMP_SHRINK = 0.9
 AMP_FLOOR = float(np.finfo(float).eps)
+# the mean and spread of gbde's per-individual crossover rate
+CR_MEAN = 0.5
+CR_STD = 0.1
 
 
 @dataclass
@@ -57,41 +63,29 @@ class BbpsoConfig:
 @dataclass
 class BbfwaConfig:
     """Bare-bones fireworks: uniform sparks in a shrinking/growing box around
-    the single best position.  ``amp_init`` of None means the full box span."""
+    the single best position, starting at the full box span (``AMP_GROW``,
+    ``AMP_SHRINK``, ``AMP_FLOOR``)."""
 
     np_: int = 300
-    amp_init: float | None = None
-    amp_grow: float = 1.2
-    amp_shrink: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
         if self.np_ < 1:
             raise ValueError("np_ must be at least 1")
-        if not 0 < self.amp_shrink < 1 < self.amp_grow < math.inf:
-            raise ValueError("need 0 < amp_shrink < 1 < amp_grow < inf")
-        if self.amp_init is not None and not 0 < self.amp_init < math.inf:
-            raise ValueError("amp_init must be finite and positive")
 
 
 @dataclass
 class GbdeConfig:
     """Gaussian bare-bones differential evolution: mutation samples between
     the best and the parent, with binomial crossover at a per-individual
-    crossover rate drawn from N(cr_mean, cr_std) clipped to [0, 1]."""
+    crossover rate drawn from N(CR_MEAN, CR_STD) clipped to [0, 1]."""
 
     np_: int = 100
-    cr_mean: float = 0.5
-    cr_std: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.np_ < 4:
             raise ValueError("np_ must be at least 4")
-        if not -math.inf < self.cr_mean < math.inf:
-            raise ValueError("cr_mean must be finite")
-        if not 0 <= self.cr_std < math.inf:
-            raise ValueError("cr_std must be finite and nonnegative")
 
 
 def _jumps(xs, old_x):
@@ -312,18 +306,14 @@ class BbfwaRun(RunScaffold):
 
     def __init__(self, objective, config=None, **kwargs):
         super().__init__(objective, config, **kwargs)
-        spec = objective.spec
-        self.span = spec.span.astype(float)
-        amp_init = self.config.amp_init  # the amplitude is updated in place
-        self.amplitude = (self.span.copy() if amp_init is None
-                          else np.full(spec.dim, float(amp_init)))
+        self.span = objective.spec.span.astype(float)
+        self.amplitude = self.span.copy()  # the amplitude is updated in place
         positions, fitness = self._init_population(1)
         self.center = positions[0]
         self.center_f = float(fitness[0])
 
     def step(self) -> bool:
-        cfg = self.config
-        m = self._sweep_size(cfg.np_)
+        m = self._sweep_size(self.config.np_)
         if m == 0:
             return False
         sparks = _clamp(_sparks(self.rng, self.center, self.amplitude, m), self.lower, self.upper)
@@ -336,10 +326,10 @@ class BbfwaRun(RunScaffold):
         if improved:
             self.center = sparks[j].copy()
             self.center_f = float(fs[j])
-            self.amplitude *= cfg.amp_grow
+            self.amplitude *= AMP_GROW
         else:
             # a tie counts as no improvement
-            self.amplitude *= cfg.amp_shrink
+            self.amplitude *= AMP_SHRINK
         _clamp(self.amplitude, AMP_FLOOR, self.span)
         return going
 
@@ -353,14 +343,13 @@ class GbdeRun(RunScaffold):
         self.positions, self.fitness = self._init_population(self.config.np_)
 
     def step(self) -> bool:
-        cfg = self.config
-        m = self._sweep_size(cfg.np_)
+        m = self._sweep_size(self.config.np_)
         if m == 0:
             return False
         best = self.positions[int(self.fitness.argmin())]
         positions, fitness = self.positions[:m], self.fitness[:m]
         mutants = _between(self.rng, best, positions, self.lower, self.upper)
-        cr = _clamped_cr(self.rng, m, cfg.cr_mean, cfg.cr_std)
+        cr = _clamped_cr(self.rng, m, CR_MEAN, CR_STD)
         jrand = self.rng.integers(0, positions.shape[1], size=m)
         cross = self.rng.random(positions.shape) < cr[:, None]
         cross[np.arange(m), jrand] = True

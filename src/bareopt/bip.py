@@ -5,7 +5,7 @@ sampling scale sigma_s.  Improving moves are always taken; worsening moves
 are taken with a probability that decays with the fitness gap, the jump
 distance, and an annealed control parameter gamma.  Once the population has
 collapsed below the current scale, the worst particle is replaced by the
-population mean and the scale is divided down, restarting the cycle on a
+population mean and the scale is halved, restarting the cycle on a
 finer grid.
 """
 
@@ -33,24 +33,20 @@ __all__ = [
 
 @dataclass
 class BipConfig:
-    """Tuning knobs for the multi-scale sampler.
+    """Settings of the multi-scale sampler.
 
     ``amplitude_a`` scales the acceptance probability for worsening moves;
     zero disables them entirely and the sampler degenerates to greedy
-    parallel descent.  ``min_scale`` stops the run once sigma_s is divided
-    below it; zero disables that stop.  Every float setting must be finite.
-    ``mean_replace`` switches the population-collapse step at each scale
-    transition, kept as a flag so its effect can be measured.
-    ``init_position``, if set, is the one point every particle starts at.
-    Every proposal is clamped into the box (``gaussian_step``), as the
-    baselines' proposals are.
+    parallel descent; it must be finite.  ``mean_replace`` switches the
+    population-collapse step at each scale transition, kept as a flag so its
+    effect can be measured.  ``init_position``, if set, is the one point
+    every particle starts at.  The scale halves at each transition and gamma
+    anneals as sigma_s * exp(-ac) (``anneal_gamma``); every proposal is
+    clamped into the box (``gaussian_step``), as the baselines' proposals are.
     """
 
     k: int = 15
     amplitude_a: float = 1.0
-    anneal_tau: float = 1.0
-    scale_divisor: float = 2.0
-    min_scale: float = 0.0
     seed: int = 0
     mean_replace: bool = True
     init_position: tuple[float, ...] | None = None
@@ -60,12 +56,6 @@ class BipConfig:
             raise ValueError("k must be at least 2")
         if not 0 <= self.amplitude_a < math.inf:
             raise ValueError("amplitude_a must be finite and nonnegative")
-        if not 0 < self.anneal_tau < math.inf:
-            raise ValueError("anneal_tau must be finite and positive")
-        if not 1 < self.scale_divisor < math.inf:
-            raise ValueError("scale_divisor must be finite and exceed 1")
-        if not 0 <= self.min_scale < math.inf:
-            raise ValueError("min_scale must be finite and nonnegative")
 
 
 def gaussian_step(x, sigma, rng, lower=None, upper=None):
@@ -94,7 +84,13 @@ def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
     delta_f = np.asarray(delta_f, dtype=float)
     if np.count_nonzero(~(delta_f >= 0)):
         raise ValueError("delta_f must be nonnegative for a tunneling decision")
-    prob = _tunneling(delta_f, np.asarray(delta_x, dtype=float), gamma, amplitude_a)
+    delta_x = np.asarray(delta_x, dtype=float)
+    if np.count_nonzero(~(delta_x >= 0)):
+        raise ValueError("delta_x must be nonnegative")
+    amplitude_a = np.asarray(amplitude_a, dtype=float)
+    if np.count_nonzero(~((amplitude_a >= 0) & (amplitude_a < math.inf))):
+        raise ValueError("amplitude_a must be finite and nonnegative")
+    prob = _tunneling(delta_f, delta_x, gamma, amplitude_a)
     return float(prob) if prob.ndim == 0 else prob
 
 
@@ -149,13 +145,14 @@ def ground_state_reached(positions, sigma_s) -> bool:
     return bool(sigma_k < sigma_s)
 
 
-def anneal_gamma(gamma0: float, ac: int, tau: float = 1.0) -> float:
-    """Exponentially attenuated control parameter gamma0 * exp(-ac / tau)."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if ac < 0:
+def anneal_gamma(gamma0: float, ac: int) -> float:
+    """Exponentially attenuated control parameter gamma0 * exp(-ac)."""
+    gamma0 = float(gamma0)
+    if math.isnan(gamma0):
+        raise ValueError("gamma0 must not be NaN")
+    if not ac >= 0:  # NaN included
         raise ValueError("ac must be nonnegative")
-    return float(gamma0) * math.exp(-ac / tau)
+    return gamma0 * math.exp(-ac)
 
 
 class BipRun(RunScaffold):
@@ -212,7 +209,7 @@ class BipRun(RunScaffold):
             np.copyto(self.fitness[:m], cand_f, where=accept)
             self._recheck = True
         self.ac += 1
-        self.gamma = anneal_gamma(self.sigma_s, self.ac, cfg.anneal_tau)
+        self.gamma = anneal_gamma(self.sigma_s, self.ac)
         if not going:
             return False
         # the check's answer changes only with the positions or the scale: it
@@ -224,9 +221,8 @@ class BipRun(RunScaffold):
         return not self.finished
 
     def _transition_scale(self):
-        """Collapse step and scale division at the end of a scale."""
-        cfg = self.config
-        if cfg.mean_replace:
+        """Collapse step and scale halving at the end of a scale."""
+        if self.config.mean_replace:
             # a metered batch of one (remaining >= 1 is guaranteed by step()):
             # the mean of the whole population, worst included, before anything
             # is replaced; ties for worst go to the lowest index
@@ -241,7 +237,8 @@ class BipRun(RunScaffold):
 
         self.scale_index += 1
         try:
-            self.sigma_s = self.span / cfg.scale_divisor ** self.scale_index
+            # 2.0, not 2: only a float power overflows
+            self.sigma_s = self.span / 2.0 ** self.scale_index
         except OverflowError:  # the scale has shrunk past every float: the run ends
             self.finished = True
             return
@@ -252,7 +249,4 @@ class BipRun(RunScaffold):
                 np.array([self.objective.evals_used]), np.array([-1]), np.array([SCALE_HALVE]),
                 np.zeros(1), np.zeros(1), float(self.gamma), float(self.sigma_s), np.ones(1),
                 None, np.array([math.nan])))
-        # only the mean's evaluation, booked above, can end the run here
-        if cfg.min_scale > 0 and self.sigma_s < cfg.min_scale:
-            self.finished = True
 

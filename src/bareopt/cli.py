@@ -99,19 +99,11 @@ def _add_run_flags(p: argparse.ArgumentParser, threshold_default: float):
                        help="comma-separated start point, every particle begins there (bip only)"),
         p.add_argument("--k", type=int, help="bip population size"),
         p.add_argument("--amplitude-a", type=float),
-        p.add_argument("--anneal-tau", type=float),
-        p.add_argument("--scale-divisor", type=float),
-        p.add_argument("--min-scale", type=float),
         p.add_argument("--no-mean-replace", dest="mean_replace",
                        action="store_const", const=False,
                        help="disable the population-mean collapse step (bip only)"),
         p.add_argument("--pop", dest="np_", metavar="POP", type=int,
                        help="baseline population size"),
-        p.add_argument("--cr-mean", type=float),
-        p.add_argument("--cr-std", type=float),
-        p.add_argument("--amp-init", type=float),
-        p.add_argument("--amp-grow", type=float),
-        p.add_argument("--amp-shrink", type=float),
     ]
     p.set_defaults(override_flags={a.dest: a.option_strings[0] for a in overrides})
 

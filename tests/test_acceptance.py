@@ -186,8 +186,8 @@ class TestCriterion6DensityConcentration:
 class TestCriterion7TransmissionCycles:
     """The transmission probability anneals within a scale and resets at each transition.
 
-    Sweep j of scale i runs at gamma = sigma_s * exp(-j / tau) with
-    sigma_s = span / divisor**i, and every tunneling decision of that sweep
+    Sweep j of scale i runs at gamma = sigma_s * exp(-j) with
+    sigma_s = span / 2**i, and every tunneling decision of that sweep
     uses tunneling_probability at that gamma.  The maximum of the sampled
     probabilities in a sweep is not itself monotone: each sweep draws new
     gaps and step lengths, so it is reported but not asserted on.
@@ -222,8 +222,7 @@ class TestCriterion7TransmissionCycles:
         transitions = int(np.count_nonzero(log.events.column("kind") == SCALE_HALVE))
         assert transitions >= 3, "protocol needs several scale transitions"
         sweeps = self.sweeps(log)
-        gammas = [span / cfg.scale_divisor ** i * math.exp(-j / cfg.anneal_tau)
-                  for i, j, _ in sweeps]
+        gammas = [span / 2.0 ** i * math.exp(-j) for i, j, _ in sweeps]
 
         # (a) every event of a sweep carries the scheduled gamma
         off_schedule = sum(len(b) * (not self.on_schedule(b.gamma, g))
@@ -246,7 +245,7 @@ class TestCriterion7TransmissionCycles:
         # (c) for a fixed barrier at the gamma each sweep recorded, the
         # transmission never rises within a scale and rises again at a
         # transition; a one-sweep scale hands gamma = sigma_s to a scale
-        # starting at sigma_s / divisor, so not at every one
+        # starting at sigma_s / 2, so not at every one
         fixed = [(i, transmission(*self.BARRIER, b.gamma)) for i, _, b in sweeps]
         rises = [s1 == s0 for (s0, t0), (s1, t1) in zip(fixed, fixed[1:]) if t1 > t0]
         within_rises = sum(rises)

@@ -7,6 +7,10 @@ import pytest
 
 from bareopt.baselines import (
     AMP_FLOOR,
+    AMP_GROW,
+    AMP_SHRINK,
+    CR_MEAN,
+    CR_STD,
     BbfwaConfig,
     BbfwaRun,
     BbpsoConfig,
@@ -41,17 +45,14 @@ def constant_spec(dim, value=5.0, low=-1.0, high=1.0):
 class TestConfigs:
     def test_defaults_match_the_reference_settings(self):
         assert BbpsoConfig().np_ == 20
-        assert BbfwaConfig().np_ == 300
-        cfg = GbdeConfig()
-        assert cfg.np_ == 100 and cfg.cr_mean == 0.5 and cfg.cr_std == 0.1
+        assert BbfwaConfig().np_ == 300 and AMP_GROW == 1.2 and AMP_SHRINK == 0.9
+        assert GbdeConfig().np_ == 100 and CR_MEAN == 0.5 and CR_STD == 0.1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BbpsoConfig(np_=1)
         with pytest.raises(ValueError):
-            BbfwaConfig(amp_shrink=1.1)
-        with pytest.raises(ValueError):
-            BbfwaConfig(amp_grow=0.9)
+            BbfwaConfig(np_=0)
         with pytest.raises(ValueError):
             GbdeConfig(np_=3)
 
@@ -107,39 +108,48 @@ class TestBbpso:
 class TestBbfwa:
     def test_amplitude_shrinks_through_consecutive_failures(self):
         obj = BudgetedObjective(constant_spec(2), max_fes=10_000)
-        cfg = BbfwaConfig(np_=10, amp_init=1.0, seed=0)
-        run = BbfwaRun(obj, cfg)
+        run = BbfwaRun(obj, BbfwaConfig(np_=10, seed=0))
+        run.amplitude[:] = 1.0
         expected = np.full(2, 1.0)
         for _ in range(6):
             run.step()
-            expected = np.clip(expected * cfg.amp_shrink, AMP_FLOOR, run.span)
+            expected = np.clip(expected * AMP_SHRINK, AMP_FLOOR, run.span)
             assert np.allclose(run.amplitude, expected, rtol=1e-12)
 
     def test_tie_counts_as_no_improvement(self):
         # sparks on a flat objective tie with the center; amplitude must shrink
         obj = BudgetedObjective(constant_spec(3), max_fes=1000)
-        run = BbfwaRun(obj, BbfwaConfig(np_=4, amp_init=0.5, seed=1))
+        run = BbfwaRun(obj, BbfwaConfig(np_=4, seed=1))
+        run.amplitude[:] = 0.5
         run.step()
-        assert np.all(run.amplitude < 0.5)
+        assert np.array_equal(run.amplitude, np.full(3, 0.5 * AMP_SHRINK))
 
     def test_amplitude_grows_on_improvement_and_is_capped(self):
         obj = BudgetedObjective(make_benchmark(7, 2), max_fes=10_000)
-        cfg = BbfwaConfig(np_=50, seed=0)
-        run = BbfwaRun(obj, cfg)  # amp_init None -> full span
-        span = run.span.copy()
-        run.step()
+        run = BbfwaRun(obj, BbfwaConfig(np_=50, seed=0))
+        # the amplitude starts at the full span
+        assert np.array_equal(run.amplitude, run.span)
         # improving from a uniform start is near-certain with 50 sparks;
         # growth is capped at the box span
-        assert run.center_f < math.inf
-        assert np.all(run.amplitude <= span + 1e-12)
+        center_f = run.center_f
+        run.step()
+        assert run.center_f < center_f
+        assert np.array_equal(run.amplitude, run.span)
+        # a small amplitude grows by AMP_GROW
+        run.amplitude[:] = 0.5
+        center_f = run.center_f
+        run.step()
+        assert run.center_f < center_f
+        assert np.array_equal(run.amplitude, np.full(2, 0.5 * AMP_GROW))
 
     def test_amplitude_floor(self):
         obj = BudgetedObjective(constant_spec(1), max_fes=100_000)
-        cfg = BbfwaConfig(np_=5, amp_init=1e-12, seed=2)
-        run = BbfwaRun(obj, cfg)
+        run = BbfwaRun(obj, BbfwaConfig(np_=5, seed=2))
+        run.amplitude[:] = 1e-12
         for _ in range(200):
             run.step()
-        assert np.all(run.amplitude >= AMP_FLOOR)
+        # 1e-12 * AMP_SHRINK ** 200 lies far below the floor
+        assert np.all(run.amplitude == AMP_FLOOR)
 
     def test_sphere_at_double_budget(self):
         obj = BudgetedObjective(make_benchmark(7, 10), max_fes=100_000)

@@ -77,22 +77,28 @@ class TestTunnelingProbability:
             tunneling_probability(1.0, 1.0, math.nan)
         with pytest.raises(ValueError, match="delta_f must be nonnegative"):
             tunneling_probability(math.nan, 1.0, 1.0)
+        for delta_x in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="delta_x must be nonnegative"):
+                tunneling_probability(1.0, delta_x, 1.0)
+        # a negative amplitude would give a negative probability
+        for amplitude_a in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="amplitude_a must be finite and nonnegative"):
+                tunneling_probability(1.0, 1.0, 1.0, amplitude_a)
 
 
 class TestAnnealGamma:
     def test_one_step(self):
-        assert anneal_gamma(10.0, 1, 1.0) == pytest.approx(10.0 * math.exp(-1.0))
+        assert anneal_gamma(10.0, 1) == pytest.approx(10.0 * math.exp(-1.0))
 
     def test_zero_counter_is_identity(self):
         assert anneal_gamma(3.5, 0) == 3.5
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            anneal_gamma(1.0, 1, 0.0)
-        with pytest.raises(ValueError):
-            anneal_gamma(1.0, -1, 1.0)
-        with pytest.raises(ValueError, match="tau must be positive"):
-            anneal_gamma(1.0, 0, math.nan)
+        with pytest.raises(ValueError, match="gamma0 must not be NaN"):
+            anneal_gamma(math.nan, 1)
+        for ac in (-1, math.nan):
+            with pytest.raises(ValueError, match="ac must be nonnegative"):
+                anneal_gamma(1.0, ac)
 
 
 class TestGaussianStep:
@@ -260,18 +266,13 @@ class TestMeanReplaceWorst:
 class TestBipConfig:
     def test_defaults(self):
         cfg = BipConfig()
-        assert cfg.k == 15 and cfg.amplitude_a == 1.0 and cfg.anneal_tau == 1.0
-        assert cfg.scale_divisor == 2.0
+        assert cfg.k == 15 and cfg.amplitude_a == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BipConfig(k=1)
         with pytest.raises(ValueError):
             BipConfig(amplitude_a=-0.5)
-        with pytest.raises(ValueError):
-            BipConfig(anneal_tau=0.0)
-        with pytest.raises(ValueError):
-            BipConfig(scale_divisor=1.0)
 
 
 class TestBipRun:
@@ -443,24 +444,18 @@ class TestBipRun:
         with pytest.raises(ValueError, match="outside the box"):
             BipRun(obj, BipConfig(seed=0, init_position=(math.nan, 0.0)))
 
-    def test_min_scale_stops_the_run(self):
-        obj = self.budget(max_fes=100_000)
-        cfg = BipConfig(seed=0, min_scale=1.0)
-        out = BipRun(obj, cfg, success_threshold=0.0).run()
-        assert out.evals_used < 100_000
-
     @pytest.mark.parametrize("function, seed, overrides", [
         ("F4", 3, {"k": 2}),
         ("double_well", 5, {"k": 2}),
     ])
     def test_scale_past_the_floats_ends_the_run(self, function, seed, overrides):
-        # two particles collapse nearly every sweep, so the divisor's power
-        # passes 2.0 ** 1024 within the budget
+        # two particles collapse nearly every sweep, so the scale's halvings
+        # pass 2.0 ** 1024 within the budget
         max_fes = 5000
         out = run_single("bip", function, 1, max_fes=max_fes, seed=seed,
                          success_threshold=0.0, overrides=overrides)
-        # with min_scale 0, only the overflow ends a run early with an error
-        # above 0 (a threshold of 0 stops only at the optimum itself)
+        # only the overflow ends a run early with an error above 0 (a
+        # threshold of 0 stops only at the optimum itself)
         assert out.evals_used < max_fes and out.final_error > 0
         errors = [e for _, e in out.error_trace]
         assert all(b <= a for a, b in zip(errors, errors[1:]))

