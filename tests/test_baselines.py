@@ -142,6 +142,13 @@ class TestBbfwa:
         assert run.center_f < center_f
         assert np.array_equal(run.amplitude, np.full(2, 0.5 * AMP_GROW))
 
+    def test_the_amplitude_starts_at_each_dimension_span(self):
+        spec = ObjectiveSpec(name="box", dim=2, lower_bound=np.array([-1.0, 0.0]),
+                             upper_bound=np.array([1.0, 10.0]), optimum_position=np.zeros(2),
+                             optimum_value=0.0, _impl=lambda x: np.sum(x * x, axis=-1))
+        run = BbfwaRun(BudgetedObjective(spec, 100), BbfwaConfig(np_=5, seed=0))
+        assert np.array_equal(run.amplitude, [2.0, 10.0])
+
     def test_amplitude_floor(self):
         obj = BudgetedObjective(constant_spec(1), max_fes=100_000)
         run = BbfwaRun(obj, BbfwaConfig(np_=5, seed=2))

@@ -77,13 +77,25 @@ class TestTunnelingProbability:
             tunneling_probability(1.0, 1.0, math.nan)
         with pytest.raises(ValueError, match="delta_f must be nonnegative"):
             tunneling_probability(math.nan, 1.0, 1.0)
-        for delta_x in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="delta_x must be nonnegative"):
-                tunneling_probability(1.0, delta_x, 1.0)
-        # a negative amplitude would give a negative probability
-        for amplitude_a in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="amplitude_a must be finite and nonnegative"):
-                tunneling_probability(1.0, 1.0, 1.0, amplitude_a)
+
+    # one bad entry of an array argument is refused as a bad scalar is
+    @pytest.mark.parametrize("delta_x", [-1.0, math.nan, [0.5, math.nan]],
+                             ids=["negative", "nan", "array"])
+    def test_rejects_a_bad_jump(self, delta_x):
+        with pytest.raises(ValueError, match="delta_x must be nonnegative"):
+            tunneling_probability(1.0, delta_x, 1.0)
+
+    # a negative amplitude would give a negative probability
+    @pytest.mark.parametrize("amplitude_a", [-1.0, math.nan, math.inf, [1.0, -1.0]],
+                             ids=["negative", "nan", "inf", "array"])
+    def test_rejects_a_bad_amplitude(self, amplitude_a):
+        with pytest.raises(ValueError, match="amplitude_a must be finite and nonnegative"):
+            tunneling_probability(1.0, 1.0, 1.0, amplitude_a)
+
+    @pytest.mark.parametrize("delta_x, amplitude_a, expected", [(0.0, 0.5, 0.5), (2.0, 0.0, 0.0)],
+                             ids=["zero-jump", "zero-amplitude"])
+    def test_the_least_jump_and_amplitude_are_allowed(self, delta_x, amplitude_a, expected):
+        assert tunneling_probability(1.0, delta_x, 1.0, amplitude_a) == expected
 
 
 class TestAnnealGamma:
@@ -96,9 +108,14 @@ class TestAnnealGamma:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="gamma0 must not be NaN"):
             anneal_gamma(math.nan, 1)
-        for ac in (-1, math.nan):
-            with pytest.raises(ValueError, match="ac must be nonnegative"):
-                anneal_gamma(1.0, ac)
+        with pytest.raises(ValueError, match="ac must be nonnegative"):
+            anneal_gamma(1.0, -1)
+
+    # NaN fails every comparison, so the check asks for the allowed range
+    @pytest.mark.parametrize("ac", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_rejects_a_counter_that_is_not_a_count(self, ac):
+        with pytest.raises(ValueError, match="ac must be nonnegative"):
+            anneal_gamma(1.0, ac)
 
 
 class TestGaussianStep:
@@ -330,6 +347,13 @@ class TestBipRun:
         span = obj.spec.max_span
         for j, sigma in enumerate(halves, start=1):
             assert sigma == span / 2.0 ** j  # exact, no drift
+
+    def test_scale_halves_and_gamma_anneals_by_the_sweep_count(self):
+        run = BipRun(self.budget(max_fes=3000), BipConfig(seed=7), success_threshold=0.0)
+        while run.step():
+            assert run.sigma_s == run.span / 2.0 ** run.scale_index
+            assert run.gamma == run.sigma_s * math.exp(-run.ac)
+        assert run.scale_index >= 3, "expected several scale transitions"
 
     def test_gamma_decays_within_a_scale_and_resets_upward(self):
         events = EventLog()

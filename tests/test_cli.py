@@ -94,15 +94,16 @@ class TestRun:
             "", "error: amplitude_a must be finite and nonnegative\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
     @pytest.mark.parametrize("algo, flag", [
         ("bip", "--anneal-tau"), ("bip", "--scale-divisor"), ("bip", "--min-scale"),
         ("bbfwa", "--amp-init"), ("bbfwa", "--amp-grow"), ("bbfwa", "--amp-shrink"),
         ("gbde", "--cr-mean"), ("gbde", "--cr-std"),
     ])
-    def test_a_fixed_setting_has_no_flag(self, tmp_path, capsys, algo, flag):
+    def test_a_fixed_setting_has_no_flag(self, tmp_path, capsys, algo, flag, command):
         # these values are constants of the algorithms, not settings
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", "--algo", algo, "--func", "F7", "--dim", "2",
+            main([command, "--algo", algo, "--func", "F7", "--dim", "2",
                   "--max-fes", "200", flag, "1.5", "--out", str(tmp_path)])
         assert exit_info.value.code == 2
         out, err = capsys.readouterr()
@@ -160,6 +161,16 @@ class TestOverrides:
     ])
     def test_each_flag_reaches_its_config_field(self, tmp_path, algo, flags, expected):
         assert self.overrides_of(tmp_path, algo, flags) == expected
+
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    def test_every_setting_but_the_seed_has_one_flag(self, command):
+        args = cli.build_parser().parse_args(
+            [command, "--algo", "bip", "--func", "F7"])
+        settings = {field for entry in REGISTRY.values()
+                    for field in entry.config_class.__dataclass_fields__} - {"seed"}
+        assert set(args.override_flags) == settings
+        assert sorted(args.override_flags.values()) == [
+            "--amplitude-a", "--init", "--k", "--no-mean-replace", "--pop"]
 
     def test_no_flags_give_no_overrides(self, tmp_path):
         assert self.overrides_of(tmp_path, "bip", []) == {}

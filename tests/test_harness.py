@@ -183,6 +183,8 @@ class TestRunExperiment:
 
 # every float setting of the four configs, by the algorithm whose config has it
 FLOAT_SETTINGS = [("bip", "amplitude_a")]
+# every population size of the four configs, with the least it allows
+SIZE_SETTINGS = [("bip", "k", 2), ("bbpso", "np_", 2), ("bbfwa", "np_", 1), ("gbde", "np_", 4)]
 
 
 class TestConfigSettings:
@@ -198,6 +200,19 @@ class TestConfigSettings:
     def test_a_nonfinite_float_setting_is_refused_by_name(self, algorithm, field, value):
         with pytest.raises(ValueError, match=field):
             REGISTRY[algorithm].config_class(**{field: value})
+
+    def test_the_size_settings_are_all_listed(self):
+        listed = {(algorithm, f.name) for algorithm in ALGORITHMS
+                  for f in REGISTRY[algorithm].config_class.__dataclass_fields__.values()
+                  if f.type == "int" and f.name != "seed"}
+        assert listed == {(algorithm, field) for algorithm, field, _ in SIZE_SETTINGS}
+
+    @pytest.mark.parametrize("algorithm, field, least", SIZE_SETTINGS)
+    def test_a_size_below_its_least_is_refused_by_name(self, algorithm, field, least):
+        config_class = REGISTRY[algorithm].config_class
+        assert getattr(config_class(**{field: least}), field) == least
+        with pytest.raises(ValueError, match=f"{field} must be at least {least}"):
+            config_class(**{field: least - 1})
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_configs_hold_no_success_threshold(self, algorithm):
