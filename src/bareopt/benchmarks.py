@@ -26,10 +26,16 @@ __all__ = [
     "get_objective",
     "registry_names",
     "SCHWEFEL_OPTIMUM",
+    "WELL_V0",
+    "WELL_A",
+    "WELL_DELTA",
 ]
 
 # Position of the Schwefel minimum, same value in every coordinate.
 SCHWEFEL_OPTIMUM = 420.968746
+
+# The double well's barrier height, well position and tilt.
+WELL_V0, WELL_A, WELL_DELTA = 1.0, 2.0, 0.05
 
 
 class BudgetExhausted(Exception):
@@ -183,51 +189,31 @@ def make_benchmark(function_id: int, dim: int) -> ObjectiveSpec:
 # --- double-well landscape ---------------------------------------------------
 
 
-def double_well(dim: int, *, v0: float = 1.0, a: float = 2.0,
-                delta: float = 0.05) -> ObjectiveSpec:
-    """Separable quartic double well, per dimension v0*(x^2-a^2)^2/a^4 + delta*x:
-    barrier height v0, wells near x = -a and x = +a, tilt delta.
+def double_well(dim: int) -> ObjectiveSpec:
+    """The separable tilted double well, per dimension
+    v0*(x^2-a^2)^2/a^4 + delta*x with v0 = WELL_V0 = 1 (barrier height),
+    a = WELL_A = 2 (wells near x = -a and x = +a) and delta = WELL_DELTA = 0.05
+    (tilt), on the box [-2a, 2a].
 
-    With delta = 0 the wells at x = -a and x = +a are degenerate with value 0.
-    A positive delta tilts the landscape so the negative well becomes the
-    unique global minimum; the stored optimum is the lowest root of the
-    slope, in closed form.
+    The tilt makes the negative well the unique global minimum; the stored
+    optimum is the lowest root of the slope, in closed form.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    if a == 0:
-        raise ValueError("well position a must be nonzero")
-    if v0 <= 0:
-        raise ValueError("barrier height v0 must be positive")
-    if delta < 0:
-        raise ValueError("tilt delta must be nonnegative")
-    a = abs(a)
+    v0, a, delta = WELL_V0, WELL_A, WELL_DELTA
 
-    def impl(x, v0=v0, a=a, delta=delta):
+    def impl(x):
         return np.add.reduce(v0 * (x * x - a * a) ** 2 / a ** 4 + delta * x, axis=-1)
 
-    if delta == 0.0:
-        x_star = -a
-        per_dim = 0.0
-    else:
-        def slope(x):
-            return 4.0 * v0 * x * (x * x - a * a) / a ** 4 + delta
-
-        if slope(-2.0 * a) >= 0.0:
-            raise ValueError("tilt delta is too large, the lower well vanishes")
-        # the lowest root of x^3 - a^2 x + delta a^4 / (4 v0) by the cubic
-        # formula, trigonometric for c <= 1 (three real roots) and hyperbolic
-        # for c > 1 (one); c holds no a^4, so it cannot overflow.  One Newton
-        # step brings the root to within 2 ulp of the exact one
-        c = 3.0 * math.sqrt(3.0) / 8.0 * delta * a / v0
-        r = 2.0 * a / math.sqrt(3.0)
-        if c <= 1.0:
-            x_star = r * math.cos(math.acos(-c) / 3.0 - 4.0 * math.pi / 3.0)
-        else:
-            x_star = -r * math.cosh(math.acosh(c) / 3.0)
-        x_star -= slope(x_star) / (4.0 * v0 * (3.0 * x_star * x_star - a * a) / a ** 4)
-        x_star = min(x_star, -a)  # the root lies below -a; a tiny tilt rounds it above
-        per_dim = v0 * (x_star * x_star - a * a) ** 2 / a ** 4 + delta * x_star
+    # the lowest root of the slope 4 v0 x (x^2 - a^2) / a^4 + delta by the
+    # trigonometric cubic formula (c < 1: three real roots); one Newton step
+    # brings it to within 2 ulp of the exact root, which lies 0.0245 below -a
+    c = 3.0 * math.sqrt(3.0) / 8.0 * delta * a / v0
+    r = 2.0 * a / math.sqrt(3.0)
+    x_star = r * math.cos(math.acos(-c) / 3.0 - 4.0 * math.pi / 3.0)
+    x_star -= ((4.0 * v0 * x_star * (x_star * x_star - a * a) / a ** 4 + delta)
+               / (4.0 * v0 * (3.0 * x_star * x_star - a * a) / a ** 4))
+    per_dim = v0 * (x_star * x_star - a * a) ** 2 / a ** 4 + delta * x_star
 
     lower, upper = _box(dim, -2.0 * a, 2.0 * a)
     return ObjectiveSpec(

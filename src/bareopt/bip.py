@@ -90,7 +90,11 @@ def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
     amplitude_a = np.asarray(amplitude_a, dtype=float)
     if np.count_nonzero(~((amplitude_a >= 0) & (amplitude_a < math.inf))):
         raise ValueError("amplitude_a must be finite and nonnegative")
-    prob = _tunneling(delta_f, delta_x, gamma, amplitude_a)
+    # a zero gap or a zero jump is a zero exponent, also against an infinite
+    # other factor, where the product 0 * inf would be NaN
+    flat = (delta_f == 0) | (delta_x == 0)
+    prob = _tunneling(np.where(flat, 0.0, delta_f), np.where(flat, 0.0, delta_x),
+                      gamma, amplitude_a)
     return float(prob) if prob.ndim == 0 else prob
 
 
@@ -148,8 +152,8 @@ def ground_state_reached(positions, sigma_s) -> bool:
 def anneal_gamma(gamma0: float, ac: int) -> float:
     """Exponentially attenuated control parameter gamma0 * exp(-ac)."""
     gamma0 = float(gamma0)
-    if math.isnan(gamma0):
-        raise ValueError("gamma0 must not be NaN")
+    if not gamma0 >= 0:  # NaN included
+        raise ValueError("gamma0 must be nonnegative")
     if not ac >= 0:  # NaN included
         raise ValueError("ac must be nonnegative")
     return gamma0 * math.exp(-ac)

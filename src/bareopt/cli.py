@@ -85,14 +85,14 @@ def _parse_group(text: str, available) -> list[str]:
     return _parse_funcs(text)
 
 
-def _add_run_flags(p: argparse.ArgumentParser, threshold_default: float):
+def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--algo", required=True, choices=ALGORITHMS)
     p.add_argument("--func", required=True, help="objective name, e.g. F7 or double_well")
     p.add_argument("--dim", type=int, default=10)
     p.add_argument("--max-fes", type=int, default=None,
                    help="evaluation budget (default 10000*dim)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--success-threshold", type=float, default=threshold_default)
+    p.add_argument("--success-threshold", type=float, default=0.0)
     # every flag below sets the config field named by its dest
     overrides = [
         p.add_argument("--init", dest="init_position",
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="one seeded trial")
-    _add_run_flags(p_run, threshold_default=0.0)
+    _add_run_flags(p_run)
     p_run.add_argument("--out", type=str, default=None,
                        help="directory for the run JSON (optional)")
     p_run.set_defaults(func_cmd=cmd_run)
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func_cmd=cmd_experiment)
 
     p_diag = sub.add_parser("diagnose", help="one trial with full event capture")
-    _add_run_flags(p_diag, threshold_default=0.0)
+    _add_run_flags(p_diag)
     p_diag.add_argument("--bins", type=int, default=50)
     p_diag.add_argument("--out", type=str, default="diagnostics")
     p_diag.set_defaults(func_cmd=cmd_diagnose)

@@ -50,6 +50,16 @@ class TestTunnelingProbability:
         assert tunneling_probability(0.0, 1.0, 1.0, 0.25) == 0.25
         assert tunneling_probability(1e-12, 1e-12, 5.0, 7.0) == 1.0
 
+    # a zero factor times an infinite one is a zero exponent, not NaN
+    @pytest.mark.parametrize("delta_f, delta_x, amplitude_a, expected", [
+        (math.inf, 0.0, 1.0, 1.0),
+        (0.0, math.inf, 1.0, 1.0),
+        (math.inf, 0.0, 0.5, 0.5),
+        (0.0, math.inf, 0.5, 0.5),
+    ], ids=["inf-gap-zero-jump", "zero-gap-inf-jump", "inf-gap-amplitude", "inf-jump-amplitude"])
+    def test_a_zero_factor_gives_the_amplitude(self, delta_f, delta_x, amplitude_a, expected):
+        assert tunneling_probability(delta_f, delta_x, 1.0, amplitude_a) == expected
+
     def test_extreme_gap_underflows_to_zero(self):
         assert tunneling_probability(1e6, 1e6, 1e-300, 1.0) == 0.0
 
@@ -106,10 +116,18 @@ class TestAnnealGamma:
         assert anneal_gamma(3.5, 0) == 3.5
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="gamma0 must not be NaN"):
-            anneal_gamma(math.nan, 1)
         with pytest.raises(ValueError, match="ac must be nonnegative"):
             anneal_gamma(1.0, -1)
+
+    @pytest.mark.parametrize("gamma0", [math.nan, -1.0, -math.inf], ids=["nan", "-1", "-inf"])
+    def test_rejects_a_width_that_is_not_a_width(self, gamma0):
+        with pytest.raises(ValueError, match="gamma0 must be nonnegative"):
+            anneal_gamma(gamma0, 0)
+
+    @pytest.mark.parametrize("gamma0, expected", [(0.0, 0.0), (math.inf, math.inf)],
+                             ids=["zero", "inf"])
+    def test_the_widths_at_the_ends_are_allowed(self, gamma0, expected):
+        assert anneal_gamma(gamma0, 2) == expected
 
     # NaN fails every comparison, so the check asks for the allowed range
     @pytest.mark.parametrize("ac", [math.nan, -math.inf], ids=["nan", "-inf"])

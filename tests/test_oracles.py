@@ -14,10 +14,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bareopt.benchmarks import BudgetedObjective, double_well, get_objective
+from bareopt.benchmarks import (
+    WELL_A,
+    WELL_DELTA,
+    WELL_V0,
+    BudgetedObjective,
+    double_well,
+    get_objective,
+)
 from bareopt.harness import _average_ranks
 
 
@@ -25,9 +32,9 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
-def exact_slope(v0, a, delta, x):
-    """4 v0 x (x^2 - a^2) / a^4 + delta, with no rounding."""
-    v0, a, delta, x = map(Fraction, (v0, a, delta, x))
+def exact_slope(x):
+    """4 v0 x (x^2 - a^2) / a^4 + delta of the one well, with no rounding."""
+    v0, a, delta, x = map(Fraction, (WELL_V0, WELL_A, WELL_DELTA, x))
     return 4 * v0 * x * (x * x - a * a) / a ** 4 + delta
 
 
@@ -38,43 +45,12 @@ def floats_toward(x, n, y):
     return x
 
 
-scale = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
-
-
-@st.composite
-def tilted_wells(draw):
-    """(v0, a, delta) with the lower well present: c = (3 sqrt 3 / 8) delta a / v0
-    below 1 (three real roots), above 1 (one), or delta at most 64 floats under
-    24 v0 / a, where the lower well is about to vanish."""
-    v0, a = draw(scale), draw(scale)
-    top = 24.0 * v0 / a
-    c1 = 8.0 / (3.0 * math.sqrt(3.0)) * v0 / a  # delta at c = 1
-    tilt = st.floats(0.0, 1.0, exclude_min=True)
-    delta = draw(st.one_of(
-        tilt.map(lambda t: t * c1),
-        tilt.map(lambda t: c1 + t * (top - c1)),
-        st.integers(1, 64).map(lambda n: floats_toward(top, n, 0.0)),
-    ))
-    return v0, a, delta
-
-
-@settings(max_examples=500, deadline=None)
-@given(tilted_wells())
-# a tilt so small that the formula rounded the root 1 ulp above -a
-@example((1.0, 99.10458562488608, 6.497778356172801e-257))
-def test_the_tilted_well_optimum_is_within_2_ulp_of_the_exact_root(well):
-    v0, a, delta = well
-    try:
-        spec = double_well(1, v0=v0, a=a, delta=delta)
-    except ValueError as exc:
-        # at the top of the range the rounded slope at -2a can already be >= 0
-        assert "lower well vanishes" in str(exc) and delta > 23.9 * v0 / a
-        return
-    x = spec.optimum_position[0]
-    assert -2.0 * a <= x <= -a
+def test_the_tilted_well_optimum_is_within_2_ulp_of_the_exact_root():
+    x = double_well(1).optimum_position[0]
+    assert -2.0 * WELL_A <= x <= -WELL_A
     lo, hi = floats_toward(x, 2, -math.inf), floats_toward(x, 2, math.inf)
     # the slope rises through its lowest root
-    assert exact_slope(v0, a, delta, lo) <= 0 <= exact_slope(v0, a, delta, hi)
+    assert exact_slope(lo) <= 0 <= exact_slope(hi)
 
 
 def test_the_default_well_keeps_its_optimum():
