@@ -42,10 +42,9 @@ from .diagnostics import (
 )
 from .harness import (
     ALGORITHMS,
+    FUNCTION_GROUPS,
     AggregateStats,
-    MULTIMODAL_FUNCTIONS,
     RankingTable,
-    UNIMODAL_FUNCTIONS,
     aggregate,
     rank_algorithms,
     read_trials_csv,

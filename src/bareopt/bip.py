@@ -77,6 +77,8 @@ def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
 
     min(1, A * exp(-delta_x * sqrt(delta_f) / gamma)) for delta_f >= 0.
     Broadcasts over array arguments.  Extreme gaps underflow to exactly 0.
+    An infinite gamma gives min(1, A), except against an infinite gap or
+    jump, which is refused.
     """
     gamma = np.asarray(gamma, dtype=float)
     if np.count_nonzero(~(gamma > 0)):
@@ -93,6 +95,10 @@ def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
     # a zero gap or a zero jump is a zero exponent, also against an infinite
     # other factor, where the product 0 * inf would be NaN
     flat = (delta_f == 0) | (delta_x == 0)
+    # any other infinite factor over an infinite gamma is inf / inf: no limit
+    for name, factor in (("delta_f", delta_f), ("delta_x", delta_x)):
+        if np.count_nonzero(np.isinf(factor) & np.isinf(gamma) & ~flat):
+            raise ValueError(f"an infinite {name} against an infinite gamma has no limit")
     prob = _tunneling(np.where(flat, 0.0, delta_f), np.where(flat, 0.0, delta_x),
                       gamma, amplitude_a)
     return float(prob) if prob.ndim == 0 else prob
@@ -150,13 +156,15 @@ def ground_state_reached(positions, sigma_s) -> bool:
 
 
 def anneal_gamma(gamma0: float, ac: int) -> float:
-    """Exponentially attenuated control parameter gamma0 * exp(-ac)."""
+    """Exponentially attenuated control parameter gamma0 * exp(-ac); an
+    infinite gamma0 stays infinite for every count."""
     gamma0 = float(gamma0)
     if not gamma0 >= 0:  # NaN included
         raise ValueError("gamma0 must be nonnegative")
     if not ac >= 0:  # NaN included
         raise ValueError("ac must be nonnegative")
-    return gamma0 * math.exp(-ac)
+    # exp(-ac) underflows to 0 from ac = 746, where inf * 0 would be NaN
+    return gamma0 if gamma0 == math.inf else gamma0 * math.exp(-ac)
 
 
 class BipRun(RunScaffold):

@@ -22,11 +22,10 @@ from .diagnostics import (
 )
 from .harness import (
     ALGORITHMS,
-    MULTIMODAL_FUNCTIONS,
+    FUNCTION_GROUPS,
     REGISTRY,
-    UNIMODAL_FUNCTIONS,
     aggregate,
-    rank_algorithms,
+    rank_cells,
     run_experiment,
     run_single,
     software_versions,
@@ -35,7 +34,6 @@ from .harness import (
     trial_budget,
     write_trials_csv,
 )
-from .records import TrialOutcome
 
 _PRESETS = {
     "desk": {"dims": [10], "trials": 20, "max_fes": 50000},
@@ -75,14 +73,10 @@ def _parse_funcs(text: str) -> list[str]:
 
 
 def _parse_group(text: str, available) -> list[str]:
+    """A named group, ``all`` (the ``available`` functions) or a function list."""
+    groups = {"all": available, **FUNCTION_GROUPS}
     key = text.strip().lower()
-    if key == "multimodal":
-        return list(MULTIMODAL_FUNCTIONS)
-    if key == "unimodal":
-        return list(UNIMODAL_FUNCTIONS)
-    if key == "all":
-        return list(available)
-    return _parse_funcs(text)
+    return list(groups[key]) if key in groups else _parse_funcs(text)
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
@@ -229,17 +223,11 @@ def cmd_experiment(args) -> int:
 
     rankings = {}
     for dim in dims:
-        per_dim = {(a, f): aggregate(c) for (a, f, d), c in cells.items() if d == dim}
-        done_funcs = [f for f in funcs
-                      if all((a, f) in per_dim for a in algos)]
-        groups = {
-            f"all_{dim}d": done_funcs,
-            f"multimodal_{dim}d": [f for f in done_funcs if f in MULTIMODAL_FUNCTIONS],
-            f"unimodal_{dim}d": [f for f in done_funcs if f in UNIMODAL_FUNCTIONS],
-        }
-        for label, group in groups.items():
-            if group and per_dim:
-                rankings[label] = rank_algorithms(per_dim, group)
+        done = [f for f in funcs if all((a, f, dim) in cells for a in algos)]
+        for name, members in {"all": done, **FUNCTION_GROUPS}.items():
+            group = [f for f in done if f in members]
+            if group:
+                rankings[f"{name}_{dim}d"] = rank_cells(cells, dim, group)
 
     trials_path = out_dir / "trials.csv"
     write_trials_csv(trials_path, [o for cell in cells.values() for o in cell])
@@ -293,22 +281,21 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    rows = read_trials_csv(args.csv)
-    if not rows:
+    outcomes = read_trials_csv(args.csv)
+    if not outcomes:
         raise ValueError(f"{args.csv}: no data rows")
-    dims = sorted({r["dim"] for r in rows})
-    if args.dim is not None:
-        rows = [r for r in rows if r["dim"] == args.dim]
-        if not rows:
-            raise ValueError(f"no rows with dim {args.dim}")
-    elif len(dims) > 1:
+    dims = sorted({o.dim for o in outcomes})
+    if args.dim is None and len(dims) > 1:
         raise ValueError(f"CSV holds several dims {dims}; pick one with --dim")
-    group = _parse_group(args.group, list(dict.fromkeys(r["function"] for r in rows)))
+    dim = dims[0] if args.dim is None else args.dim
+    if dim not in dims:
+        raise ValueError(f"no rows with dim {dim}")
     cells: dict = {}
-    for r in rows:
-        cells.setdefault((r["algorithm"], r["function"]), []).append(TrialOutcome(**r))
-    table = rank_algorithms({key: aggregate(c) for key, c in cells.items()}, group)
-    payload = {**table.as_dict(), "dim": rows[0]["dim"], "versions": software_versions(),
+    for o in outcomes:
+        cells.setdefault((o.algorithm, o.function, o.dim), []).append(o)
+    group = _parse_group(args.group, dict.fromkeys(f for _, f, d in cells if d == dim))
+    table = rank_cells(cells, dim, group)
+    payload = {**table.as_dict(), "dim": dim, "versions": software_versions(),
                "csv_sha256": hashlib.sha256(Path(args.csv).read_bytes()).hexdigest()}
     text = json.dumps(payload, indent=2)
     if args.out is not None:
@@ -355,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="average ranks from a trials CSV")
     p_rank.add_argument("--csv", type=str, required=True)
     p_rank.add_argument("--group", type=str, default="all",
-                        help="multimodal, unimodal, all, or a function list")
+                        help=f"{', '.join(FUNCTION_GROUPS)}, all, or a function list")
     p_rank.add_argument("--dim", type=int, default=None)
     p_rank.add_argument("--out", type=str, default=None)
     p_rank.set_defaults(func_cmd=cmd_rank)

@@ -2,7 +2,8 @@
 
 A trial is one (algorithm, function, dim, seed) run.  An experiment is a
 grid of trials with per-trial seeds base_seed + trial_index, so results are
-reproducible regardless of scheduling.
+reproducible regardless of scheduling.  ``read_trials_csv`` returns the
+outcomes of a trials CSV with its columns only: no config, trace or best point.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ __all__ = [
     "REGISTRY",
     "build_config",
     "trial_budget",
-    "MULTIMODAL_FUNCTIONS",
-    "UNIMODAL_FUNCTIONS",
+    "FUNCTION_GROUPS",
     "AggregateStats",
     "RankingTable",
     "run_single",
     "run_experiment",
     "aggregate",
     "rank_algorithms",
+    "rank_cells",
     "write_trials_csv",
     "read_trials_csv",
     "summary_dict",
@@ -46,12 +47,9 @@ __all__ = [
 # ALGORITHMS'
 REGISTRY = {run.algorithm: run for run in (BipRun, BbpsoRun, BbfwaRun, GbdeRun)}
 ALGORITHMS = tuple(REGISTRY)
-MULTIMODAL_FUNCTIONS = tuple(f"F{i}" for i in range(1, 7))
-UNIMODAL_FUNCTIONS = tuple(f"F{i}" for i in range(7, 13))
-
-TRIAL_CSV_COLUMNS = (
-    "algorithm", "function", "dim", "seed", "final_error", "evals_used", "succeeded",
-)
+# the named function groups, ranked by ``experiment`` and read by ``rank --group``
+FUNCTION_GROUPS = {"multimodal": tuple(f"F{i}" for i in range(1, 7)),
+                   "unimodal": tuple(f"F{i}" for i in range(7, 13))}
 SUMMARY_SCHEMA_VERSION = 1
 
 
@@ -203,14 +201,10 @@ def rank_algorithms(stats: dict, group) -> RankingTable:
     group = tuple(group)
     if not group:
         raise ValueError("function group is empty")
-    algorithms = []
-    for algo, _fn in stats:
-        if algo not in algorithms:
-            algorithms.append(algo)
+    algorithms = list(dict.fromkeys(algo for algo, _fn in stats))
     if not algorithms:
         raise ValueError("stats is empty")
     ranks: dict = {}
-    totals = {a: 0.0 for a in algorithms}
     for fn in group:
         means = []
         for algo in algorithms:
@@ -219,41 +213,56 @@ def rank_algorithms(stats: dict, group) -> RankingTable:
             cell = stats[(algo, fn)]
             means.append(float(getattr(cell, "mean", cell)))
         ranks[fn] = dict(zip(algorithms, _average_ranks(means)))
-        for a, r in ranks[fn].items():
-            totals[a] += r
-    average = {a: totals[a] / len(group) for a in algorithms}
-    return RankingTable(
-        algorithms=tuple(algorithms),
-        functions=group,
-        ranks=ranks,
-        average=average,
-    )
+    average = {a: sum(ranks[fn][a] for fn in group) / len(group) for a in algorithms}
+    return RankingTable(tuple(algorithms), group, ranks, average)
+
+
+def rank_cells(cells: dict, dim: int, group) -> RankingTable:
+    """``rank_algorithms`` over the cells of one dimension, each by its
+    ``aggregate`` mean; ``cells`` maps (algorithm, function, dim) to that
+    cell's TrialOutcome list."""
+    return rank_algorithms({(algo, fn): aggregate(outcomes)
+                            for (algo, fn, d), outcomes in cells.items() if d == dim}, group)
 
 
 # --- file formats -------------------------------------------------------------
 
 
+def _read_flag(text: str) -> bool:
+    flag = text.strip().lower()
+    if flag not in ("true", "false"):
+        raise ValueError(f"succeeded must be true or false, got {text!r}")
+    return flag == "true"
+
+
+# the columns of trials.csv in order: (TrialOutcome field, write, read)
+_TRIAL_CSV = (
+    ("algorithm", str, str),
+    ("function", str, str),
+    ("dim", str, int),
+    ("seed", str, int),
+    ("final_error", str, float),
+    ("evals_used", str, int),
+    ("succeeded", lambda v: "true" if v else "false", _read_flag),
+)
+TRIAL_CSV_COLUMNS = tuple(name for name, _, _ in _TRIAL_CSV)
+
+
 def write_trials_csv(path, outcomes: list[TrialOutcome]) -> None:
-    """Write per-trial rows with the fixed column set."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    """Write one row per trial, in the columns of ``TRIAL_CSV_COLUMNS``."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_COLUMNS)
-        for o in outcomes:
-            writer.writerow([
-                o.algorithm, o.function, o.dim, o.seed,
-                str(o.final_error), o.evals_used,
-                "true" if o.succeeded else "false",
-            ])
+        writer.writerows([write(getattr(o, name)) for name, write, _ in _TRIAL_CSV]
+                         for o in outcomes)
 
 
-def read_trials_csv(path) -> list[dict]:
-    """Parse a trials CSV back into typed rows.
-
-    A malformed header or row raises ValueError naming the 1-based line.
+def read_trials_csv(path) -> list[TrialOutcome]:
+    """Parse a trials CSV back into one TrialOutcome per row, of its columns
+    alone.  A malformed header or row raises ValueError naming the 1-based line.
     """
     path = Path(path)
-    rows = []
+    outcomes = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -271,21 +280,11 @@ def read_trials_csv(path) -> list[dict]:
                     f"{len(TRIAL_CSV_COLUMNS)} fields, got {len(row)}"
                 )
             try:
-                flag = row[6].strip().lower()
-                if flag not in ("true", "false"):
-                    raise ValueError(f"succeeded must be true or false, got {row[6]!r}")
-                rows.append({
-                    "algorithm": row[0],
-                    "function": row[1],
-                    "dim": int(row[2]),
-                    "seed": int(row[3]),
-                    "final_error": float(row[4]),
-                    "evals_used": int(row[5]),
-                    "succeeded": flag == "true",
-                })
+                outcomes.append(TrialOutcome(**{
+                    name: read(text) for (name, _, read), text in zip(_TRIAL_CSV, row)}))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return rows
+    return outcomes
 
 
 def software_versions() -> dict:

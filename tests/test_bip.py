@@ -102,6 +102,25 @@ class TestTunnelingProbability:
         with pytest.raises(ValueError, match="amplitude_a must be finite and nonnegative"):
             tunneling_probability(1.0, 1.0, 1.0, amplitude_a)
 
+    # an infinite numerator over an infinite gamma is inf / inf, which has no limit
+    @pytest.mark.parametrize("delta_f, delta_x, name", [
+        (1.0, math.inf, "delta_x"),
+        (math.inf, 1.0, "delta_f"),
+        ([1.0, math.inf], 1.0, "delta_f"),
+    ], ids=["inf-jump", "inf-gap", "array"])
+    def test_rejects_an_infinite_factor_against_an_infinite_gamma(self, delta_f, delta_x, name):
+        with pytest.raises(ValueError, match=f"an infinite {name} against an infinite gamma"):
+            tunneling_probability(delta_f, delta_x, math.inf)
+
+    # a finite exponent over an infinite gamma is a zero exponent
+    @pytest.mark.parametrize("delta_f, delta_x, amplitude_a, expected", [
+        (1.0, 1.0, 0.5, 0.5),
+        (math.inf, 0.0, 0.5, 0.5),
+    ], ids=["amplitude", "inf-gap-zero-jump"])
+    def test_an_infinite_gamma_gives_the_amplitude(self, delta_f, delta_x, amplitude_a,
+                                                   expected):
+        assert tunneling_probability(delta_f, delta_x, math.inf, amplitude_a) == expected
+
     @pytest.mark.parametrize("delta_x, amplitude_a, expected", [(0.0, 0.5, 0.5), (2.0, 0.0, 0.0)],
                              ids=["zero-jump", "zero-amplitude"])
     def test_the_least_jump_and_amplitude_are_allowed(self, delta_x, amplitude_a, expected):
@@ -127,7 +146,9 @@ class TestAnnealGamma:
     @pytest.mark.parametrize("gamma0, expected", [(0.0, 0.0), (math.inf, math.inf)],
                              ids=["zero", "inf"])
     def test_the_widths_at_the_ends_are_allowed(self, gamma0, expected):
-        assert anneal_gamma(gamma0, 2) == expected
+        # exp(-746) underflows to 0, where an infinite width times it would be NaN
+        for ac in (2, 746, 10**6):
+            assert anneal_gamma(gamma0, ac) == expected
 
     # NaN fails every comparison, so the check asks for the allowed range
     @pytest.mark.parametrize("ac", [math.nan, -math.inf], ids=["nan", "-inf"])

@@ -17,7 +17,6 @@ import bareopt
 from bareopt import cli
 from bareopt.cli import main
 from bareopt.harness import REGISTRY, aggregate, rank_algorithms, read_trials_csv
-from bareopt.records import TrialOutcome
 
 
 # what every output file records as the software that produced it
@@ -199,7 +198,7 @@ class TestExperiment:
         assert code == 0
         rows = read_trials_csv(tmp_path / "trials.csv")
         assert len(rows) == 4  # 2 algorithms x 1 function x 1 dim x 2 trials
-        assert {r["algorithm"] for r in rows} == {"bip", "gbde"}
+        assert {r.algorithm for r in rows} == {"bip", "gbde"}
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["schema_version"] == 1
         assert len(summary["cells"]) == 2
@@ -216,8 +215,8 @@ class TestExperiment:
         cells = json.loads((tmp_path / "summary.json").read_text())["cells"]
         assert len(cells) == 4
         for cell in cells:
-            flags = [r["succeeded"] for r in rows
-                     if (r["algorithm"], r["function"]) == (cell["algorithm"], cell["function"])]
+            flags = [r.succeeded for r in rows
+                     if (r.algorithm, r.function) == (cell["algorithm"], cell["function"])]
             assert len(flags) == cell["n_trials"] == 4
             assert cell["sr"] == sum(flags) / len(flags)
         # the threshold splits the grid: some trials reach it, others miss it
@@ -244,14 +243,23 @@ class TestExperiment:
             del defaults["seed"]  # the seed is each trial's, in trials.csv
             assert cell["config"] == defaults
 
-    def test_rank_reproduces_the_experiments_own_ranks(self, tmp_path, capsys):
-        assert main(["experiment", "--algos", "gbde,bbpso,bip", "--funcs", "F1-F6",
-                     "--dims", "2", "--trials", "3", "--max-fes", "300",
-                     "--out", str(tmp_path)]) == 0
-        assert main(["rank", "--csv", str(tmp_path / "trials.csv"), "--group", "multimodal",
-                     "--out", str(tmp_path)]) == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        expected = summary["rankings"]["multimodal_2d"]
+    @pytest.fixture(scope="class")
+    def grid(self, tmp_path_factory):
+        """An experiment over every function at dims 2 and 3, run once."""
+        out = tmp_path_factory.mktemp("grid")
+        assert main(["experiment", "--algos", "gbde,bbpso,bip", "--funcs", "F1-F12",
+                     "--dims", "2,3", "--trials", "3", "--max-fes", "300",
+                     "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("group", ["all", "multimodal", "unimodal"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rank_reproduces_the_experiments_own_ranks(self, grid, tmp_path, capsys,
+                                                       dim, group):
+        assert main(["rank", "--csv", str(grid / "trials.csv"), "--dim", str(dim),
+                     "--group", group, "--out", str(tmp_path)]) == 0
+        summary = json.loads((grid / "summary.json").read_text())
+        expected = summary["rankings"][f"{group}_{dim}d"]
         ranks = json.loads((tmp_path / "ranks.json").read_text())
         assert ranks["ranks"] == expected["ranks"]
         assert ranks["average_rank"] == expected["average_rank"]
@@ -272,7 +280,7 @@ class TestExperiment:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["max_fes"] is None  # none requested: 10000 * dim per cell
         assert {c["dim"]: c["max_fes"] for c in summary["cells"]} == {2: 20000, 3: 30000}
-        assert all(r["evals_used"] <= 10000 * r["dim"]
+        assert all(r.evals_used <= 10000 * r.dim
                    for r in read_trials_csv(tmp_path / "trials.csv"))
 
     def test_function_ranges_expand(self, tmp_path):
@@ -281,7 +289,7 @@ class TestExperiment:
                      "--out", str(tmp_path)])
         assert code == 0
         rows = read_trials_csv(tmp_path / "trials.csv")
-        assert {r["function"] for r in rows} == {"F1", "F2", "F3"}
+        assert {r.function for r in rows} == {"F1", "F2", "F3"}
 
     @pytest.mark.parametrize("flag, value, cells", [
         ("--algos", "gbde,bbpso,gbde", [("gbde", "F7", 2), ("bbpso", "F7", 2)]),
@@ -295,7 +303,7 @@ class TestExperiment:
         assert code == 0
         rows = read_trials_csv(tmp_path / "trials.csv")
         # one row per trial (base seed 1), cells in order of first appearance
-        assert [(r["algorithm"], r["function"], r["dim"], r["seed"]) for r in rows] == [
+        assert [(r.algorithm, r.function, r.dim, r.seed) for r in rows] == [
             (*cell, seed) for cell in cells for seed in (1, 2)]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert [(c["algorithm"], c["function"], c["dim"]) for c in summary["cells"]] == cells
@@ -330,7 +338,7 @@ class TestExperiment:
         (cell,) = summary["cells"]
         assert (cell["dim"], cell["n_trials"], cell["max_fes"]) == (10, 20, 100)
         rows = read_trials_csv(tmp_path / "trials.csv")
-        assert len(rows) == 20 and all(r["dim"] == 10 for r in rows)
+        assert len(rows) == 20 and all(r.dim == 10 for r in rows)
 
     def test_bad_algorithm_list(self, capsys):
         code = main(["experiment", "--algos", "bip,annealer", "--funcs", "F7",
@@ -568,20 +576,21 @@ class TestRank:
         assert main(["rank", "--csv", str(path), "--group", "F1",
                      "--out", str(tmp_path)]) == 0
         ranks = json.loads((tmp_path / "ranks.json").read_text())["ranks"]["F1"]
-        cells = {(a, "F1"): aggregate([TrialOutcome(**r) for r in read_trials_csv(path)
-                                       if r["algorithm"] == a]) for a in errors}
+        cells = {(a, "F1"): aggregate([o for o in read_trials_csv(path) if o.algorithm == a])
+                 for a in errors}
         assert ranks == rank_algorithms(cells, ["F1"]).ranks["F1"] == {"a": 2.0, "b": 1.0}
 
     def test_malformed_csv_names_the_line(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"
-        path.write_text(
-            "algorithm,function,dim,seed,final_error,evals_used,succeeded\n"
-            "bip,F7,2,0,1.0,100,true\n"
-            "bip,F7,2,one,1.0,100,true\n"
-        )
+        header = "algorithm,function,dim,seed,final_error,evals_used,succeeded\n"
+        path.write_text(header + "bip,F7,2,0,1.0,100,true\n" "bip,F7,2,one,1.0,100,true\n")
         code = main(["rank", "--csv", str(path), "--group", "F7"])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+        # a header alone holds no trial to rank
+        path.write_text(header)
+        assert main(["rank", "--csv", str(path)]) == 2
+        assert f"{path}: no data rows" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         code = main(["rank", "--csv", "/nonexistent/trials.csv"])

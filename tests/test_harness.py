@@ -12,14 +12,15 @@ from bareopt.baselines import GbdeConfig
 from bareopt.benchmarks import BudgetedObjective, make_benchmark
 from bareopt.harness import (
     ALGORITHMS,
-    MULTIMODAL_FUNCTIONS,
+    FUNCTION_GROUPS,
     REGISTRY,
     SUMMARY_SCHEMA_VERSION,
-    UNIMODAL_FUNCTIONS,
+    TRIAL_CSV_COLUMNS,
     AggregateStats,
     aggregate,
     build_config,
     rank_algorithms,
+    rank_cells,
     read_trials_csv,
     run_experiment,
     run_single,
@@ -275,9 +276,19 @@ class TestRanking:
         assert d["average_rank"] == {"a": 1.0, "b": 2.0}
         assert d["algorithms"] == ["a", "b"]
 
+    def test_rank_cells_ranks_one_dimension_by_the_aggregate_mean(self):
+        cells = {("a", "F1", 2): [outcome(1.0), outcome(3.0)],
+                 ("b", "F1", 2): [outcome(2.5)],
+                 ("a", "F1", 3): [outcome(9.0, dim=3)],
+                 ("b", "F1", 3): [outcome(1.0, dim=3)]}
+        assert rank_cells(cells, 2, ["F1"]).ranks == {"F1": {"a": 1.0, "b": 2.0}}
+        assert rank_cells(cells, 3, ["F1"]).ranks == {"F1": {"a": 2.0, "b": 1.0}}
+        with pytest.raises(ValueError, match="stats is empty"):
+            rank_cells(cells, 4, ["F1"])
+
     def test_function_groups_cover_the_table(self):
-        assert MULTIMODAL_FUNCTIONS == ("F1", "F2", "F3", "F4", "F5", "F6")
-        assert UNIMODAL_FUNCTIONS == ("F7", "F8", "F9", "F10", "F11", "F12")
+        assert FUNCTION_GROUPS == {"multimodal": ("F1", "F2", "F3", "F4", "F5", "F6"),
+                                   "unimodal": ("F7", "F8", "F9", "F10", "F11", "F12")}
         assert ALGORITHMS == ("bip", "bbpso", "bbfwa", "gbde")
 
 
@@ -288,12 +299,10 @@ class TestTrialsCsv:
         write_trials_csv(path, outs)
         rows = read_trials_csv(path)
         assert len(rows) == 3
+        # an outcome of the columns alone: no config, error trace or best point
         for row, o in zip(rows, outs):
-            assert row["algorithm"] == "bbpso" and row["function"] == "F7"
-            assert row["dim"] == 2 and row["seed"] == o.seed
-            assert row["final_error"] == o.final_error
-            assert row["evals_used"] == o.evals_used
-            assert row["succeeded"] == o.succeeded
+            assert row == TrialOutcome(**{c: getattr(o, c) for c in TRIAL_CSV_COLUMNS})
+            assert row.config is None and row.error_trace == [] and row.best_position is None
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         outs = run_experiment("gbde", "F2", 2, n_trials=2, max_fes=250, base_seed=0)
@@ -306,7 +315,7 @@ class TestTrialsCsv:
         path = tmp_path / "t.csv"
         write_trials_csv(path, [outcome(math.nan, succeeded=False)])
         row = read_trials_csv(path)[0]
-        assert math.isnan(row["final_error"]) and row["succeeded"] is False
+        assert math.isnan(row.final_error) and row.succeeded is False
 
     def test_a_succeeded_field_other_than_true_or_false_names_its_line(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -316,23 +325,24 @@ class TestTrialsCsv:
         with pytest.raises(ValueError, match="line 3: succeeded must be true or false"):
             read_trials_csv(path)
         path.write_text(text.replace("maybe", " True"))
-        assert [r["succeeded"] for r in read_trials_csv(path)] == [False, True]
+        assert [r.succeeded for r in read_trials_csv(path)] == [False, True]
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="line 1"):
-            read_trials_csv(path)
+        for text, message in [("a,b,c\n1,2,3\n", "line 1"), ("", "bad.csv: empty file")]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                read_trials_csv(path)
 
     def test_malformed_row_names_its_line(self, tmp_path):
         good = tmp_path / "good.csv"
         write_trials_csv(good, [outcome(1.0)])
-        text = good.read_text().splitlines()
-        text.append("bip,F7,2,oops,1.0,100,true")
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(text) + "\n")
-        with pytest.raises(ValueError, match="line 3"):
-            read_trials_csv(bad)
+        for row, message in [("bip,F7,2,oops,1.0,100,true", "line 3"),
+                             ("bip,F7,2,1.0,100,true", "line 3: expected 7 fields, got 6")]:
+            bad.write_text(good.read_text() + row + "\n")
+            with pytest.raises(ValueError, match=message):
+                read_trials_csv(bad)
 
 
 class TestSummaryDict:
