@@ -1,8 +1,8 @@
 """Experiment harness: seeded trials, aggregate statistics, rank tables, IO.
 
 A trial is one (algorithm, function, dim, seed) run.  An experiment is a
-grid of trials with per-trial seeds base_seed + trial_index, so results are
-reproducible regardless of scheduling.  ``read_trials_csv`` returns the
+grid of trials with per-trial seeds base_seed + trial_index, run serially
+in trial order, so results are reproducible.  ``read_trials_csv`` returns the
 outcomes of a trials CSV with its columns only: no config, trace or best point.
 """
 
