@@ -73,39 +73,13 @@ def gaussian_step(x, sigma, rng, lower=None, upper=None):
 
 
 def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):
-    """Acceptance chance for a worsening move.
+    """Acceptance chance for a worsening move: the kernel ``accept_moves`` calls.
 
-    min(1, A * exp(-delta_x * sqrt(delta_f) / gamma)) for delta_f >= 0.
-    Broadcasts over array arguments.  Extreme gaps underflow to exactly 0.
-    An infinite gamma gives min(1, A), except against an infinite gap or
-    jump, which is refused.
+    min(1, A * exp(-delta_x * sqrt(delta_f) / gamma)), broadcast over array
+    arguments, for finite delta_f >= 0, delta_x >= 0, gamma > 0 and finite
+    A >= 0, the inputs a run gives it; nothing outside that domain is checked.
+    Extreme gaps underflow to exactly 0.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if np.count_nonzero(~(gamma > 0)):
-        raise ValueError("gamma must be positive")
-    delta_f = np.asarray(delta_f, dtype=float)
-    if np.count_nonzero(~(delta_f >= 0)):
-        raise ValueError("delta_f must be nonnegative for a tunneling decision")
-    delta_x = np.asarray(delta_x, dtype=float)
-    if np.count_nonzero(~(delta_x >= 0)):
-        raise ValueError("delta_x must be nonnegative")
-    amplitude_a = np.asarray(amplitude_a, dtype=float)
-    if np.count_nonzero(~((amplitude_a >= 0) & (amplitude_a < math.inf))):
-        raise ValueError("amplitude_a must be finite and nonnegative")
-    # a zero gap or a zero jump is a zero exponent, also against an infinite
-    # other factor, where the product 0 * inf would be NaN
-    flat = (delta_f == 0) | (delta_x == 0)
-    # any other infinite factor over an infinite gamma is inf / inf: no limit
-    for name, factor in (("delta_f", delta_f), ("delta_x", delta_x)):
-        if np.count_nonzero(np.isinf(factor) & np.isinf(gamma) & ~flat):
-            raise ValueError(f"an infinite {name} against an infinite gamma has no limit")
-    prob = _tunneling(np.where(flat, 0.0, delta_f), np.where(flat, 0.0, delta_x),
-                      gamma, amplitude_a)
-    return float(prob) if prob.ndim == 0 else prob
-
-
-def _tunneling(delta_f, delta_x, gamma, amplitude_a):
-    """``tunneling_probability`` on float arrays, without the argument checks."""
     # a denormal gamma overflows the quotient to inf; exp(-inf) = 0 is the limit
     with np.errstate(over="ignore"):
         return np.minimum(1.0, amplitude_a * np.exp(delta_x * np.sqrt(delta_f) / -gamma))
@@ -127,7 +101,7 @@ def accept_moves(delta_f, delta_x, gamma, amplitude_a, rng):
     if n_worse == 0 or not (amplitude_a > 0 and gamma != 0):
         return accept, None
     worse = ~accept
-    probs = _tunneling(delta_f[worse], delta_x[worse], gamma, amplitude_a)
+    probs = tunneling_probability(delta_f[worse], delta_x[worse], gamma, amplitude_a)
     accept[worse] = rng.random(n_worse) < probs
     return accept, probs
 
@@ -136,14 +110,10 @@ def ground_state_reached(positions, sigma_s) -> bool:
     """True when the population spread has fallen below the sampling scale.
 
     The spread is the largest per-dimension sample standard deviation
-    (n-1 normalization) of ``positions``, shape (k, n).
+    (n-1 normalization) of ``positions``, a float array of shape (k, n)
+    with k >= 2, as ``BipConfig`` ensures.
     """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim < 2:
-        positions = np.atleast_2d(positions)
     k = positions.shape[0]
-    if k < 2:
-        raise ValueError("population spread needs at least 2 particles")
     # positions.std(axis=0, ddof=1) spelled out with the same operations in
     # the same order; dividing by k - 1 and the square root are monotone, so
     # they are taken after the max without changing a bit
@@ -156,15 +126,8 @@ def ground_state_reached(positions, sigma_s) -> bool:
 
 
 def anneal_gamma(gamma0: float, ac: int) -> float:
-    """Exponentially attenuated control parameter gamma0 * exp(-ac); an
-    infinite gamma0 stays infinite for every count."""
-    gamma0 = float(gamma0)
-    if not gamma0 >= 0:  # NaN included
-        raise ValueError("gamma0 must be nonnegative")
-    if not ac >= 0:  # NaN included
-        raise ValueError("ac must be nonnegative")
-    # exp(-ac) underflows to 0 from ac = 746, where inf * 0 would be NaN
-    return gamma0 if gamma0 == math.inf else gamma0 * math.exp(-ac)
+    """Exponentially attenuated control parameter gamma0 * exp(-ac)."""
+    return gamma0 * math.exp(-ac)
 
 
 class BipRun(RunScaffold):

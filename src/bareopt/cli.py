@@ -196,8 +196,6 @@ def cmd_experiment(args) -> int:
         raise ValueError("--trials must be positive")
     if args.base_seed < 0:
         raise ValueError("--base-seed must be nonnegative")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = {}
     for algo in algos:
@@ -220,6 +218,9 @@ def cmd_experiment(args) -> int:
             if group:
                 rankings[f"{name}_{dim}d"] = rank_cells(cells, dim, group)
 
+    # made only once every cell has run, so a failing cell leaves no directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     trials_path = out_dir / "trials.csv"
     write_trials_csv(trials_path, [o for cell in cells.values() for o in cell])
     summary = summary_dict(

@@ -18,7 +18,7 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from bareopt.benchmarks import BudgetedObjective, get_objective, registry_names
-from bareopt.bip import _tunneling
+from bareopt.bip import tunneling_probability
 
 ROOT = Path(__file__).resolve().parents[1]
 AVX512_TARGETS = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)
@@ -47,10 +47,10 @@ def test_tunneling_on_a_block_matches_each_sweep():
     delta_x = 10.0 ** rng.uniform(-4, 1, (64, 15))
     gamma = 10.0 ** rng.uniform(-3, 1, 64)
     with np.errstate(invalid="ignore"):  # an improving move's root is NaN, and unread
-        block = _tunneling(delta_f, delta_x, gamma[:, None], 1.0)
+        block = tunneling_probability(delta_f, delta_x, gamma[:, None], 1.0)
     for r in range(len(block)):
         worse = delta_f[r] > 0
-        row = _tunneling(delta_f[r][worse], delta_x[r][worse], float(gamma[r]), 1.0)
+        row = tunneling_probability(delta_f[r][worse], delta_x[r][worse], float(gamma[r]), 1.0)
         assert row.tobytes() == block[r][worse].tobytes(), f"row {r}"
 
 

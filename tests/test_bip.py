@@ -50,16 +50,6 @@ class TestTunnelingProbability:
         assert tunneling_probability(0.0, 1.0, 1.0, 0.25) == 0.25
         assert tunneling_probability(1e-12, 1e-12, 5.0, 7.0) == 1.0
 
-    # a zero factor times an infinite one is a zero exponent, not NaN
-    @pytest.mark.parametrize("delta_f, delta_x, amplitude_a, expected", [
-        (math.inf, 0.0, 1.0, 1.0),
-        (0.0, math.inf, 1.0, 1.0),
-        (math.inf, 0.0, 0.5, 0.5),
-        (0.0, math.inf, 0.5, 0.5),
-    ], ids=["inf-gap-zero-jump", "zero-gap-inf-jump", "inf-gap-amplitude", "inf-jump-amplitude"])
-    def test_a_zero_factor_gives_the_amplitude(self, delta_f, delta_x, amplitude_a, expected):
-        assert tunneling_probability(delta_f, delta_x, 1.0, amplitude_a) == expected
-
     def test_extreme_gap_underflows_to_zero(self):
         assert tunneling_probability(1e6, 1e6, 1e-300, 1.0) == 0.0
 
@@ -74,53 +64,6 @@ class TestTunnelingProbability:
         assert np.all(tunneling_probability(df, dx + 1.0, g) <= base)
         assert np.all(tunneling_probability(df, dx, g + 1.0) >= base)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            tunneling_probability(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            tunneling_probability(1.0, 1.0, -2.0)
-        with pytest.raises(ValueError):
-            tunneling_probability(-1.0, 1.0, 1.0)
-        # NaN fails every comparison, so only checks that ask for the
-        # allowed range refuse it
-        with pytest.raises(ValueError, match="gamma must be positive"):
-            tunneling_probability(1.0, 1.0, math.nan)
-        with pytest.raises(ValueError, match="delta_f must be nonnegative"):
-            tunneling_probability(math.nan, 1.0, 1.0)
-
-    # one bad entry of an array argument is refused as a bad scalar is
-    @pytest.mark.parametrize("delta_x", [-1.0, math.nan, [0.5, math.nan]],
-                             ids=["negative", "nan", "array"])
-    def test_rejects_a_bad_jump(self, delta_x):
-        with pytest.raises(ValueError, match="delta_x must be nonnegative"):
-            tunneling_probability(1.0, delta_x, 1.0)
-
-    # a negative amplitude would give a negative probability
-    @pytest.mark.parametrize("amplitude_a", [-1.0, math.nan, math.inf, [1.0, -1.0]],
-                             ids=["negative", "nan", "inf", "array"])
-    def test_rejects_a_bad_amplitude(self, amplitude_a):
-        with pytest.raises(ValueError, match="amplitude_a must be finite and nonnegative"):
-            tunneling_probability(1.0, 1.0, 1.0, amplitude_a)
-
-    # an infinite numerator over an infinite gamma is inf / inf, which has no limit
-    @pytest.mark.parametrize("delta_f, delta_x, name", [
-        (1.0, math.inf, "delta_x"),
-        (math.inf, 1.0, "delta_f"),
-        ([1.0, math.inf], 1.0, "delta_f"),
-    ], ids=["inf-jump", "inf-gap", "array"])
-    def test_rejects_an_infinite_factor_against_an_infinite_gamma(self, delta_f, delta_x, name):
-        with pytest.raises(ValueError, match=f"an infinite {name} against an infinite gamma"):
-            tunneling_probability(delta_f, delta_x, math.inf)
-
-    # a finite exponent over an infinite gamma is a zero exponent
-    @pytest.mark.parametrize("delta_f, delta_x, amplitude_a, expected", [
-        (1.0, 1.0, 0.5, 0.5),
-        (math.inf, 0.0, 0.5, 0.5),
-    ], ids=["amplitude", "inf-gap-zero-jump"])
-    def test_an_infinite_gamma_gives_the_amplitude(self, delta_f, delta_x, amplitude_a,
-                                                   expected):
-        assert tunneling_probability(delta_f, delta_x, math.inf, amplitude_a) == expected
-
     @pytest.mark.parametrize("delta_x, amplitude_a, expected", [(0.0, 0.5, 0.5), (2.0, 0.0, 0.0)],
                              ids=["zero-jump", "zero-amplitude"])
     def test_the_least_jump_and_amplitude_are_allowed(self, delta_x, amplitude_a, expected):
@@ -133,28 +76,6 @@ class TestAnnealGamma:
 
     def test_zero_counter_is_identity(self):
         assert anneal_gamma(3.5, 0) == 3.5
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="ac must be nonnegative"):
-            anneal_gamma(1.0, -1)
-
-    @pytest.mark.parametrize("gamma0", [math.nan, -1.0, -math.inf], ids=["nan", "-1", "-inf"])
-    def test_rejects_a_width_that_is_not_a_width(self, gamma0):
-        with pytest.raises(ValueError, match="gamma0 must be nonnegative"):
-            anneal_gamma(gamma0, 0)
-
-    @pytest.mark.parametrize("gamma0, expected", [(0.0, 0.0), (math.inf, math.inf)],
-                             ids=["zero", "inf"])
-    def test_the_widths_at_the_ends_are_allowed(self, gamma0, expected):
-        # exp(-746) underflows to 0, where an infinite width times it would be NaN
-        for ac in (2, 746, 10**6):
-            assert anneal_gamma(gamma0, ac) == expected
-
-    # NaN fails every comparison, so the check asks for the allowed range
-    @pytest.mark.parametrize("ac", [math.nan, -math.inf], ids=["nan", "-inf"])
-    def test_rejects_a_counter_that_is_not_a_count(self, ac):
-        with pytest.raises(ValueError, match="ac must be nonnegative"):
-            anneal_gamma(1.0, ac)
 
 
 class TestGaussianStep:
@@ -256,9 +177,32 @@ class TestAcceptanceLawOnRealSweeps:
         assert abs(z) < 3, f"z = {z:.2f}"
 
 
+    def test_every_tunnel_decision_goes_through_the_kernel(self, monkeypatch):
+        # a sweep looks tunneling_probability up by its module name, so a
+        # wrapper there (as a profiler's span would be) sees each worsening
+        # move at gamma > 0 once and returns the probability that is logged
+        returned = []
+        kernel = bip.tunneling_probability
+
+        def counted(*args):
+            probs = kernel(*args)
+            returned.append(probs.copy())
+            return probs
+
+        monkeypatch.setattr(bip, "tunneling_probability", counted)
+        _, log = record_run("bip", "F7", 10, max_fes=2000, seed=0)
+        logged = np.concatenate([
+            b.probability[(b.kind == ACCEPT_TUNNEL) | (b.kind == REJECT)]
+            for b in log.events.batches if b.gamma > 0])
+        assert returned, "no sweep called the kernel by its module name"
+        seen = np.concatenate(returned)
+        assert seen.size == logged.size > 0
+        assert seen.tobytes() == logged.tobytes()
+
+
 class TestGroundState:
     def test_spread_just_above_and_below(self):
-        positions = [np.array([0.0]), np.array([10.0])]  # sample std 7.0711
+        positions = np.array([[0.0], [10.0]])  # sample std 7.0711
         assert not ground_state_reached(positions, 7.07)
         assert ground_state_reached(positions, 7.08)
 
@@ -267,10 +211,6 @@ class TestGroundState:
         positions = np.array([[0.0, 0.0], [0.01, 5.0], [0.02, -5.0]])
         assert not ground_state_reached(positions, 1.0)
         assert ground_state_reached(positions[:, :1], 1.0)
-
-    def test_needs_two_particles(self):
-        with pytest.raises(ValueError):
-            ground_state_reached([np.zeros(3)], 1.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 10])
     def test_fires_as_often_as_the_chi2_model_says(self, dim):

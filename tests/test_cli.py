@@ -396,12 +396,12 @@ class TestExperiment:
             return run_experiment(algo, func, dim, **kwargs)
 
         monkeypatch.setattr(cli, "run_experiment", second_cell_bad)
+        out = tmp_path / "out"
         code = main(["experiment", "--algos", "gbde", "--funcs", "F7,F8", "--dims", "2",
-                     "--trials", "1", "--max-fes", "100", "--out", str(tmp_path)])
+                     "--trials", "1", "--max-fes", "100", "--out", str(out)])
         assert code == 2
         assert "error: dim must be at least 1" in capsys.readouterr().err
-        assert not (tmp_path / "trials.csv").exists()
-        assert not (tmp_path / "summary.json").exists()
+        assert not out.exists()
 
     def test_a_program_fault_fails_the_run(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
