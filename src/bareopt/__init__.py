@@ -18,9 +18,7 @@ from .benchmarks import (
     BudgetExhausted,
     BudgetedObjective,
     ObjectiveSpec,
-    double_well,
     get_objective,
-    make_benchmark,
     registry_names,
 )
 from .bip import (

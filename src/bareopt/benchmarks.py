@@ -1,11 +1,12 @@
 """Benchmark objectives and the budget meter that evaluates them.
 
 All objectives are minimization problems on an axis-aligned box with a known
-global optimum.  An ``ObjectiveSpec`` holds an objective's data and kernel;
-a ``BudgetedObjective`` is the one way to evaluate it.  Kernels take a batch
-of shape (m, dim) and reduce over the last axis with ``np.add.reduce`` and
-``np.multiply.reduce``: np.sum and np.prod, unwrapped.  A single point is a
-batch of one.
+global optimum.  Each objective is one row of ``_TABLE``, keyed by name;
+``get_objective`` builds its ``ObjectiveSpec`` (data and kernel) at a given
+dimension, and a ``BudgetedObjective`` is the one way to evaluate it.
+Kernels take a batch of shape (m, dim) and reduce over the last axis with
+``np.add.reduce`` and ``np.multiply.reduce``: np.sum and np.prod, unwrapped.
+A single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "BudgetExhausted",
     "ObjectiveSpec",
     "BudgetedObjective",
-    "make_benchmark",
-    "double_well",
     "get_objective",
     "registry_names",
     "SCHWEFEL_OPTIMUM",
@@ -65,14 +64,10 @@ class ObjectiveSpec:
         return float(np.max(self.span))
 
 
-def _box(dim: int, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
-    return np.full(dim, float(low)), np.full(dim, float(high))
-
-
 # --- standard test functions -------------------------------------------------
 #
 # Each kernel is a formula in x and the axis indices i = 1..n, which
-# make_benchmark binds once per objective.
+# get_objective binds once per objective.
 
 
 def _griewank(x, i):
@@ -149,101 +144,77 @@ def _zakharov(x, i):
     return s1 + s2 ** 2 + s2 ** 4
 
 
-# id -> (kernel, low, high, optimum coordinate; None for x_i = i)
-_TABLE = {
-    1: (_griewank, -100.0, 100.0, 0.0),
-    2: (_rastrigin, -5.12, 5.12, 0.0),
-    3: (_ackley, -32.77, 32.77, 0.0),
-    4: (_levy, -10.0, 10.0, 1.0),
-    5: (_alpine, 0.0, 10.0, 0.0),
-    6: (_schwefel, -500.0, 500.0, SCHWEFEL_OPTIMUM),
-    7: (_sphere, -5.12, 5.12, 0.0),
-    8: (_sum_squares, -10.0, 10.0, 0.0),
-    9: (_rotated_hyper_ellipsoid, -65.54, 65.54, 0.0),
-    10: (_ellipsoidal, -100.0, 100.0, None),
-    11: (_sum_diff_powers, -1.0, 1.0, 0.0),
-    12: (_zakharov, -5.0, 10.0, 0.0),
-}
-
-
-def make_benchmark(function_id: int, dim: int) -> ObjectiveSpec:
-    """Build suite function F1..F12 at the given dimension."""
-    if function_id not in _TABLE:
-        raise ValueError(f"unknown benchmark id {function_id}; known ids are 1..12")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    kernel, low, high, opt = _TABLE[function_id]
-    lower, upper = _box(dim, low, high)
-    i = np.arange(1, dim + 1)
-    return ObjectiveSpec(
-        name=f"F{function_id}",
-        dim=dim,
-        lower_bound=lower,
-        upper_bound=upper,
-        optimum_position=i.astype(float) if opt is None else np.full(dim, opt),
-        optimum_value=0.0,
-        _impl=partial(kernel, i=i),
-    )
-
-
 # --- double-well landscape ---------------------------------------------------
 
 
-def double_well(dim: int) -> ObjectiveSpec:
-    """The separable tilted double well, per dimension
+def _double_well(x, i):
+    """The separable tilted double well, per axis
     v0*(x^2-a^2)^2/a^4 + delta*x with v0 = WELL_V0 = 1 (barrier height),
     a = WELL_A = 2 (wells near x = -a and x = +a) and delta = WELL_DELTA = 0.05
-    (tilt), on the box [-2a, 2a].
-
-    The tilt makes the negative well the unique global minimum; the stored
-    optimum is the lowest root of the slope, in closed form.
-    """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    (tilt), on the box [-2a, 2a].  The tilt makes the negative well the
+    unique global minimum."""
     v0, a, delta = WELL_V0, WELL_A, WELL_DELTA
+    return np.add.reduce(v0 * (x * x - a * a) ** 2 / a ** 4 + delta * x, axis=-1)
 
-    def impl(x):
-        return np.add.reduce(v0 * (x * x - a * a) ** 2 / a ** 4 + delta * x, axis=-1)
 
-    # the lowest root of the slope 4 v0 x (x^2 - a^2) / a^4 + delta by the
-    # trigonometric cubic formula (c < 1: three real roots); one Newton step
-    # brings it to within 2 ulp of the exact root, which lies 0.0245 below -a
+def _well_minimum() -> tuple[float, float]:
+    """The double well's minimizing coordinate and its value per axis: the
+    lowest root of the slope 4 v0 x (x^2 - a^2) / a^4 + delta by the
+    trigonometric cubic formula (c < 1: three real roots); one Newton step
+    brings it to within 2 ulp of the exact root, which lies 0.0245 below -a."""
+    v0, a, delta = WELL_V0, WELL_A, WELL_DELTA
     c = 3.0 * math.sqrt(3.0) / 8.0 * delta * a / v0
     r = 2.0 * a / math.sqrt(3.0)
-    x_star = r * math.cos(math.acos(-c) / 3.0 - 4.0 * math.pi / 3.0)
-    x_star -= ((4.0 * v0 * x_star * (x_star * x_star - a * a) / a ** 4 + delta)
-               / (4.0 * v0 * (3.0 * x_star * x_star - a * a) / a ** 4))
-    per_dim = v0 * (x_star * x_star - a * a) ** 2 / a ** 4 + delta * x_star
-
-    lower, upper = _box(dim, -2.0 * a, 2.0 * a)
-    return ObjectiveSpec(
-        name="double_well",
-        dim=dim,
-        lower_bound=lower,
-        upper_bound=upper,
-        optimum_position=np.full(dim, x_star),
-        optimum_value=dim * per_dim,
-        _impl=impl,
-    )
+    x = r * math.cos(math.acos(-c) / 3.0 - 4.0 * math.pi / 3.0)
+    x -= ((4.0 * v0 * x * (x * x - a * a) / a ** 4 + delta)
+          / (4.0 * v0 * (3.0 * x * x - a * a) / a ** 4))
+    return x, v0 * (x * x - a * a) ** 2 / a ** 4 + delta * x
 
 
 # --- registry ----------------------------------------------------------------
+#
+# name -> (kernel, low, high, optimum coordinate or None for x_i = i,
+#          optimum value per axis)
+_TABLE = {
+    "F1": (_griewank, -100.0, 100.0, 0.0, 0.0),
+    "F2": (_rastrigin, -5.12, 5.12, 0.0, 0.0),
+    "F3": (_ackley, -32.77, 32.77, 0.0, 0.0),
+    "F4": (_levy, -10.0, 10.0, 1.0, 0.0),
+    "F5": (_alpine, 0.0, 10.0, 0.0, 0.0),
+    "F6": (_schwefel, -500.0, 500.0, SCHWEFEL_OPTIMUM, 0.0),
+    "F7": (_sphere, -5.12, 5.12, 0.0, 0.0),
+    "F8": (_sum_squares, -10.0, 10.0, 0.0, 0.0),
+    "F9": (_rotated_hyper_ellipsoid, -65.54, 65.54, 0.0, 0.0),
+    "F10": (_ellipsoidal, -100.0, 100.0, None, 0.0),
+    "F11": (_sum_diff_powers, -1.0, 1.0, 0.0, 0.0),
+    "F12": (_zakharov, -5.0, 10.0, 0.0, 0.0),
+    "double_well": (_double_well, -2.0 * WELL_A, 2.0 * WELL_A, *_well_minimum()),
+}
 
 
 def registry_names() -> list[str]:
     """All objective names accepted by get_objective."""
-    return [f"F{i}" for i in sorted(_TABLE)] + ["double_well"]
+    return list(_TABLE)
 
 
 def get_objective(name: str, dim: int) -> ObjectiveSpec:
-    """Resolve an objective by registry name, case-insensitive."""
-    key = str(name).strip().lower()
-    if key.startswith("f") and key[1:].isdigit():
-        return make_benchmark(int(key[1:]), dim)
-    if key == "double_well":
-        return double_well(dim)
-    raise ValueError(
-        f"unknown objective {name!r}; known names: {', '.join(registry_names())}"
+    """Build the objective ``name`` at dimension ``dim``; the name is looked
+    up case-insensitively, surrounding spaces stripped."""
+    key = {k.lower(): k for k in _TABLE}.get(str(name).strip().lower())
+    if key is None:
+        raise ValueError(f"unknown objective {name!r}; known names: {', '.join(_TABLE)}")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    kernel, low, high, opt, per_axis = _TABLE[key]
+    i = np.arange(1, dim + 1)
+    return ObjectiveSpec(
+        name=key,
+        dim=dim,
+        lower_bound=np.full(dim, low),
+        upper_bound=np.full(dim, high),
+        optimum_position=i.astype(float) if opt is None else np.full(dim, opt),
+        optimum_value=dim * per_axis,
+        _impl=partial(kernel, i=i),
     )
 
 

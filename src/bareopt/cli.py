@@ -118,7 +118,8 @@ def _collect_overrides(args) -> dict:
 def _trial_kwargs(args) -> dict:
     """The keyword arguments of the one trial of ``run`` and ``diagnose``,
     with the objective name, budget, seed, overrides and start point checked."""
-    get_objective(args.func, args.dim)  # validate the name early
+    # validate the name early, and name the outputs in the registry's spelling
+    args.func = get_objective(args.func, args.dim).name
     max_fes = trial_budget(args.max_fes, args.dim)
     if max_fes < 1:
         raise ValueError("--max-fes must be positive")

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from bareopt.benchmarks import BudgetedObjective, get_objective, make_benchmark
+from bareopt.benchmarks import BudgetedObjective, get_objective
 from bareopt.bip import (
     BipConfig,
     BipRun,
@@ -296,7 +296,7 @@ class TestCriterion8PropertyBattery:
 
         # sampling-scale schedule is exact and the population never resizes
         events = EventLog()
-        obj = BudgetedObjective(make_benchmark(7, 4), 4000)
+        obj = BudgetedObjective(get_objective("F7", 4), 4000)
         BipRun(obj, BipConfig(seed=2), success_threshold=0.0,
                events=events).run()
         halves = [b.sigma for b in events.batches if b.kind[0] == SCALE_HALVE]
@@ -325,7 +325,7 @@ class TestCriterion8PropertyBattery:
             failures.append("gaussian step moments")
 
         # mean replacement on a hand-computed case
-        got = BipRun(BudgetedObjective(make_benchmark(7, 1), 10), BipConfig(k=2))
+        got = BipRun(BudgetedObjective(get_objective("F7", 1), 10), BipConfig(k=2))
         got.positions = np.array([[0.0], [2.0]])
         got.fitness = np.array([0.0, 4.0])
         got._transition_scale()

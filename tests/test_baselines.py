@@ -19,7 +19,7 @@ from bareopt.baselines import (
     GbdeRun,
     _clamped_cr,
 )
-from bareopt.benchmarks import BudgetedObjective, ObjectiveSpec, make_benchmark
+from bareopt.benchmarks import BudgetedObjective, ObjectiveSpec, get_objective
 from bareopt.records import ACCEPT_BETTER, INIT, REJECT, EventLog
 
 import bareopt.benchmarks as benchmarks
@@ -72,7 +72,7 @@ class TestClampedCr:
 
 class TestBbpso:
     def test_collapsed_swarm_is_stationary(self):
-        obj = BudgetedObjective(make_benchmark(7, 3), max_fes=10_000)
+        obj = BudgetedObjective(get_objective("F7", 3), max_fes=10_000)
         events = EventLog()
         run = BbpsoRun(obj, BbpsoConfig(np_=6, seed=0), events=events)
         # force every personal best onto the global best: the sampling
@@ -95,13 +95,13 @@ class TestBbpso:
         assert np.array_equal(run.pbest, pbest_before)
 
     def test_sphere_convergence(self):
-        obj = BudgetedObjective(make_benchmark(7, 10), max_fes=50_000)
+        obj = BudgetedObjective(get_objective("F7", 10), max_fes=50_000)
         out = BbpsoRun(obj, BbpsoConfig(seed=0)).run()
         assert out.succeeded and out.final_error <= 1e-8
 
     def test_determinism(self):
-        a = BbpsoRun(BudgetedObjective(make_benchmark(2, 5), 4000), BbpsoConfig(seed=9)).run()
-        b = BbpsoRun(BudgetedObjective(make_benchmark(2, 5), 4000), BbpsoConfig(seed=9)).run()
+        a = BbpsoRun(BudgetedObjective(get_objective("F2", 5), 4000), BbpsoConfig(seed=9)).run()
+        b = BbpsoRun(BudgetedObjective(get_objective("F2", 5), 4000), BbpsoConfig(seed=9)).run()
         assert a.error_trace == b.error_trace and a.final_error == b.final_error
 
 
@@ -125,7 +125,7 @@ class TestBbfwa:
         assert np.array_equal(run.amplitude, np.full(3, 0.5 * AMP_SHRINK))
 
     def test_amplitude_grows_on_improvement_and_is_capped(self):
-        obj = BudgetedObjective(make_benchmark(7, 2), max_fes=10_000)
+        obj = BudgetedObjective(get_objective("F7", 2), max_fes=10_000)
         run = BbfwaRun(obj, BbfwaConfig(np_=50, seed=0))
         # the amplitude starts at the full span
         assert np.array_equal(run.amplitude, run.span)
@@ -159,13 +159,13 @@ class TestBbfwa:
         assert np.all(run.amplitude == AMP_FLOOR)
 
     def test_sphere_at_double_budget(self):
-        obj = BudgetedObjective(make_benchmark(7, 10), max_fes=100_000)
+        obj = BudgetedObjective(get_objective("F7", 10), max_fes=100_000)
         out = BbfwaRun(obj, BbfwaConfig(seed=0), success_threshold=1e-8).run()
         assert out.final_error < 1e-6
 
     def test_sparks_respect_the_box(self):
         events = EventLog()
-        obj = BudgetedObjective(make_benchmark(5, 3), max_fes=3000)
+        obj = BudgetedObjective(get_objective("F5", 3), max_fes=3000)
         run = BbfwaRun(obj, BbfwaConfig(np_=20, seed=4), events=events)
         run.run()
         held = np.concatenate([b.position for b in events.batches
@@ -176,7 +176,7 @@ class TestBbfwa:
 
 class TestGbde:
     def test_converged_population_is_a_fixed_point(self):
-        obj = BudgetedObjective(make_benchmark(7, 3), max_fes=10_000)
+        obj = BudgetedObjective(get_objective("F7", 3), max_fes=10_000)
         run = GbdeRun(obj, GbdeConfig(np_=5, seed=0))
         run.positions[:] = 0.25
         run.fitness[:] = BudgetedObjective(obj.spec, 1).evaluate_many(np.full((1, 3), 0.25))
@@ -194,13 +194,13 @@ class TestGbde:
         assert not np.array_equal(run.positions, before)
 
     def test_sphere_convergence(self):
-        obj = BudgetedObjective(make_benchmark(7, 10), max_fes=50_000)
+        obj = BudgetedObjective(get_objective("F7", 10), max_fes=50_000)
         out = GbdeRun(obj, GbdeConfig(seed=0)).run()
         assert out.succeeded and out.final_error <= 1e-8
 
     def test_determinism(self):
-        a = GbdeRun(BudgetedObjective(make_benchmark(3, 6), 6000), GbdeConfig(seed=2)).run()
-        b = GbdeRun(BudgetedObjective(make_benchmark(3, 6), 6000), GbdeConfig(seed=2)).run()
+        a = GbdeRun(BudgetedObjective(get_objective("F3", 6), 6000), GbdeConfig(seed=2)).run()
+        b = GbdeRun(BudgetedObjective(get_objective("F3", 6), 6000), GbdeConfig(seed=2)).run()
         assert a.error_trace == b.error_trace and a.final_error == b.final_error
 
 
@@ -212,7 +212,7 @@ class TestSharedProtocol:
             (GbdeRun, GbdeConfig(np_=5, seed=0)),
         ):
             events = EventLog()
-            obj = BudgetedObjective(make_benchmark(7, 2), max_fes=300)
+            obj = BudgetedObjective(get_objective("F7", 2), max_fes=300)
             runner(obj, cfg, events=events).run()
             kinds = set(events.column("kind").tolist())
             assert kinds <= {INIT, ACCEPT_BETTER, REJECT}
@@ -226,10 +226,10 @@ class TestSharedProtocol:
             (BbfwaRun, BbfwaConfig(np_=7, seed=1)),
             (GbdeRun, GbdeConfig(np_=7, seed=1)),
         ):
-            obj = BudgetedObjective(make_benchmark(7, 2), max_fes=103)
+            obj = BudgetedObjective(get_objective("F7", 2), max_fes=103)
             out = runner(obj, cfg, success_threshold=0.0).run()
             assert out.evals_used == 103
 
     def test_zero_budget_outcome(self):
-        out = GbdeRun(BudgetedObjective(make_benchmark(7, 2), 0), GbdeConfig(seed=0)).run()
+        out = GbdeRun(BudgetedObjective(get_objective("F7", 2), 0), GbdeConfig(seed=0)).run()
         assert math.isnan(out.final_error) and out.evals_used == 0

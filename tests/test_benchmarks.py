@@ -9,9 +9,7 @@ from bareopt.benchmarks import (
     SCHWEFEL_OPTIMUM,
     BudgetExhausted,
     BudgetedObjective,
-    double_well,
     get_objective,
-    make_benchmark,
     registry_names,
 )
 
@@ -72,17 +70,17 @@ def naive_value(function_id, x):
 
 class TestBenchmarkValues:
     def test_known_point_values(self):
-        assert evaluate(make_benchmark(7, 3), [[1.0, 2.0, 3.0]])[0] == 14.0
-        assert evaluate(make_benchmark(8, 2), [[1.0, 1.0]])[0] == 3.0
-        assert evaluate(make_benchmark(2, 1), [[0.5]])[0] == pytest.approx(20.25, abs=1e-12)
-        assert evaluate(make_benchmark(9, 3), [[1.0, 1.0, 1.0]])[0] == pytest.approx(14.0)
-        assert evaluate(make_benchmark(10, 3), [[1.0, 2.0, 3.0]])[0] == 0.0
+        assert evaluate(get_objective("F7", 3), [[1.0, 2.0, 3.0]])[0] == 14.0
+        assert evaluate(get_objective("F8", 2), [[1.0, 1.0]])[0] == 3.0
+        assert evaluate(get_objective("F2", 1), [[0.5]])[0] == pytest.approx(20.25, abs=1e-12)
+        assert evaluate(get_objective("F9", 3), [[1.0, 1.0, 1.0]])[0] == pytest.approx(14.0)
+        assert evaluate(get_objective("F10", 3), [[1.0, 2.0, 3.0]])[0] == 0.0
 
     def test_matches_naive_loops_on_random_points(self):
         rng = np.random.default_rng(7)
         for fid in range(1, 13):
             for dim in (2, 5, 11):
-                spec = make_benchmark(fid, dim)
+                spec = get_objective(f"F{fid}", dim)
                 xs = rng.uniform(spec.lower_bound, spec.upper_bound, size=(8, dim))
                 for x, got in zip(xs, evaluate(spec, xs)):
                     expected = naive_value(fid, x)
@@ -93,14 +91,14 @@ class TestBenchmarkValues:
     def test_optimum_residuals(self):
         for fid in range(1, 13):
             for dim in (2, 10, 30):
-                spec = make_benchmark(fid, dim)
+                spec = get_objective(f"F{fid}", dim)
                 value = evaluate(spec, spec.optimum_position[None, :])[0]
                 residual = abs(value - spec.optimum_value)
                 limit = 1e-3 if fid == 6 else 1e-9
                 assert residual <= limit, f"F{fid} dim={dim} residual {residual}"
 
     def test_schwefel_optimum_coordinate(self):
-        spec = make_benchmark(6, 4)
+        spec = get_objective("F6", 4)
         assert np.all(spec.optimum_position == SCHWEFEL_OPTIMUM)
 
     def test_bounds_per_table(self):
@@ -110,51 +108,51 @@ class TestBenchmarkValues:
             9: (-65.54, 65.54), 10: (-100, 100), 11: (-1, 1), 12: (-5, 10),
         }
         for fid, (lo, hi) in bounds.items():
-            spec = make_benchmark(fid, 3)
+            spec = get_objective(f"F{fid}", 3)
             assert np.all(spec.lower_bound == lo) and np.all(spec.upper_bound == hi)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            evaluate(make_benchmark(7, 3), np.zeros((4, 2)))
+            evaluate(get_objective("F7", 3), np.zeros((4, 2)))
 
     def test_unknown_function_id(self):
-        with pytest.raises(ValueError):
-            make_benchmark(13, 5)
-        with pytest.raises(ValueError):
-            make_benchmark(0, 5)
+        # an F-number off the table gets the same message as any unknown name
+        for name in ("F0", "F13"):
+            with pytest.raises(ValueError, match=rf"unknown objective '{name}'; known names: F1, "):
+                get_objective(name, 5)
 
 
 class TestDoubleWell:
     def test_minimum_beats_a_grid_scan(self):
-        spec = double_well(1)
+        spec = get_objective("double_well", 1)
         grid = np.linspace(spec.lower_bound[0], spec.upper_bound[0], 200001)
         values = evaluate(spec, grid[:, None])
         assert spec.optimum_value <= values.min() + 1e-12
         assert abs(grid[np.argmin(values)] - spec.optimum_position[0]) < 1e-3
 
     def test_tilt_breaks_the_symmetry(self):
-        spec = double_well(1)
+        spec = get_objective("double_well", 1)
         left, right = evaluate(spec, [[-2.0], [2.0]])
         assert left == pytest.approx(-0.1, abs=1e-12)
         assert right == pytest.approx(0.1, abs=1e-12)
         assert spec.optimum_position[0] == pytest.approx(-2.0245462620, abs=1e-8)
 
     def test_value_scales_with_dimension(self):
-        one = double_well(1)
-        three = double_well(3)
+        one = get_objective("double_well", 1)
+        three = get_objective("double_well", 3)
         assert three.optimum_value == pytest.approx(3 * one.optimum_value, rel=1e-12)
         assert np.all(three.optimum_position == one.optimum_position[0])
 
     def test_box_spans_twice_the_well_separation(self):
-        spec = double_well(2)
+        spec = get_objective("double_well", 2)
         assert np.all(spec.lower_bound == -4.0) and np.all(spec.upper_bound == 4.0)
 
     def test_the_shape_is_not_an_argument(self):
         with pytest.raises(TypeError):
-            double_well(1, delta=0.1)
+            get_objective("double_well", 1, delta=0.1)
 
     def test_stationary_point_has_zero_slope(self):
-        spec = double_well(1)
+        spec = get_objective("double_well", 1)
         x = spec.optimum_position[0]
         h = 1e-6
         above, below = evaluate(spec, [[x + h], [x - h]])
@@ -164,10 +162,7 @@ class TestDoubleWell:
 
 class TestRegistry:
     def test_names_cover_table_and_extras(self):
-        names = registry_names()
-        for fid in range(1, 13):
-            assert f"F{fid}" in names
-        assert "double_well" in names
+        assert registry_names() == [f"F{fid}" for fid in range(1, 13)] + ["double_well"]
 
     def test_lookup_is_case_insensitive(self):
         a = get_objective("f3", 4)
@@ -175,15 +170,27 @@ class TestRegistry:
         ones = np.ones((1, 4))
         assert a.name == b.name
         assert np.array_equal(evaluate(a, ones), evaluate(b, ones))
+        # every name resolves in any case, surrounding spaces stripped
+        for name in registry_names():
+            assert get_objective(f"  {name.lower()} ", 2).name == name
+
+    def test_dim_below_one_is_refused(self):
+        for name in registry_names():
+            with pytest.raises(ValueError, match="dim must be at least 1"):
+                get_objective(name, 0)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            get_objective("F99", 3)
+        # a zero-padded F-number and a hyphenated well are not registry names
+        known = ", ".join(registry_names())
+        for name in ("F99", "F07", "double-well"):
+            with pytest.raises(ValueError) as err:
+                get_objective(name, 3)
+            assert str(err.value) == f"unknown objective {name!r}; known names: {known}"
 
 
 class TestBudgetedObjective:
     def test_meter_counts_and_stops(self):
-        budget = BudgetedObjective(make_benchmark(7, 2), max_fes=3)
+        budget = BudgetedObjective(get_objective("F7", 2), max_fes=3)
         budget.evaluate_many([[1.0, 1.0]])
         budget.evaluate_many([[0.0, 0.0], [2.0, 0.0]])
         assert budget.evals_used == 3 and budget.remaining == 0
@@ -191,7 +198,7 @@ class TestBudgetedObjective:
             budget.evaluate_many([[1.0, 1.0]])
 
     def test_oversized_batch_consumes_nothing(self):
-        budget = BudgetedObjective(make_benchmark(7, 2), max_fes=5)
+        budget = BudgetedObjective(get_objective("F7", 2), max_fes=5)
         budget.evaluate_many([[1.0, 1.0]])
         with pytest.raises(BudgetExhausted):
             budget.evaluate_many(np.zeros((5, 2)))
@@ -201,13 +208,13 @@ class TestBudgetedObjective:
     def test_single_point_batch_is_a_shape_error(self, max_fes):
         # a point of shape (dim,) is not a batch, whether or not dim exceeds
         # the remaining budget
-        budget = BudgetedObjective(make_benchmark(1, 3), max_fes=max_fes)
+        budget = BudgetedObjective(get_objective("F1", 3), max_fes=max_fes)
         with pytest.raises(ValueError, match=r"expects shape \(m, 3\)"):
             budget.evaluate_many(np.zeros(3))
         assert budget.evals_used == 0 and budget.remaining == max_fes
 
     def test_empty_batch_is_free(self):
-        budget = BudgetedObjective(make_benchmark(7, 2), max_fes=1)
+        budget = BudgetedObjective(get_objective("F7", 2), max_fes=1)
         out = budget.evaluate_many(np.zeros((0, 2)))
         assert out.shape == (0,) and budget.evals_used == 0
 
@@ -221,11 +228,11 @@ class TestBudgetedObjective:
         assert budget.evals_used == 0 and budget.remaining == 0
 
     def test_zero_budget_is_allowed(self):
-        budget = BudgetedObjective(make_benchmark(7, 2), max_fes=0)
+        budget = BudgetedObjective(get_objective("F7", 2), max_fes=0)
         assert budget.remaining == 0
         with pytest.raises(BudgetExhausted):
             budget.evaluate_many([[0.0, 0.0]])
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            BudgetedObjective(make_benchmark(7, 2), max_fes=-1)
+            BudgetedObjective(get_objective("F7", 2), max_fes=-1)

@@ -11,7 +11,6 @@ from bareopt.benchmarks import (
     BudgetedObjective,
     ObjectiveSpec,
     get_objective,
-    make_benchmark,
 )
 from bareopt import bip
 from bareopt.bip import (
@@ -228,7 +227,7 @@ class TestGroundState:
 def collapse(xs, fs, max_fes=10):
     """A bip run on the 1-D sphere whose population is set to ``xs``/``fs``
     and then put through one scale transition."""
-    run = BipRun(BudgetedObjective(make_benchmark(7, 1), max_fes), BipConfig(k=len(xs)))
+    run = BipRun(BudgetedObjective(get_objective("F7", 1), max_fes), BipConfig(k=len(xs)))
     run.positions = np.array(xs, dtype=float)[:, None]
     run.fitness = np.array(fs, dtype=float)
     used, span = run.objective.evals_used, run.sigma_s
@@ -273,7 +272,7 @@ class TestBipConfig:
 
 class TestBipRun:
     def budget(self, fid=7, dim=4, max_fes=3000):
-        return BudgetedObjective(make_benchmark(fid, dim), max_fes)
+        return BudgetedObjective(get_objective(f"F{fid}", dim), max_fes)
 
     def test_same_seed_gives_bitwise_identical_traces(self):
         a = BipRun(self.budget(), BipConfig(seed=12), success_threshold=0.0).run()
@@ -472,7 +471,7 @@ class TestBipRun:
 
     def test_sphere_reaches_deep_accuracy(self):
         # desk-scale headline: full budget drives the error below 1e-10
-        obj = BudgetedObjective(make_benchmark(7, 10), max_fes=50_000)
+        obj = BudgetedObjective(get_objective("F7", 10), max_fes=50_000)
         out = BipRun(obj, BipConfig(seed=0), success_threshold=0.0).run()
         assert out.final_error < 1e-10
 

@@ -65,7 +65,14 @@ class TestRun:
         code = main(["run", "--algo", "bip", "--func", "F99", "--dim", "2",
                      "--max-fes", "100", "--seed", "0"])
         assert code == 2
-        assert "unknown benchmark id 99" in capsys.readouterr().err
+        assert "unknown objective 'F99'" in capsys.readouterr().err
+
+    def test_outputs_are_named_after_the_objective(self, tmp_path):
+        # f7 and F7 are one objective, so they write one file
+        assert main(["run", "--algo", "bip", "--func", "f7", "--dim", "2",
+                     "--max-fes", "30", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "run_bip_F7_2d_seed1.json").read_text())
+        assert payload["effective_config"]["function"] == "F7"
 
     def test_a_nan_success_threshold_is_refused(self, capsys):
         # a NaN threshold is passed by no error, so every run would fail
@@ -456,6 +463,12 @@ class TestDiagnose:
         payload = json.loads((tmp_path / f"trace_{base}.json").read_text())
         assert len(payload["trace"]) == n > 0
 
+    def test_outputs_are_named_after_the_objective(self, tmp_path):
+        assert main(["diagnose", "--algo", "bip", "--func", "f7", "--dim", "2",
+                     "--max-fes", "30", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "events_bip_F7_2d_seed1.csv").exists()
+        payload = json.loads((tmp_path / "trace_bip_F7_2d_seed1.json").read_text())
+        assert payload["function"] == "F7"
 
     def test_bad_bins_are_refused_before_the_trial(self, tmp_path, capsys):
         code = main(["diagnose", "--algo", "bip", "--func", "F7", "--dim", "2",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bareopt.baselines import GbdeConfig
-from bareopt.benchmarks import BudgetedObjective, make_benchmark
+from bareopt.benchmarks import BudgetedObjective, get_objective
 from bareopt.harness import (
     ALGORITHMS,
     FUNCTION_GROUPS,
@@ -156,7 +156,7 @@ class TestRunExperiment:
     def test_a_nan_success_threshold_is_rejected(self, algorithm):
         # RunScaffold refuses it for every run class: no error would ever reach it
         run_class = REGISTRY[algorithm]
-        objective = BudgetedObjective(make_benchmark(7, 2), max_fes=100)
+        objective = BudgetedObjective(get_objective("F7", 2), max_fes=100)
         with pytest.raises(ValueError, match="success_threshold"):
             run_class(objective, success_threshold=math.nan)
 
@@ -178,7 +178,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_the_outcome_shares_the_run_s_config_object(self, algorithm):
         config = build_config(algorithm, 3, None)
-        objective = BudgetedObjective(make_benchmark(7, 2), max_fes=200)
+        objective = BudgetedObjective(get_objective("F7", 2), max_fes=200)
         assert REGISTRY[algorithm](objective, config).run().config is config
 
 

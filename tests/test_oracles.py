@@ -22,7 +22,6 @@ from bareopt.benchmarks import (
     WELL_DELTA,
     WELL_V0,
     BudgetedObjective,
-    double_well,
     get_objective,
 )
 from bareopt.harness import _average_ranks
@@ -46,7 +45,7 @@ def floats_toward(x, n, y):
 
 
 def test_the_tilted_well_optimum_is_within_2_ulp_of_the_exact_root():
-    x = double_well(1).optimum_position[0]
+    x = get_objective("double_well", 1).optimum_position[0]
     assert -2.0 * WELL_A <= x <= -WELL_A
     lo, hi = floats_toward(x, 2, -math.inf), floats_toward(x, 2, math.inf)
     # the slope rises through its lowest root
@@ -62,7 +61,7 @@ def well_hamiltonian(hbar, points=1601):
     """H = -(hbar²/2)·d²/dx² + V for the 1-D criterion-6 well, by finite
     differences on its box [-2a, 2a] with psi = 0 at both edges: (the
     interior grid, H as a dense matrix)."""
-    spec = double_well(1)
+    spec = get_objective("double_well", 1)
     x, h = np.linspace(spec.lower_bound[0], spec.upper_bound[0], points, retstep=True)
     x = x[1:-1]
     v = BudgetedObjective(spec, len(x)).evaluate_many(x[:, None])
@@ -73,7 +72,7 @@ def well_hamiltonian(hbar, points=1601):
 def test_the_double_well_ground_state_oracle():
     # small hbar: the harmonic limit of the global well, V(x*) + hbar·omega/2
     # with omega = sqrt(V''(x*)) = sqrt((12 x*² - 4 a²) / a⁴) for v0 = 1, a = 2
-    spec = double_well(1)
+    spec = get_objective("double_well", 1)
     x_star = spec.optimum_position[0]
     omega = math.sqrt((12.0 * x_star * x_star - 16.0) / 16.0)
     assert (x_star, omega) == (pytest.approx(-2.0245, abs=1e-4), pytest.approx(1.440, abs=1e-3))
