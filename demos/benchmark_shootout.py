@@ -28,27 +28,27 @@ def main():
           f"functions, {args.dim}D, {args.trials} trials x {args.budget} "
           f"evaluations\n")
 
-    stats = {}
+    means = {}
     for algo in ALGORITHMS:
         for fn in args.functions:
             outcomes = run_experiment(algo, fn, args.dim,
                                       n_trials=args.trials,
                                       max_fes=args.budget,
                                       base_seed=args.base_seed)
-            stats[(algo, fn)] = aggregate(outcomes)
+            means[(algo, fn)] = aggregate(outcomes).mean
 
     header = f"{'function':>9}" + "".join(f"{a:>12}" for a in ALGORITHMS)
     print(header)
     for fn in args.functions:
         row = f"{fn:>9}"
         for algo in ALGORITHMS:
-            row += f"{stats[(algo, fn)].mean:>12.3e}"
+            row += f"{means[(algo, fn)]:>12.3e}"
         print(row)
 
-    table = rank_algorithms(stats, group=args.functions)
+    average = rank_algorithms(means, group=args.functions)["average_rank"]
     print("\naverage rank (lower is better):")
-    for algo in sorted(table.average, key=table.average.get):
-        print(f"  {algo:<6} {table.average[algo]:.2f}")
+    for algo in sorted(average, key=average.get):
+        print(f"  {algo:<6} {average[algo]:.2f}")
 
 
 if __name__ == "__main__":

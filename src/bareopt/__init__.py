@@ -42,7 +42,6 @@ from .harness import (
     ALGORITHMS,
     FUNCTION_GROUPS,
     AggregateStats,
-    RankingTable,
     aggregate,
     rank_algorithms,
     read_trials_csv,

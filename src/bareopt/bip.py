@@ -58,18 +58,14 @@ class BipConfig:
             raise ValueError("amplitude_a must be finite and nonnegative")
 
 
-def gaussian_step(x, sigma, rng, lower=None, upper=None):
-    """Propose x + sigma * N(0, I), clamped into the box in place.
+def gaussian_step(x, sigma, rng, lower, upper):
+    """Propose x + sigma * N(0, I), clamped into [lower, upper] in place.
 
-    ``x`` may be one point of shape (n,) or a batch of shape (m, n); the
-    proposal has the same shape.  With either bound missing the raw step is
-    returned as-is.
+    ``x`` is a float array, one point of shape (n,) or a batch of shape
+    (m, n); the proposal has the same shape.  Pass -inf and inf for a bound
+    that should not clamp.
     """
-    x = np.asarray(x, dtype=float)
-    step = _normal(rng, x, sigma, x.shape)
-    if lower is None or upper is None:
-        return step
-    return _clamp(step, lower, upper)
+    return _clamp(_normal(rng, x, sigma, x.shape), lower, upper)
 
 
 def tunneling_probability(delta_f, delta_x, gamma, amplitude_a=1.0):

@@ -35,9 +35,10 @@ from .harness import (
     write_trials_csv,
 )
 
+# each preset's values in the spelling of their flags
 _PRESETS = {
-    "desk": {"dims": [10], "trials": 20, "max_fes": 50000},
-    "full": {"dims": [30, 60, 100], "trials": 51, "max_fes": None},
+    "desk": {"dims": "10", "trials": 20, "max_fes": 50000},
+    "full": {"dims": "30,60,100", "trials": 51, "max_fes": None},
 }
 
 def _entries(text: str) -> list[str]:
@@ -168,14 +169,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.preset is not None:
-        preset = _PRESETS[args.preset]
-        if args.dims is None:
-            args.dims = ",".join(str(d) for d in preset["dims"])
-        if args.trials is None:
-            args.trials = preset["trials"]
-        if args.max_fes is None:
-            args.max_fes = preset["max_fes"]
+    for flag, value in _PRESETS.get(args.preset, {}).items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
     # a repeated grid entry would run its cells again: keep the first of each
     algos = list(dict.fromkeys(_entries(args.algos)))
     if not algos:
@@ -233,7 +229,7 @@ def cmd_experiment(args) -> int:
     summary_path.write_text(json.dumps(summary, indent=2))
     print(f"wrote {trials_path} and {summary_path}")
     for label, table in rankings.items():
-        avg = "  ".join(f"{a}={table.average[a]:.2f}" for a in table.algorithms)
+        avg = "  ".join(f"{a}={table['average_rank'][a]:.2f}" for a in table["algorithms"])
         print(f"average rank [{label}]: {avg}")
     return 0
 
@@ -286,7 +282,7 @@ def cmd_rank(args) -> int:
         cells.setdefault((o.algorithm, o.function, o.dim), []).append(o)
     group = _parse_group(args.group, dict.fromkeys(f for _, f, d in cells if d == dim))
     table = rank_cells(cells, dim, group)
-    payload = {**table.as_dict(), "dim": dim, "versions": software_versions(),
+    payload = {**table, "dim": dim, "versions": software_versions(),
                "csv_sha256": hashlib.sha256(Path(args.csv).read_bytes()).hexdigest()}
     text = json.dumps(payload, indent=2)
     if args.out is not None:

@@ -236,21 +236,17 @@ def _csv_rows(b: EventBatch, no_position: str) -> str:
     return rows + "\r\n" if rows else ""
 
 
-def export_histogram_json(hist: WaveHistogram, path, meta: dict | None = None) -> None:
+def export_histogram_json(hist: WaveHistogram, path, meta: dict) -> None:
     payload = {
         "marginal": hist.marginal,
         "edges": [e.tolist() for e in hist.edges],
         "counts": hist.counts.tolist(),
         "normalized": hist.normalized.tolist(),
+        **meta,
     }
-    if meta:
-        payload.update(meta)
     Path(path).write_text(json.dumps(payload))
 
 
-def export_trace_json(trace: list[tuple[int, float]], path,
-                      meta: dict | None = None) -> None:
-    payload = {"trace": [[int(i), float(p)] for i, p in trace]}
-    if meta:
-        payload.update(meta)
+def export_trace_json(trace: list[tuple[int, float]], path, meta: dict) -> None:
+    payload = {"trace": [[int(i), float(p)] for i, p in trace], **meta}
     Path(path).write_text(json.dumps(payload))

@@ -1,4 +1,4 @@
-"""Experiment harness: seeded trials, aggregate statistics, rank tables, IO.
+"""Experiment harness: seeded trials, aggregate statistics, rankings, IO.
 
 A trial is one (algorithm, function, dim, seed) run.  An experiment is a
 grid of trials with per-trial seeds base_seed + trial_index, run serially
@@ -29,7 +29,6 @@ __all__ = [
     "trial_budget",
     "FUNCTION_GROUPS",
     "AggregateStats",
-    "RankingTable",
     "run_single",
     "run_experiment",
     "aggregate",
@@ -159,25 +158,6 @@ def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:
     )
 
 
-@dataclass(frozen=True)
-class RankingTable:
-    """Per-function ranks (1 = best mean error, ties averaged) and the
-    per-algorithm average rank over the function group."""
-
-    algorithms: tuple[str, ...]
-    functions: tuple[str, ...]
-    ranks: dict
-    average: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "algorithms": list(self.algorithms),
-            "functions": list(self.functions),
-            "ranks": {f: dict(self.ranks[f]) for f in self.functions},
-            "average_rank": dict(self.average),
-        }
-
-
 def _average_ranks(values) -> list[float]:
     """1-based ranks, lowest first, with tied values sharing their mean rank.
 
@@ -190,38 +170,38 @@ def _average_ranks(values) -> list[float]:
             for key in keys]
 
 
-def rank_algorithms(stats: dict, group) -> RankingTable:
+def rank_algorithms(means: dict, group) -> dict:
     """Average-rank comparison over a function group.
 
-    ``stats`` maps (algorithm, function) to AggregateStats or a raw mean
-    error.  Every algorithm must cover every function in ``group``; a
-    missing cell raises.  Lower mean error ranks better, a NaN mean ranks
-    worst; exact ties share the averaged rank.
+    ``means`` maps (algorithm, function) to that cell's mean error.  Every
+    algorithm must cover every function in ``group``; a missing cell raises.
+    Lower mean error ranks better, a NaN mean ranks worst; exact ties share
+    the averaged rank.  Returns the ranking as ``summary.json`` and
+    ``ranks.json`` hold it: ``{"algorithms": [...], "functions": [...],
+    "ranks": {function: {algorithm: rank}}, "average_rank": {algorithm: rank}}``.
     """
-    group = tuple(group)
+    group = list(group)
     if not group:
         raise ValueError("function group is empty")
-    algorithms = list(dict.fromkeys(algo for algo, _fn in stats))
+    algorithms = list(dict.fromkeys(algo for algo, _fn in means))
     if not algorithms:
         raise ValueError("stats is empty")
     ranks: dict = {}
     for fn in group:
-        means = []
         for algo in algorithms:
-            if (algo, fn) not in stats:
+            if (algo, fn) not in means:
                 raise ValueError(f"missing cell ({algo}, {fn}) in stats")
-            cell = stats[(algo, fn)]
-            means.append(float(getattr(cell, "mean", cell)))
-        ranks[fn] = dict(zip(algorithms, _average_ranks(means)))
+        ranks[fn] = dict(zip(algorithms, _average_ranks([means[a, fn] for a in algorithms])))
     average = {a: sum(ranks[fn][a] for fn in group) / len(group) for a in algorithms}
-    return RankingTable(tuple(algorithms), group, ranks, average)
+    return {"algorithms": algorithms, "functions": group, "ranks": ranks,
+            "average_rank": average}
 
 
-def rank_cells(cells: dict, dim: int, group) -> RankingTable:
+def rank_cells(cells: dict, dim: int, group) -> dict:
     """``rank_algorithms`` over the cells of one dimension, each by its
     ``aggregate`` mean; ``cells`` maps (algorithm, function, dim) to that
     cell's TrialOutcome list."""
-    return rank_algorithms({(algo, fn): aggregate(outcomes)
+    return rank_algorithms({(algo, fn): aggregate(outcomes).mean
                             for (algo, fn, d), outcomes in cells.items() if d == dim}, group)
 
 
@@ -296,15 +276,16 @@ def software_versions() -> dict:
             "python": platform.python_version()}
 
 
-def summary_dict(cells: dict, rankings: dict | None = None, *,
+def summary_dict(cells: dict, rankings: dict, *,
                  success_threshold: float, max_fes, n_trials, base_seed) -> dict:
     """Versioned JSON-ready summary of an experiment.
 
     ``cells`` maps (algorithm, function, dim) to that cell's TrialOutcome
     list; each summary cell holds its ``aggregate`` statistics and the
     ``config`` its trials ran with, without the seed (each trial's own).
-    ``rankings`` maps a label to a RankingTable.  ``max_fes`` is the budget
-    as requested, None when each cell ran with ``trial_budget``'s default.
+    ``rankings`` maps a label to a ``rank_algorithms`` dict, stored as given.
+    ``max_fes`` is the budget as requested, None when each cell ran with
+    ``trial_budget``'s default.
     ``versions`` names the software that produced the numbers.
     """
     summary_cells = []
@@ -315,7 +296,7 @@ def summary_dict(cells: dict, rankings: dict | None = None, *,
         summary_cells.append({"algorithm": algo, "function": fn, "dim": dim,
                               "max_fes": trial_budget(max_fes, dim),
                               **asdict(aggregate(outcomes)), "config": config})
-    out = {
+    return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "success_threshold": success_threshold,
         "max_fes": max_fes,
@@ -323,7 +304,5 @@ def summary_dict(cells: dict, rankings: dict | None = None, *,
         "base_seed": base_seed,
         "versions": software_versions(),
         "cells": summary_cells,
+        "rankings": rankings,
     }
-    if rankings:
-        out["rankings"] = {label: t.as_dict() for label, t in rankings.items()}
-    return out

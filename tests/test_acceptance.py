@@ -82,9 +82,9 @@ class TestCriterion3MultimodalOrdering:
             for fn in group:
                 outs = run_experiment(algo, fn, DIM, n_trials=TRIALS,
                                       max_fes=100_000, base_seed=0)
-                stats[(algo, fn)] = aggregate(outs)
+                stats[(algo, fn)] = aggregate(outs).mean
         table = rank_algorithms(stats, group=group)
-        gbde, bip = table.average["gbde"], table.average["bip"]
+        gbde, bip = table["average_rank"]["gbde"], table["average_rank"]["bip"]
         ok = gbde < bip
         line = report(3, ok, f"average rank gbde={gbde:.2f} vs bip={bip:.2f}")
         assert ok, line
@@ -115,7 +115,7 @@ class TestCriterion4RankingFixture:
                      for j, m in enumerate(row, start=1)}
             table = rank_algorithms(stats, group=[f"F{j}" for j in range(1, 7)])
             for algo, want in expected.items():
-                results.append(abs(table.average[algo] - want) <= 0.005)
+                results.append(abs(table["average_rank"][algo] - want) <= 0.005)
         ok = all(results)
         line = report(4, ok, f"{sum(results)}/8 average ranks within ±0.005")
         assert ok, line
@@ -318,7 +318,7 @@ class TestCriterion8PropertyBattery:
 
         # gaussian step moments
         rng = np.random.default_rng(4)
-        steps = np.stack([gaussian_step(np.zeros(2), 0.5, rng)
+        steps = np.stack([gaussian_step(np.zeros(2), 0.5, rng, -np.inf, np.inf)
                           for _ in range(10_000)])
         if not (np.all(np.abs(steps.mean(axis=0)) < 0.02)
                 and np.all(np.abs(steps.std(axis=0) - 0.5) < 0.02)):

@@ -18,7 +18,7 @@ from bareopt import cli
 from bareopt.baselines import GbdeConfig
 from bareopt.cli import main
 from bareopt.harness import (
-    REGISTRY, aggregate, rank_algorithms, read_trials_csv, run_experiment,
+    REGISTRY, aggregate, rank_algorithms, rank_cells, read_trials_csv, run_experiment,
 )
 from bareopt.records import TrialOutcome
 
@@ -222,6 +222,12 @@ class TestExperiment:
         assert summary["schema_version"] == 1
         assert len(summary["cells"]) == 2
         assert "rankings" in summary
+        # each ranking is the one ``rank_cells`` gives over the rows beside it
+        cells = {}
+        for r in rows:
+            cells.setdefault((r.algorithm, r.function, r.dim), []).append(r)
+        assert summary["rankings"] == {label: rank_cells(cells, 2, ["F7"])
+                                       for label in ("all_2d", "unimodal_2d")}
         out = capsys.readouterr().out
         assert "average rank" in out
 
@@ -604,9 +610,9 @@ class TestRank:
         assert main(["rank", "--csv", str(path), "--group", "F1",
                      "--out", str(tmp_path)]) == 0
         ranks = json.loads((tmp_path / "ranks.json").read_text())["ranks"]["F1"]
-        cells = {(a, "F1"): aggregate([o for o in read_trials_csv(path) if o.algorithm == a])
+        means = {(a, "F1"): aggregate([o for o in read_trials_csv(path) if o.algorithm == a]).mean
                  for a in errors}
-        assert ranks == rank_algorithms(cells, ["F1"]).ranks["F1"] == {"a": 2.0, "b": 1.0}
+        assert ranks == rank_algorithms(means, ["F1"])["ranks"]["F1"] == {"a": 2.0, "b": 1.0}
 
     def test_malformed_csv_names_the_line(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"

@@ -47,7 +47,7 @@ print(json.dumps({"loaded": sorted(m for m in sys.modules if m.split(".")[0] == 
                   "optimum_value": float(spec.optimum_value).hex(),
                   "evals_used": outcome.evals_used,
                   "csv_rows": len((out / "events.csv").read_text().splitlines()),
-                  "ranks": table.ranks["F1"],
+                  "ranks": table["ranks"]["F1"],
                   "codes": codes,
                   "ranked": sorted(json.loads((out / "ranks.json").read_text())["average_rank"])}))
 """

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: trials, statistics, ranking, files."""
 
+import json
 import math
 import threading
 import warnings
@@ -16,7 +17,6 @@ from bareopt.harness import (
     REGISTRY,
     SUMMARY_SCHEMA_VERSION,
     TRIAL_CSV_COLUMNS,
-    AggregateStats,
     aggregate,
     build_config,
     rank_algorithms,
@@ -232,57 +232,51 @@ class TestRanking:
     def test_reproduces_printed_multimodal_ranks(self):
         stats = self.build(PRINTED_MEANS_MULTI)
         table = rank_algorithms(stats, group=[f"F{j}" for j in range(1, 7)])
-        assert table.average["bip"] == pytest.approx(3.17, abs=0.005)
-        assert table.average["bbpso"] == pytest.approx(2.50, abs=0.005)
-        assert table.average["bbfwa"] == pytest.approx(3.17, abs=0.005)
-        assert table.average["gbde"] == pytest.approx(1.17, abs=0.005)
+        assert table["average_rank"]["bip"] == pytest.approx(3.17, abs=0.005)
+        assert table["average_rank"]["bbpso"] == pytest.approx(2.50, abs=0.005)
+        assert table["average_rank"]["bbfwa"] == pytest.approx(3.17, abs=0.005)
+        assert table["average_rank"]["gbde"] == pytest.approx(1.17, abs=0.005)
 
     def test_reproduces_printed_unimodal_ranks(self):
         stats = self.build(PRINTED_MEANS_UNI)
         table = rank_algorithms(stats, group=[f"F{j}" for j in range(1, 7)])
-        assert table.average["bip"] == pytest.approx(2.17, abs=0.005)
-        assert table.average["bbpso"] == pytest.approx(1.50, abs=0.005)
-        assert table.average["bbfwa"] == pytest.approx(3.67, abs=0.005)
-        assert table.average["gbde"] == pytest.approx(2.67, abs=0.005)
+        assert table["average_rank"]["bip"] == pytest.approx(2.17, abs=0.005)
+        assert table["average_rank"]["bbpso"] == pytest.approx(1.50, abs=0.005)
+        assert table["average_rank"]["bbfwa"] == pytest.approx(3.67, abs=0.005)
+        assert table["average_rank"]["gbde"] == pytest.approx(2.67, abs=0.005)
 
     def test_exact_ties_share_averaged_ranks(self):
         stats = {("a", "F1"): 1.0, ("b", "F1"): 1.0, ("c", "F1"): 2.0}
         table = rank_algorithms(stats, group=["F1"])
-        assert table.ranks["F1"] == {"a": 1.5, "b": 1.5, "c": 3.0}
+        assert table["ranks"]["F1"] == {"a": 1.5, "b": 1.5, "c": 3.0}
 
     def test_nan_ranks_after_inf_and_the_nans_tie(self):
         stats = {("a", "F1"): math.nan, ("b", "F1"): math.inf,
                  ("c", "F1"): 1.0, ("d", "F1"): math.nan}
         table = rank_algorithms(stats, group=["F1"])
-        assert table.ranks["F1"] == {"a": 3.5, "b": 2.0, "c": 1.0, "d": 3.5}
-        assert table.average == table.ranks["F1"]
-
-    def test_accepts_aggregate_stats_values(self):
-        stats = {
-            ("a", "F1"): AggregateStats(best=0.0, mean=1.0, std=0.0, sr=1.0, n_trials=2),
-            ("b", "F1"): AggregateStats(best=0.0, mean=2.0, std=0.0, sr=0.0, n_trials=2),
-        }
-        table = rank_algorithms(stats, group=["F1"])
-        assert table.ranks["F1"] == {"a": 1.0, "b": 2.0}
+        assert table["ranks"]["F1"] == {"a": 3.5, "b": 2.0, "c": 1.0, "d": 3.5}
+        assert table["average_rank"] == table["ranks"]["F1"]
 
     def test_missing_cell_raises(self):
         stats = {("a", "F1"): 1.0, ("b", "F1"): 2.0, ("a", "F2"): 1.0}
         with pytest.raises(ValueError):
             rank_algorithms(stats, group=["F1", "F2"])
 
-    def test_as_dict_round_trip(self):
-        stats = {("a", "F1"): 1.0, ("b", "F1"): 2.0}
-        d = rank_algorithms(stats, group=["F1"]).as_dict()
-        assert d["average_rank"] == {"a": 1.0, "b": 2.0}
-        assert d["algorithms"] == ["a", "b"]
+    def test_the_ranking_is_the_json_it_is_written_as(self):
+        stats = {("a", "F1"): 1.0, ("b", "F1"): 2.0, ("a", "F2"): 3.0, ("b", "F2"): 0.5}
+        table = rank_algorithms(stats, group=("F1", "F2"))
+        assert json.loads(json.dumps(table)) == table == {
+            "algorithms": ["a", "b"], "functions": ["F1", "F2"],
+            "ranks": {"F1": {"a": 1.0, "b": 2.0}, "F2": {"a": 2.0, "b": 1.0}},
+            "average_rank": {"a": 1.5, "b": 1.5}}
 
     def test_rank_cells_ranks_one_dimension_by_the_aggregate_mean(self):
         cells = {("a", "F1", 2): [outcome(1.0), outcome(3.0)],
                  ("b", "F1", 2): [outcome(2.5)],
                  ("a", "F1", 3): [outcome(9.0, dim=3)],
                  ("b", "F1", 3): [outcome(1.0, dim=3)]}
-        assert rank_cells(cells, 2, ["F1"]).ranks == {"F1": {"a": 1.0, "b": 2.0}}
-        assert rank_cells(cells, 3, ["F1"]).ranks == {"F1": {"a": 2.0, "b": 1.0}}
+        assert rank_cells(cells, 2, ["F1"])["ranks"] == {"F1": {"a": 1.0, "b": 2.0}}
+        assert rank_cells(cells, 3, ["F1"])["ranks"] == {"F1": {"a": 2.0, "b": 1.0}}
         with pytest.raises(ValueError, match="stats is empty"):
             rank_cells(cells, 4, ["F1"])
 
@@ -348,7 +342,7 @@ class TestTrialsCsv:
 class TestSummaryDict:
     def test_schema_and_cells(self):
         outs = run_experiment("gbde", "F7", 2, n_trials=2, max_fes=200, base_seed=0)
-        summary = summary_dict({("gbde", "F7", 2): outs}, success_threshold=1e-8,
+        summary = summary_dict({("gbde", "F7", 2): outs}, {}, success_threshold=1e-8,
                                max_fes=200, n_trials=2, base_seed=0)
         assert summary["schema_version"] == SUMMARY_SCHEMA_VERSION == 1
         assert summary["n_trials"] == 2 and summary["max_fes"] == 200
