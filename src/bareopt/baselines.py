@@ -2,7 +2,7 @@
 
 All three, and the multi-scale sampler, run on ``RunScaffold``: a metered
 objective, a seeded generator, one best-so-far record (an ``ErrorTrace``:
-the best point, its error and a bounded error curve), an optional
+the best point, its error and the batches that lowered it), an optional
 ``EventLog`` for its events, a config that carries the seed, and the run's
 success threshold.  Every evaluated step is booked through ``_book``, which
 logs each algorithm's moves with one Δf, kind and probability rule.
@@ -149,9 +149,10 @@ class RunScaffold:
     record, events, stopping and the outcome record.
 
     ``trace`` (an ``ErrorTrace``) holds the run's best point, its error and
-    the best-so-far curve.  ``config`` carries ``seed``; the run stops once
-    the trace's error reaches ``success_threshold``, a keyword of the run
-    that it refuses when negative or NaN (zero runs the budget out).  Runs
+    the batches that lowered it, off which ``outcome`` reads the error
+    curve.  ``config`` carries ``seed``; the run stops once the trace's
+    error reaches ``success_threshold``, a keyword of the run that it
+    refuses when negative or NaN (zero runs the budget out).  Runs
     without a scale or a tunneling width emit NaN for both in their events;
     the multi-scale sampler sets ``gamma`` and ``sigma_s`` on itself.
 
@@ -258,17 +259,7 @@ class RunScaffold:
         return self.outcome()
 
     def outcome(self) -> TrialOutcome:
-        spec = self.objective.spec
-        return build_outcome(
-            self.algorithm,
-            spec.name,
-            spec.dim,
-            self.config.seed,
-            evals_used=self.objective.evals_used,
-            trace=self.trace,
-            success_threshold=self.success_threshold,
-            config=self.config,
-        )
+        return build_outcome(self)
 
 
 class BbpsoRun(RunScaffold):

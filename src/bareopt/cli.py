@@ -281,7 +281,10 @@ def cmd_rank(args) -> int:
     for o in outcomes:
         cells.setdefault((o.algorithm, o.function, o.dim), []).append(o)
     group = _parse_group(args.group, dict.fromkeys(f for _, f, d in cells if d == dim))
-    table = rank_cells(cells, dim, group)
+    try:
+        table = rank_cells(cells, dim, group)
+    except ValueError as exc:  # say which file and dim lack the cell
+        raise ValueError(f"{args.csv}, dim {dim}: {exc}") from None
     payload = {**table, "dim": dim, "versions": software_versions(),
                "csv_sha256": hashlib.sha256(Path(args.csv).read_bytes()).hexdigest()}
     text = json.dumps(payload, indent=2)

@@ -185,12 +185,12 @@ def rank_algorithms(means: dict, group) -> dict:
         raise ValueError("function group is empty")
     algorithms = list(dict.fromkeys(algo for algo, _fn in means))
     if not algorithms:
-        raise ValueError("stats is empty")
+        raise ValueError("no means to rank")
     ranks: dict = {}
     for fn in group:
         for algo in algorithms:
             if (algo, fn) not in means:
-                raise ValueError(f"missing cell ({algo}, {fn}) in stats")
+                raise ValueError(f"{algo} has no mean error on {fn}")
         ranks[fn] = dict(zip(algorithms, _average_ranks([means[a, fn] for a in algorithms])))
     average = {a: sum(ranks[fn][a] for fn in group) / len(group) for a in algorithms}
     return {"algorithms": algorithms, "functions": group, "ranks": ranks,

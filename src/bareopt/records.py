@@ -1,6 +1,6 @@
 """Shared run records: trial outcomes, diagnostic events, and the
-best-so-far record (``ErrorTrace``: a run's best point, its error and its
-thinned error curve)."""
+best-so-far record (``ErrorTrace``: a run's best point, its error and the
+batches that lowered the best, from which the error curve is read)."""
 
 from __future__ import annotations
 
@@ -126,23 +126,18 @@ class TrialOutcome:
 
 class ErrorTrace:
     """A run's best-so-far record: the best point, its fitness and error, and
-    the error curve kept to at most ``cap`` points.
-
-    Evaluations arrive in contiguous batches numbered from 1.  The curve holds
-    the best fitness at every multiple of ``stride`` up to the last one; the
-    stride is the smallest power of two that keeps those multiples within the
-    cap, so the kept indices depend on the evaluation count alone.  The
-    fitnesses come from the meter, which reports NaN as +inf.
+    the batches that lowered the best, each kept as its first index and the
+    running best over it.  The best after evaluation i is the kept value at
+    the last kept index at or before i (+inf before any).  Evaluations arrive
+    in contiguous batches numbered from 1; the meter reports NaN as +inf.
     """
 
     def __init__(self, optimum_value: float, cap: int = 2000):
         self.optimum = float(optimum_value)
         self.cap = int(cap)
-        self.stride = 1
         self.best_position: np.ndarray | None = None
         self.best_fitness = math.inf
-        self._curve = np.empty(self.cap)
-        self._size = 0
+        self._kept: list[tuple[int, np.ndarray]] = []
 
     @property
     def error(self) -> float:
@@ -154,62 +149,42 @@ class ErrorTrace:
     def extend(self, first_index: int, xs, fitnesses) -> None:
         """Record the evaluations ``first_index``, ``first_index + 1``, ... of
         the points ``xs``."""
-        fs = np.atleast_1d(np.asarray(fitnesses, dtype=float))
+        fs = np.asarray(fitnesses, dtype=float)
         if fs.size == 0:
             return
-        last = first_index + fs.size - 1
-        while last // self.stride > self.cap:
-            self.stride *= 2
-            self._size //= 2
-            self._curve[:self._size] = self._curve[1:2 * self._size:2]
-        running = np.fmin.accumulate(fs)[-first_index % self.stride::self.stride]
-        end = self._size + len(running)
-        np.fmin(running, self.best_fitness, out=self._curve[self._size:end])
-        self._size = end
         j = int(fs.argmin())
-        if fs[j] < self.best_fitness:
-            self.best_fitness = float(fs[j])
-            self.best_position = np.array(xs[j], dtype=float)
+        if not fs[j] < self.best_fitness:
+            return
+        running = np.fmin.accumulate(fs)
+        self._kept.append((first_index, np.fmin(running, self.best_fitness, out=running)))
+        self.best_fitness = float(fs[j])
+        self.best_position = np.array(xs[j], dtype=float)
 
     def finalize(self, last_index: int) -> list[tuple[int, float]]:
-        """The curve as a fresh list of (evaluation index, error) pairs, with
-        the current error at ``last_index``; the trace itself is unchanged."""
-        stride, curve = self.stride, self._curve[:self._size]
-        if last_index % stride and self._size == self.cap:
-            # no room for the final point: thin as one more doubling would
-            stride, curve = 2 * stride, curve[1::2]
-        errors = np.maximum(curve - self.optimum, 0.0).tolist()
-        pairs = list(zip(range(stride, last_index + 1, stride), errors))
-        if pairs and pairs[-1][0] == last_index:
-            pairs.pop()
+        """The error curve as a fresh list of (evaluation index, error) pairs:
+        the best at each multiple of the smallest power-of-two stride that gives
+        at most ``cap`` points, then the current error at ``last_index``."""
+        # the smallest power of two s with ceil(last_index / s) <= cap
+        stride = 1 << (-(-last_index // self.cap) - 1).bit_length()
+        marks = np.arange(stride, last_index, stride)
+        # evaluation 0 holds +inf, the best before any evaluation
+        index = np.concatenate([[0], *(np.arange(i, i + len(b)) for i, b in self._kept)])
+        best = np.concatenate([[math.inf], *(b for _, b in self._kept)])
+        errors = np.maximum(best[np.searchsorted(index, marks, "right") - 1] - self.optimum, 0.0)
+        pairs = list(zip(marks.tolist(), errors.tolist()))
         if last_index > 0:
             pairs.append((last_index, self.error))
         return pairs
 
 
-def build_outcome(
-    algorithm: str,
-    function: str,
-    dim: int,
-    seed: int,
-    *,
-    evals_used: int,
-    trace: ErrorTrace,
-    success_threshold: float,
-    config,
-) -> TrialOutcome:
-    """Assemble a TrialOutcome from a run's evaluation count and its trace."""
+def build_outcome(run) -> TrialOutcome:
+    """The TrialOutcome of a finished run, read off its objective's spec and
+    evaluation count, its config, its trace and its success threshold."""
+    spec, trace, evals_used = run.objective.spec, run.trace, run.objective.evals_used
     error, position = trace.error, trace.best_position
     return TrialOutcome(
-        algorithm=algorithm,
-        function=function,
-        dim=dim,
-        seed=seed,
-        final_error=error,
-        evals_used=evals_used,
-        error_trace=trace.finalize(evals_used),
-        succeeded=error <= success_threshold,  # a NaN error compares False
+        algorithm=run.algorithm, function=spec.name, dim=spec.dim, seed=run.config.seed,
+        final_error=error, evals_used=evals_used, error_trace=trace.finalize(evals_used),
+        succeeded=error <= run.success_threshold,  # a NaN error compares False
         best_position=None if position is None else position.copy(),
-        best_fitness=trace.best_fitness,
-        config=config,
-    )
+        best_fitness=trace.best_fitness, config=run.config)

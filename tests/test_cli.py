@@ -626,6 +626,16 @@ class TestRank:
         assert main(["rank", "--csv", str(path)]) == 2
         assert f"{path}: no data rows" in capsys.readouterr().err
 
+    def test_a_missing_cell_names_the_csv_dim_algorithm_and_function(self, tmp_path, capsys):
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "algorithm,function,dim,seed,final_error,evals_used,succeeded\n"
+            "bip,F7,2,0,1.0,10,false\n"
+            "gbde,F8,2,0,2.0,10,false\n"
+        )
+        assert main(["rank", "--csv", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}, dim 2: gbde has no mean error on F7\n"
+
     def test_missing_file(self, capsys):
         code = main(["rank", "--csv", "/nonexistent/trials.csv"])
         assert code == 2

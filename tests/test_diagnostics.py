@@ -266,15 +266,19 @@ class TestSummaries:
         assert expected_solution_value(log) < 1e-4
 
     def test_replay_best_matches_the_error_trace(self):
-        out, log = record_run("bip", "F2", 3, max_fes=900, seed=6)
-        replay = replay_best(log)
-        assert len(replay) == out.evals_used
-        best_by_index = dict(replay)
+        # within the cap (stride 1), and past it: bbpso stops at 2940
+        # evaluations (stride 2), the other three run all 9000 (stride 8)
         optimum = get_objective("F2", 3).optimum_value
-        for idx, err in out.error_trace:
-            assert max(best_by_index[idx] - optimum, 0.0) == pytest.approx(err, abs=1e-12)
-        fits = [f for _, f in replay]
-        assert all(b <= a for a, b in zip(fits, fits[1:]))
+        for algo, max_fes in (("bip", 900), *((a, 9000) for a in ALGORITHMS)):
+            out, log = record_run(algo, "F2", 3, max_fes=max_fes, seed=6)
+            replay = replay_best(log)
+            assert len(replay) == out.evals_used
+            assert len(out.error_trace) <= 2000
+            best_by_index = dict(replay)
+            for idx, err in out.error_trace:
+                assert max(best_by_index[idx] - optimum, 0.0) == err
+            fits = [f for _, f in replay]
+            assert all(b <= a for a, b in zip(fits, fits[1:]))
 
 
 class TestExports:

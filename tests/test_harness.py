@@ -277,7 +277,7 @@ class TestRanking:
                  ("b", "F1", 3): [outcome(1.0, dim=3)]}
         assert rank_cells(cells, 2, ["F1"])["ranks"] == {"F1": {"a": 1.0, "b": 2.0}}
         assert rank_cells(cells, 3, ["F1"])["ranks"] == {"F1": {"a": 2.0, "b": 1.0}}
-        with pytest.raises(ValueError, match="stats is empty"):
+        with pytest.raises(ValueError, match="no means to rank"):
             rank_cells(cells, 4, ["F1"])
 
     def test_function_groups_cover_the_table(self):

@@ -101,7 +101,6 @@ class TestErrorTraceExtend:
             old.extend(first, batch)
             first += len(batch)
             last = first - 1
-            assert new.stride == old.stride
             assert new.best_fitness == old._best
             # the best point, as the runs kept it before the trace did: none
             # until a value below +inf
