@@ -160,8 +160,10 @@ class RunScaffold:
     ``_book`` call, which also hands ``events`` (None or an ``EventLog``)
     the step's events as one ``EventBatch``.
 
-    Each subclass names its algorithm and its config class; a run built
-    without a config uses that class's defaults.
+    ``finished`` is the one stop state: a zero budget sets it at construction,
+    ``_book`` after an evaluation, and bip's scale overflow; each subclass's
+    ``step`` returns ``not self.finished``.  Each subclass names its
+    algorithm and its config class, and requires a config.
     """
 
     algorithm = ""
@@ -169,10 +171,8 @@ class RunScaffold:
     gamma = math.nan
     sigma_s = math.nan
 
-    def __init__(self, objective: BudgetedObjective, config=None, *,
+    def __init__(self, objective: BudgetedObjective, config, *,
                  success_threshold: float = DEFAULT_SUCCESS_THRESHOLD, events=None):
-        if config is None:
-            config = self.config_class()
         if not success_threshold >= 0:  # NaN included
             raise ValueError("success_threshold must be nonnegative")
         self.objective = objective
@@ -184,22 +184,16 @@ class RunScaffold:
         self.lower = spec.lower_bound
         self.upper = spec.upper_bound
         self.trace = ErrorTrace(spec.optimum_value)
-        self.finished = False
+        self.finished = objective.remaining == 0
 
     def _sweep_size(self, pop) -> int:
-        """How many of ``pop`` proposals the next step may evaluate; 0 once
-        the run is over (a spent budget ends it here)."""
-        if self.finished:
-            return 0
-        m = min(pop, self.objective.remaining)
-        if m == 0:
-            self.finished = True
-        return m
+        """How many of ``pop`` proposals the next step may evaluate; 0 once over."""
+        return 0 if self.finished else min(pop, self.objective.remaining)
 
     def _book(self, xs, fs, taken, old_x, old_f, *, kind=None, particle=None,
-              delta_f=None, delta_x=None, probs=None) -> bool:
+              delta_f=None, delta_x=None, probs=None) -> None:
         """Book the run's last ``len(fs)`` evaluations, at ``xs``, in the trace
-        and the event log, and check for a stop; returns whether the run goes on.
+        and the event log, and set ``finished`` at success or a spent budget.
 
         ``taken`` marks the moves made from ``old_x`` at ``old_f``, both read
         before the step changes them.  Δf is ``_fitness_gap(fs, old_f)`` and
@@ -229,7 +223,6 @@ class RunScaffold:
         # a NaN error (no best point yet) compares False
         if self.trace.error <= self.success_threshold or self.objective.remaining == 0:
             self.finished = True
-        return not self.finished
 
     def _init_population(self, count, positions=None):
         """Evaluate the initial population, uniform over the box unless
@@ -250,9 +243,6 @@ class RunScaffold:
             self._book(xs, fs, np.ones(m, dtype=bool), xs, fs, kind=INIT)
         return positions, fitness
 
-    def step(self) -> bool:
-        raise NotImplementedError
-
     def run(self) -> TrialOutcome:
         while self.step():
             pass
@@ -266,7 +256,7 @@ class BbpsoRun(RunScaffold):
     algorithm = "bbpso"
     config_class = BbpsoConfig
 
-    def __init__(self, objective, config=None, **kwargs):
+    def __init__(self, objective, config, **kwargs):
         super().__init__(objective, config, **kwargs)
         self.pbest, self.pbest_f = self._init_population(self.config.np_)
         g = int(self.pbest_f.argmin())
@@ -281,21 +271,21 @@ class BbpsoRun(RunScaffold):
         samples = _between(self.rng, pbest, self.gbest, self.lower, self.upper)
         fs = self.objective.evaluate_many(samples)
         improved = fs < pbest_f
-        going = self._book(samples, fs, improved, pbest, pbest_f)
+        self._book(samples, fs, improved, pbest, pbest_f)
         np.copyto(pbest, samples, where=improved[:, None])
         np.copyto(pbest_f, fs, where=improved)
         g = int(self.pbest_f.argmin())
         if self.pbest_f[g] < self.gbest_f:
             self.gbest = self.pbest[g].copy()
             self.gbest_f = float(self.pbest_f[g])
-        return going
+        return not self.finished
 
 
 class BbfwaRun(RunScaffold):
     algorithm = "bbfwa"
     config_class = BbfwaConfig
 
-    def __init__(self, objective, config=None, **kwargs):
+    def __init__(self, objective, config, **kwargs):
         super().__init__(objective, config, **kwargs)
         self.span = objective.spec.span.astype(float)
         self.amplitude = self.span.copy()  # the amplitude is updated in place
@@ -312,8 +302,7 @@ class BbfwaRun(RunScaffold):
         j = int(fs.argmin())
         improved = fs[j] < self.center_f
         taken = (np.arange(m) == j) & improved
-        going = self._book(sparks, fs, taken, self.center, self.center_f,
-                           particle=np.zeros(m, dtype=int))
+        self._book(sparks, fs, taken, self.center, self.center_f, particle=np.zeros(m, dtype=int))
         if improved:
             self.center = sparks[j].copy()
             self.center_f = float(fs[j])
@@ -322,14 +311,14 @@ class BbfwaRun(RunScaffold):
             # a tie counts as no improvement
             self.amplitude *= AMP_SHRINK
         _clamp(self.amplitude, AMP_FLOOR, self.span)
-        return going
+        return not self.finished
 
 
 class GbdeRun(RunScaffold):
     algorithm = "gbde"
     config_class = GbdeConfig
 
-    def __init__(self, objective, config=None, **kwargs):
+    def __init__(self, objective, config, **kwargs):
         super().__init__(objective, config, **kwargs)
         self.positions, self.fitness = self._init_population(self.config.np_)
 
@@ -347,8 +336,8 @@ class GbdeRun(RunScaffold):
         trials = np.where(cross, mutants, positions)
         fs = self.objective.evaluate_many(trials)
         selected = fs <= fitness
-        going = self._book(trials, fs, selected, positions, fitness)
+        self._book(trials, fs, selected, positions, fitness)
         np.copyto(positions, trials, where=selected[:, None])
         np.copyto(fitness, fs, where=selected)
-        return going
+        return not self.finished
 

@@ -139,7 +139,7 @@ class BipRun(RunScaffold):
     algorithm = "bip"
     config_class = BipConfig
 
-    def __init__(self, objective, config=None, **kwargs):
+    def __init__(self, objective, config, **kwargs):
         super().__init__(objective, config, **kwargs)
         self.span = objective.spec.max_span
         self.scale_index = 0
@@ -173,15 +173,15 @@ class BipRun(RunScaffold):
         delta_f = _fitness_gap(cand_f, self.fitness[:m])
         delta_x = _jumps(candidates, current)
         accept, probs = accept_moves(delta_f, delta_x, self.gamma, cfg.amplitude_a, self.rng)
-        going = self._book(candidates, cand_f, accept, current, self.fitness[:m],
-                           delta_f=delta_f, delta_x=delta_x, probs=probs)
+        self._book(candidates, cand_f, accept, current, self.fitness[:m],
+                   delta_f=delta_f, delta_x=delta_x, probs=probs)
         if np.count_nonzero(accept):
             np.copyto(current, candidates, where=accept[:, None])
             np.copyto(self.fitness[:m], cand_f, where=accept)
             self._recheck = True
         self.ac += 1
         self.gamma = anneal_gamma(self.sigma_s, self.ac)
-        if not going:
+        if self.finished:
             return False
         # the check's answer changes only with the positions or the scale: it
         # runs after a sweep that took a move, and after a transition

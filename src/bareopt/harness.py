@@ -246,24 +246,26 @@ def read_trials_csv(path) -> list[TrialOutcome]:
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if tuple(header) != TRIAL_CSV_COLUMNS:
-            raise ValueError(
-                f"{path}: line 1: expected header {','.join(TRIAL_CSV_COLUMNS)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(TRIAL_CSV_COLUMNS):
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if tuple(header) != TRIAL_CSV_COLUMNS:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected "
-                    f"{len(TRIAL_CSV_COLUMNS)} fields, got {len(row)}"
+                    f"{path}: line 1: expected header {','.join(TRIAL_CSV_COLUMNS)}"
                 )
-            try:
-                outcomes.append(TrialOutcome(**{
-                    name: read(text) for (name, _, read), text in zip(_TRIAL_CSV, row)}))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(TRIAL_CSV_COLUMNS):
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected "
+                        f"{len(TRIAL_CSV_COLUMNS)} fields, got {len(row)}"
+                    )
+                try:
+                    outcomes.append(TrialOutcome(**{
+                        name: read(text) for (name, _, read), text in zip(_TRIAL_CSV, row)}))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        except csv.Error as exc:  # a row the csv module cannot split
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return outcomes
 
 

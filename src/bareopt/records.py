@@ -167,10 +167,15 @@ class ErrorTrace:
         # the smallest power of two s with ceil(last_index / s) <= cap
         stride = 1 << (-(-last_index // self.cap) - 1).bit_length()
         marks = np.arange(stride, last_index, stride)
-        # evaluation 0 holds +inf, the best before any evaluation
-        index = np.concatenate([[0], *(np.arange(i, i + len(b)) for i, b in self._kept)])
-        best = np.concatenate([[math.inf], *(b for _, b in self._kept)])
-        errors = np.maximum(best[np.searchsorted(index, marks, "right") - 1] - self.optimum, 0.0)
+        # evaluation 0 is a kept batch of one +inf, the best before any evaluation
+        batches = [(0, np.array([math.inf])), *self._kept]
+        firsts = np.array([i for i, _ in batches])
+        lens = np.array([len(b) for _, b in batches])
+        best = np.concatenate([b for _, b in batches])
+        k = np.searchsorted(firsts, marks, "right") - 1
+        # each mark's offset into its batch, capped at the batch's last value
+        at = np.cumsum(lens)[k] - lens[k] + np.minimum(marks - firsts[k], lens[k] - 1)
+        errors = np.maximum(best[at] - self.optimum, 0.0)
         pairs = list(zip(marks.tolist(), errors.tolist()))
         if last_index > 0:
             pairs.append((last_index, self.error))

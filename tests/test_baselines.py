@@ -20,6 +20,7 @@ from bareopt.baselines import (
     _clamped_cr,
 )
 from bareopt.benchmarks import BudgetedObjective, ObjectiveSpec, get_objective
+from bareopt.harness import ALGORITHMS, REGISTRY, build_config
 from bareopt.records import ACCEPT_BETTER, INIT, REJECT, EventLog
 
 import bareopt.benchmarks as benchmarks
@@ -230,6 +231,13 @@ class TestSharedProtocol:
             out = runner(obj, cfg, success_threshold=0.0).run()
             assert out.evals_used == 103
 
-    def test_zero_budget_outcome(self):
-        out = GbdeRun(BudgetedObjective(get_objective("F7", 2), 0), GbdeConfig(seed=0)).run()
-        assert math.isnan(out.final_error) and out.evals_used == 0
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_zero_budget_outcome(self, algorithm):
+        obj = BudgetedObjective(get_objective("F7", 2), 0)
+        run = REGISTRY[algorithm](obj, build_config(algorithm, 0, None))
+        # the run is over before its first step, which evaluates nothing
+        assert run.finished and not run.step() and obj.evals_used == 0
+        out = run.run()
+        assert math.isnan(out.final_error)
+        assert out.evals_used == 0 and not out.succeeded
+        assert out.error_trace == []

@@ -387,12 +387,6 @@ class TestBipRun:
         assert np.all(held >= obj.spec.lower_bound - 1e-12)
         assert np.all(held <= obj.spec.upper_bound + 1e-12)
 
-    def test_zero_budget_outcome(self):
-        out = BipRun(self.budget(max_fes=0), BipConfig(seed=0)).run()
-        assert math.isnan(out.final_error)
-        assert out.evals_used == 0 and not out.succeeded
-        assert out.error_trace == []
-
     def test_a_budget_ending_inside_a_sweep_skips_the_collapse_check(self, monkeypatch):
         # the evaluations spent at each check; a sweep that takes no move
         # skips its check, so not every full sweep is seen here

@@ -625,6 +625,10 @@ class TestRank:
         path.write_text(header)
         assert main(["rank", "--csv", str(path)]) == 2
         assert f"{path}: no data rows" in capsys.readouterr().err
+        # a field past csv's size limit is a malformed row too
+        path.write_text(header + "x" * (csv.field_size_limit() + 1) + "\n")
+        assert main(["rank", "--csv", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 2: field larger")
 
     def test_a_missing_cell_names_the_csv_dim_algorithm_and_function(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"

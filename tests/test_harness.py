@@ -1,5 +1,6 @@
 """Tests for the experiment harness: trials, statistics, ranking, files."""
 
+import csv
 import json
 import math
 import threading
@@ -158,14 +159,19 @@ class TestRunExperiment:
         run_class = REGISTRY[algorithm]
         objective = BudgetedObjective(get_objective("F7", 2), max_fes=100)
         with pytest.raises(ValueError, match="success_threshold"):
-            run_class(objective, success_threshold=math.nan)
+            run_class(objective, run_class.config_class(), success_threshold=math.nan)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_the_success_threshold_stops_every_algorithm(self, algorithm):
         # F7 at dim 1 is trivially solved to a loose threshold
-        loose = run_single(algorithm, "F7", 1, max_fes=5000, seed=0,
-                           success_threshold=1e3)
+        objective = BudgetedObjective(get_objective("F7", 1), max_fes=5000)
+        run = REGISTRY[algorithm](objective, build_config(algorithm, 0, None),
+                                  success_threshold=1e3)
+        loose = run.run()
         assert loose.succeeded and loose.evals_used < 5000
+        # a finished run stays finished: one more step evaluates nothing
+        assert run.finished and not run.step()
+        assert objective.evals_used == loose.evals_used
 
     @pytest.mark.parametrize("algorithm, overrides", [
         ("bip", {"k": 4, "init_position": (0.5, -0.5)}), ("bbpso", {"np_": 5}),
@@ -336,6 +342,17 @@ class TestTrialsCsv:
                              ("bip,F7,2,1.0,100,true", "line 3: expected 7 fields, got 6")]:
             bad.write_text(good.read_text() + row + "\n")
             with pytest.raises(ValueError, match=message):
+                read_trials_csv(bad)
+
+    def test_a_field_the_csv_module_refuses_names_its_line(self, tmp_path):
+        # past csv's field size limit, in the header and in a data row
+        good = tmp_path / "good.csv"
+        write_trials_csv(good, [outcome(1.0)])
+        huge = "x" * (csv.field_size_limit() + 1) + "\n"
+        bad = tmp_path / "bad.csv"
+        for text, line in [(huge, 1), (good.read_text() + huge, 3)]:
+            bad.write_text(text)
+            with pytest.raises(ValueError, match=f"bad.csv: line {line}: field larger"):
                 read_trials_csv(bad)
 
 

@@ -229,7 +229,8 @@ def test_an_outcome_taken_mid_run_is_a_snapshot():
     """An outcome taken between steps neither changes as the run goes on nor
     leaves a point of its own in the finished trace."""
     def start():
-        return BipRun(BudgetedObjective(get_objective("F2", 2), 3000), success_threshold=0.0)
+        return BipRun(BudgetedObjective(get_objective("F2", 2), 3000), BipConfig(),
+                      success_threshold=0.0)
 
     run = start()
     # past the cap of 2000 points, at an odd count, so the stride is 2 and
