@@ -35,7 +35,7 @@ def main():
                                       n_trials=args.trials,
                                       max_fes=args.budget,
                                       base_seed=args.base_seed)
-            means[(algo, fn)] = aggregate(outcomes).mean
+            means[(algo, fn)] = aggregate(outcomes)["mean"]
 
     header = f"{'function':>9}" + "".join(f"{a:>12}" for a in ALGORITHMS)
     print(header)

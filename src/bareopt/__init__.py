@@ -41,7 +41,6 @@ from .diagnostics import (
 from .harness import (
     ALGORITHMS,
     FUNCTION_GROUPS,
-    AggregateStats,
     aggregate,
     rank_algorithms,
     read_trials_csv,

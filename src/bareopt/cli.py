@@ -205,8 +205,8 @@ def cmd_experiment(args) -> int:
                     success_threshold=args.success_threshold,
                 )
                 stats = aggregate(cell)
-                print(f"{algo:6s} {func:12s} {dim:4d}d  best={stats.best:.3e} "
-                      f"mean={stats.mean:.3e} std={stats.std:.3e} sr={stats.sr:.2f}")
+                print(f"{algo:6s} {func:12s} {dim:4d}d  best={stats['best']:.3e} "
+                      f"mean={stats['mean']:.3e} std={stats['std']:.3e} sr={stats['sr']:.2f}")
 
     rankings = {}
     for dim in dims:

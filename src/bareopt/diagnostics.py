@@ -63,26 +63,6 @@ class TrajectoryLog:
     def dim(self) -> int:
         return len(self.lower_bound)
 
-    def positions(self) -> np.ndarray:
-        """Stacked positions the particles held (the ``ACCEPTED_KINDS`` rows),
-        shape (m, dim)."""
-        held = [b for b in self.events.batches if b.position is not None]
-        if not held:
-            return np.empty((0, self.dim))
-        kind = np.concatenate([b.kind for b in held])
-        return np.concatenate([b.position for b in held])[np.isin(kind, ACCEPTED_KINDS)]
-
-    def final_population(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The particle indices in order of first appearance, each one's last
-        held position, shape (m, dim), and that position's fitness."""
-        accepted = np.isin(self.events.column("kind"), ACCEPTED_KINDS)
-        # row r here is row r of positions(), which stacks the same rows; a
-        # later row of a particle overwrites its entry but keeps its place
-        latest = {p: r for r, p in enumerate(self.events.column("particle")[accepted].tolist())}
-        last = list(latest.values())
-        return (np.array(list(latest), dtype=int), self.positions()[last],
-                self.events.column("fitness")[accepted][last])
-
 
 def record_run(
     algorithm: str,
@@ -152,7 +132,11 @@ def wave_modulus(log: TrajectoryLog, bins_per_dim: int = 50) -> WaveHistogram:
     """
     if bins_per_dim < 1:
         raise ValueError("bins_per_dim must be at least 1")
-    points = log.positions()
+    # the ACCEPTED_KINDS rows of the positional batches; the empty heads cover a log of none
+    held = [b for b in log.events.batches if b.position is not None]
+    kind = np.concatenate([np.empty(0, dtype=int), *(b.kind for b in held)])
+    points = np.concatenate([np.empty((0, log.dim)), *(b.position for b in held)])
+    points = points[np.isin(kind, ACCEPTED_KINDS)]
     if points.shape[0] == 0:
         raise ValueError("log holds no accepted positions")
     box = list(zip(log.lower_bound, log.upper_bound))
@@ -191,11 +175,16 @@ def transmission_trace(log: TrajectoryLog) -> list[tuple[int, float]]:
 
 
 def expected_solution_value(log: TrajectoryLog) -> float:
-    """Mean logged fitness of the final population snapshot."""
-    _, _, fitness = log.final_population()
-    if not fitness.size:
+    """Mean logged fitness of the final population: each particle's fitness at
+    its last held row (an ``ACCEPTED_KINDS`` event), particles in order of
+    first appearance."""
+    held = np.isin(log.events.column("kind"), ACCEPTED_KINDS)
+    # a later row of a particle overwrites its value but keeps its place
+    last = dict(zip(log.events.column("particle")[held].tolist(),
+                    log.events.column("fitness")[held].tolist()))
+    if not last:
         raise ValueError("log holds no population")
-    return float(np.mean(fitness))
+    return float(np.mean(list(last.values())))
 
 
 # --- exports ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import platform
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "build_config",
     "trial_budget",
     "FUNCTION_GROUPS",
-    "AggregateStats",
     "run_single",
     "run_experiment",
     "aggregate",
@@ -120,23 +119,14 @@ def run_experiment(
             for i in range(n_trials)]
 
 
-@dataclass(frozen=True)
-class AggregateStats:
-    """Best/mean/std of final errors plus success rate over one cell."""
+def aggregate(outcomes: list[TrialOutcome]) -> dict:
+    """Summarize one cell of trials as ``summary.json`` holds it:
+    ``{"best", "mean", "std", "sr", "n_trials"}``, in that order.
 
-    best: float
-    mean: float
-    std: float
-    sr: float
-    n_trials: int
-
-
-def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:
-    """Summarize one cell of trials.
-
-    Requires a non-empty, homogeneous cell (same algorithm, function, dim).
-    ``std`` uses n-1 normalization and is 0 for a single trial.  ``sr`` is
-    the fraction of trials that succeeded, each at its own run's threshold.
+    ``best``, ``mean`` and ``std`` are of the final errors, ``std`` with n-1
+    normalization and 0 for a single trial; ``sr`` is the fraction of trials
+    that succeeded, each at its own run's threshold.  Requires a non-empty,
+    homogeneous cell (same algorithm, function, dim).
     """
     if not outcomes:
         raise ValueError("cannot aggregate zero trials")
@@ -149,13 +139,8 @@ def aggregate(outcomes: list[TrialOutcome]) -> AggregateStats:
     with np.errstate(invalid="ignore", over="ignore"):
         mean = float(errors.mean())
         std = float(errors.std(ddof=1)) if n > 1 else 0.0
-    return AggregateStats(
-        best=float(errors.min()),
-        mean=mean,
-        std=std,
-        sr=float(np.mean([o.succeeded for o in outcomes])),
-        n_trials=n,
-    )
+    return {"best": float(errors.min()), "mean": mean, "std": std,
+            "sr": float(np.mean([o.succeeded for o in outcomes])), "n_trials": n}
 
 
 def _average_ranks(values) -> list[float]:
@@ -201,7 +186,7 @@ def rank_cells(cells: dict, dim: int, group) -> dict:
     """``rank_algorithms`` over the cells of one dimension, each by its
     ``aggregate`` mean; ``cells`` maps (algorithm, function, dim) to that
     cell's TrialOutcome list."""
-    return rank_algorithms({(algo, fn): aggregate(outcomes).mean
+    return rank_algorithms({(algo, fn): aggregate(outcomes)["mean"]
                             for (algo, fn, d), outcomes in cells.items() if d == dim}, group)
 
 
@@ -239,7 +224,8 @@ def write_trials_csv(path, outcomes: list[TrialOutcome]) -> None:
 
 def read_trials_csv(path) -> list[TrialOutcome]:
     """Parse a trials CSV back into one TrialOutcome per row, of its columns
-    alone.  A malformed header or row raises ValueError naming the 1-based line.
+    alone.  A malformed header or row raises ValueError naming the 1-based
+    physical line it ends on (a quoted field may hold a newline).
     """
     path = Path(path)
     outcomes = []
@@ -253,17 +239,17 @@ def read_trials_csv(path) -> list[TrialOutcome]:
                 raise ValueError(
                     f"{path}: line 1: expected header {','.join(TRIAL_CSV_COLUMNS)}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if len(row) != len(TRIAL_CSV_COLUMNS):
                     raise ValueError(
-                        f"{path}: line {lineno}: expected "
+                        f"{path}: line {reader.line_num}: expected "
                         f"{len(TRIAL_CSV_COLUMNS)} fields, got {len(row)}"
                     )
                 try:
                     outcomes.append(TrialOutcome(**{
                         name: read(text) for (name, _, read), text in zip(_TRIAL_CSV, row)}))
                 except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         except csv.Error as exc:  # a row the csv module cannot split
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return outcomes
@@ -294,10 +280,9 @@ def summary_dict(cells: dict, rankings: dict, *,
     for (algo, fn, dim), outcomes in cells.items():
         config = asdict(outcomes[0].config)
         del config["seed"]
-        # AggregateStats's fields give best, mean, std, sr and n_trials
         summary_cells.append({"algorithm": algo, "function": fn, "dim": dim,
                               "max_fes": trial_budget(max_fes, dim),
-                              **asdict(aggregate(outcomes)), "config": config})
+                              **aggregate(outcomes), "config": config})
     return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "success_threshold": success_threshold,

@@ -82,7 +82,7 @@ class TestCriterion3MultimodalOrdering:
             for fn in group:
                 outs = run_experiment(algo, fn, DIM, n_trials=TRIALS,
                                       max_fes=100_000, base_seed=0)
-                stats[(algo, fn)] = aggregate(outs).mean
+                stats[(algo, fn)] = aggregate(outs)["mean"]
         table = rank_algorithms(stats, group=group)
         gbde, bip = table["average_rank"]["gbde"], table["average_rank"]["bip"]
         ok = gbde < bip

@@ -444,7 +444,15 @@ class TestDiagnose:
         payload = json.loads(hist.read_text())
         assert payload["marginal"] is False
         out = capsys.readouterr().out
-        assert "expected_solution_value=" in out and "mode_cell=" in out
+        printed = dict(line.split("=", 1) for line in out.splitlines()
+                       if line.startswith(("expected_solution_value=", "mode_cell=")))
+        # each particle's fitness at its last row that sets its position, then their mean
+        held = ("init", "accept-better", "accept-tunnel", "mean-replace")
+        last = {row[1]: float(row[8]) for row in rows[1:] if row[2] in held}
+        assert printed["expected_solution_value"] == f"{np.mean(list(last.values())):.6e}"
+        counts = np.array(payload["counts"])
+        mode = tuple(int(i) for i in np.unravel_index(np.argmax(counts), counts.shape))
+        assert printed["mode_cell"].startswith(f"{mode} bounds=")
 
     def test_jsons_record_the_effective_config_and_versions(self, tmp_path):
         code = main(["diagnose", "--algo", "bip", "--func", "double_well",
@@ -610,7 +618,8 @@ class TestRank:
         assert main(["rank", "--csv", str(path), "--group", "F1",
                      "--out", str(tmp_path)]) == 0
         ranks = json.loads((tmp_path / "ranks.json").read_text())["ranks"]["F1"]
-        means = {(a, "F1"): aggregate([o for o in read_trials_csv(path) if o.algorithm == a]).mean
+        outcomes = read_trials_csv(path)
+        means = {(a, "F1"): aggregate([o for o in outcomes if o.algorithm == a])["mean"]
                  for a in errors}
         assert ranks == rank_algorithms(means, ["F1"])["ranks"]["F1"] == {"a": 2.0, "b": 1.0}
 
@@ -629,6 +638,12 @@ class TestRank:
         path.write_text(header + "x" * (csv.field_size_limit() + 1) + "\n")
         assert main(["rank", "--csv", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: line 2: field larger")
+        # a quoted field holding a newline spans lines 2 and 3, so the bad
+        # seed is on line 4, though it is the second data row
+        path.write_text(header + '"bi\np",F7,2,0,1.0,100,true\n' "bip,F7,2,one,1.0,100,true\n")
+        assert main(["rank", "--csv", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: line 4: invalid literal for int()")
 
     def test_a_missing_cell_names_the_csv_dim_algorithm_and_function(self, tmp_path, capsys):
         path = tmp_path / "trials.csv"

@@ -52,6 +52,17 @@ def replay_best(log):
     return list(zip(log.events.column("index")[evaluated].tolist(), best[1:].tolist()))
 
 
+def last_held_rows(log):
+    """Each particle's (position, fitness) at its last row of a kind that sets
+    its position, walking the batches in order; particles in order of first
+    appearance."""
+    later = {}
+    for b in log.events.batches:
+        for r in np.flatnonzero(np.isin(b.kind, SETS_POSITION)):
+            later[int(b.particle[r])] = (b.position[r], b.fitness[r])
+    return later
+
+
 def synthetic_log(points, dim=2, low=-4.0, high=4.0, amplitude=1.0):
     """A log whose accepted positions are exactly ``points``."""
     log = TrajectoryLog(
@@ -123,6 +134,8 @@ class TestRecordRun:
     def test_a_log_keeps_only_what_the_run_cannot_give_it(self):
         assert [f.name for f in fields(TrajectoryLog)] == [
             "lower_bound", "upper_bound", "amplitude", "events"]
+        # and no reader of its own: the readers are the module's functions
+        assert [n for n in vars(TrajectoryLog) if not n.startswith("_")] == ["dim"]
         assert synthetic_log([[0.0, 0.0, 0.0]], dim=3).dim == 3
 
     def test_baseline_runs_are_recordable(self):
@@ -133,18 +146,20 @@ class TestRecordRun:
     def test_final_population_tracks_last_accepted_move(self):
         _, log = record_run("bip", "F7", 2, max_fes=400, seed=2,
                             overrides={"k": 4})
-        particles, positions, fitness = log.final_population()
-        assert set(particles.tolist()) == {0, 1, 2, 3}
-        # each particle's last row of a kind that sets its position, walking
-        # the batches in order
-        later = {}
-        for b in log.events.batches:
-            for r in np.flatnonzero(np.isin(b.kind, SETS_POSITION)):
-                later[int(b.particle[r])] = (b.position[r], b.fitness[r])
-        assert list(later) == particles.tolist()
-        for (x, f), got_x, got_f in zip(later.values(), positions, fitness):
-            np.testing.assert_equal(got_x, x)
-            assert got_f == f
+        later = last_held_rows(log)
+        assert set(later) == {0, 1, 2, 3}
+        # the walk over the batches agrees with the whole-log columns
+        held = np.isin(log.events.column("kind"), SETS_POSITION)
+        particle = log.events.column("particle")[held]
+        fitness = log.events.column("fitness")[held]
+        # a scale-halve batch carries no position, and sets none
+        position = np.concatenate([
+            np.full((len(b.kind), log.dim), np.nan) if b.position is None else b.position
+            for b in log.events.batches])[held]
+        for i, (x, f) in later.items():
+            last = np.flatnonzero(particle == i)[-1]
+            np.testing.assert_equal(x, position[last])
+            assert f == fitness[last]
 
     def test_iterated_rows_name_the_kind_column(self):
         # bench's log check counts evaluations by iterating the log
@@ -242,6 +257,16 @@ class TestTransmissionTrace:
 
 
 class TestSummaries:
+    @pytest.mark.parametrize("algorithm, population", [
+        ("bip", 4), ("bbpso", 20), ("bbfwa", 1), ("gbde", 100)])
+    def test_expected_value_is_the_last_held_mean(self, algorithm, population):
+        overrides = {"k": 4} if algorithm == "bip" else None
+        _, log = record_run(algorithm, "F7", 2, max_fes=400, seed=2, overrides=overrides)
+        later = last_held_rows(log)
+        assert sorted(later) == list(range(population))
+        # the same values in the same order, so the same bits
+        assert expected_solution_value(log) == np.mean([f for _, f in later.values()])
+
     def test_expected_solution_value_matches_population_mean(self):
         _, log = record_run("bip", "F7", 2, max_fes=600, seed=5)
         esv = expected_solution_value(log)
@@ -250,12 +275,12 @@ class TestSummaries:
         fitness = log.events.column("fitness")[held]
         last = [np.flatnonzero(particle == i)[-1] for i in np.unique(particle)]
         assert esv == pytest.approx(np.mean(fitness[last]), rel=1e-12)
-        _, _, final_fitness = log.final_population()
+        final_fitness = [f for _, f in last_held_rows(log).values()]
         assert np.array_equal(np.sort(final_fitness), np.sort(fitness[last]))
 
     def test_expected_solution_value_against_objective(self):
         _, log = record_run("bip", "F7", 2, max_fes=600, seed=5)
-        positions = log.final_population()[1]
+        positions = np.array([x for x, _ in last_held_rows(log).values()])
         meter = BudgetedObjective(get_objective("F7", 2), len(positions))
         esv_fresh = meter.evaluate_many(positions).mean()
         assert esv_fresh == pytest.approx(expected_solution_value(log), rel=1e-9)

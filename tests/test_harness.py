@@ -59,17 +59,17 @@ PRINTED_MEANS_UNI = {
 
 class TestAggregate:
     def test_hand_computed_cell(self):
-        outs = [outcome(0.0, seed=0), outcome(2.0, seed=1)]
-        stats = aggregate(outs)
-        assert stats.best == 0.0
-        assert stats.mean == 1.0
-        assert stats.std == pytest.approx(math.sqrt(2.0))  # n-1 normalization
-        assert stats.sr == 0.5
-        assert stats.n_trials == 2
+        stats = aggregate([outcome(0.0, seed=0), outcome(2.0, seed=1)])
+        # a summary.json cell's statistics, in its key order, as plain numbers
+        assert list(stats) == ["best", "mean", "std", "sr", "n_trials"]
+        assert [type(v) for v in stats.values()] == [float] * 4 + [int]
+        assert stats == {"best": 0.0, "mean": 1.0,
+                         "std": pytest.approx(math.sqrt(2.0)),  # n-1 normalization
+                         "sr": 0.5, "n_trials": 2}
 
     def test_single_trial_has_zero_std(self):
-        stats = aggregate([outcome(3.0)])
-        assert stats.std == 0.0 and stats.mean == 3.0 and stats.sr == 0.0
+        assert aggregate([outcome(3.0)]) == {"best": 3.0, "mean": 3.0, "std": 0.0,
+                                             "sr": 0.0, "n_trials": 1}
 
     def test_success_rate_follows_the_threshold(self):
         # sr counts what each run decided at its own threshold
@@ -80,9 +80,9 @@ class TestAggregate:
         errors = sorted(o.final_error for o in cell(0.0))
         middle = (errors[1] + errors[2]) / 2
         assert errors[1] < middle < errors[2]  # so it splits the cell in two
-        assert aggregate(cell(0.0)).sr == 0.0
-        assert aggregate(cell(middle)).sr == 0.5
-        assert aggregate(cell(errors[-1])).sr == 1.0
+        assert aggregate(cell(0.0))["sr"] == 0.0
+        assert aggregate(cell(middle))["sr"] == 0.5
+        assert aggregate(cell(errors[-1]))["sr"] == 1.0
 
     @pytest.mark.parametrize("errors, mean, std", [
         ([math.inf, 1.0], math.inf, math.nan),
@@ -95,7 +95,7 @@ class TestAggregate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stats = aggregate([outcome(e, seed=i) for i, e in enumerate(errors)])
-        assert (stats.mean, stats.std) == pytest.approx((mean, std), nan_ok=True)
+        assert (stats["mean"], stats["std"]) == pytest.approx((mean, std), nan_ok=True)
 
     def test_rejects_mixed_cells(self):
         with pytest.raises(ValueError):
@@ -366,7 +366,7 @@ class TestSummaryDict:
         (cell,) = summary["cells"]
         assert cell["algorithm"] == "gbde" and cell["function"] == "F7"
         assert cell["max_fes"] == 200
-        stats = asdict(aggregate(outs))
+        stats = aggregate(outs)
         assert {k: cell[k] for k in stats} == stats
         defaults = asdict(GbdeConfig())
         del defaults["seed"]  # each trial's own
